@@ -43,7 +43,6 @@ from .graphs import (
     Partition,
     SbmParams,
     bernoulli_vertex_sample,
-    edges_to_set,
     induced_subgraph,
     load_graph,
     load_partition,
@@ -122,7 +121,6 @@ __all__ = [
     "build_z_operator",
     "check_certificate",
     "conjectured_gamma_threshold",
-    "edges_to_set",
     "emit_csv",
     "emit_heatmap_svg",
     "estimate_mu",

@@ -85,13 +85,16 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     A vertex joins the side it has strictly more edges to. Ties follow
     ``tie_rule``: FAIL leaves the vertex unassigned, TO_FIRST sends it to
     the +1 side, RANDOM flips a fair coin per tied vertex (in ascending
-    vertex order, driven by ``seed``). Returns the partition over all
-    assigned vertices plus the array of unassigned labels.
+    vertex order, driven by ``seed``). One seed side may be empty, as for
+    the all-ones cut that is optimal at small mu; then every vertex with a
+    seed neighbour joins the other side and the rest are ties. Returns the
+    partition over all assigned vertices plus the array of unassigned
+    labels.
     """
     plus = np.unique(np.asarray(list(side_plus), dtype=np.int64))
     minus = np.unique(np.asarray(list(side_minus), dtype=np.int64))
-    if plus.size == 0 or minus.size == 0:
-        raise ValueError("both seed sides must be non-empty")
+    if plus.size == 0 and minus.size == 0:
+        raise ValueError("seed sides must not both be empty")
     if np.intersect1d(plus, minus).size:
         raise ValueError("seed sides must be disjoint")
     rows_plus = graph.indices_of(plus)

@@ -72,3 +72,47 @@ def random_test_graph(rng, n, p):
 
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def reference_sample_sbm(params, seed):
+    """Block-model sampler by enumeration of all n(n-1)/2 pairs at once.
+
+    This is the straightforward O(n^2)-memory formulation: one uniform per
+    i < j pair in lexicographic order, kept when below the pair's rate.
+    ``sample_sbm`` must return exactly this graph and partition.
+    """
+    from sketchbisect import Graph, Partition
+
+    rng = np.random.default_rng(seed)
+    n = params.n
+    iu, ju = np.triu_indices(n, k=1)
+    same = (iu < params.n1) == (ju < params.n1)
+    probs = np.where(same, params.p, params.q)
+    keep = rng.random(iu.size) < probs
+    graph = Graph(n, np.column_stack([iu[keep], ju[keep]]))
+    signs = np.ones(n, dtype=np.int8)
+    signs[params.n1:] = -1
+    return graph, Partition(np.arange(n), signs)
+
+
+def reference_adjacency(graph):
+    """Symmetric CSR built from both edge orientations, then row-sorted."""
+    import scipy.sparse as sp
+
+    rows = graph.indices_of(graph.edges)
+    m = rows.shape[0]
+    r = np.concatenate([rows[:, 0], rows[:, 1]])
+    c = np.concatenate([rows[:, 1], rows[:, 0]])
+    n = graph.num_vertices
+    adj = sp.csr_matrix((np.ones(2 * m), (r, c)), shape=(n, n))
+    adj.sort_indices()
+    return adj
+
+
+def assert_same_graph(a, b):
+    """Equal labels, edges, CSR arrays (values and dtypes) and degrees."""
+    assert a == b
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a.adjacency, name), getattr(b.adjacency, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert np.array_equal(a.degrees, b.degrees)

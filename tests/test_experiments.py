@@ -173,6 +173,19 @@ class TestRunGrid:
         assert failed, "expected at least one failed cell at this gamma"
         assert all(not c.recovered for c in failed)
 
+    def test_one_sided_cut_cell_runs(self):
+        # mu = 1/2 lies below q ~ 0.68, so the certified sketch cut puts every
+        # vertex on one side; the cell must vote-extend it, not record an error
+        spec = GridSpec(
+            alphas=(14,), betas=(10,), n=60, reps=3,
+            methods=(METHOD_SKETCH,), gamma_policy=0.5, mu_policy="half",
+        )
+        results = run_grid(spec)
+        assert [c.error for c in results] == ["", "", ""]
+        for c in results:
+            assert not c.fell_back and not c.recovered
+            assert c.mu_used == 0.5 and c.unassigned_count == 0
+
     def test_recovered_implies_fully_assigned(self, desk_grid):
         _, results = desk_grid
         for c in results:

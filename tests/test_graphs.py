@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +15,8 @@ from sketchbisect import (
     Partition,
     SbmParams,
     bernoulli_vertex_sample,
-    edges_to_set,
+    cli,
+    graphs,
     induced_subgraph,
     load_graph,
     load_partition,
@@ -20,7 +25,14 @@ from sketchbisect import (
     save_partition,
 )
 
-from conftest import dense_adjacency
+from conftest import (
+    assert_same_graph,
+    dense_adjacency,
+    reference_adjacency,
+    reference_sample_sbm,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def edge_set(graph):
@@ -68,6 +80,66 @@ class TestGraphBasics:
         b = Graph(3, [(1, 0)])
         c = Graph(3, [(0, 2)])
         assert a == b and a != c
+
+
+class TestGraphConstruction:
+    """Edge order, orientation and repeats never change the built graph."""
+
+    @staticmethod
+    def canonical_and_variants(rng, n, p, ids):
+        pairs = np.array([(i, j) for i in range(n) for j in range(i + 1, n)
+                          if rng.random() < p], dtype=np.int64).reshape(-1, 2)
+        canonical = ids[pairs]
+        shuffled = canonical[rng.permutation(len(canonical))]
+        flip = rng.random(len(shuffled)) < 0.5
+        shuffled[flip] = shuffled[flip][:, ::-1]
+        reversed_ = canonical[::-1, ::-1]
+        dup = canonical[rng.integers(0, max(len(canonical), 1), size=len(canonical) // 2)]
+        duplicated = np.concatenate([shuffled, dup[:, ::-1], canonical])
+        return canonical, (shuffled, reversed_, duplicated)
+
+    @pytest.mark.parametrize("labels", ["contiguous", "non-contiguous"])
+    def test_input_order_does_not_matter(self, labels):
+        rng = np.random.default_rng(17)
+        for n in (2, 7, 40):
+            ids = np.arange(n) if labels == "contiguous" else 3 * np.arange(n) + 5
+            vertex_ids = None if labels == "contiguous" else rng.permutation(ids)
+            canonical, variants = self.canonical_and_variants(rng, n, 0.4, ids)
+            ref = Graph(n, canonical, vertex_ids=vertex_ids)
+            assert np.array_equal(ref.edges, canonical)
+            adj = reference_adjacency(ref)
+            assert np.array_equal(ref.adjacency.indptr, adj.indptr)
+            assert np.array_equal(ref.adjacency.indices, adj.indices)
+            assert np.array_equal(ref.adjacency.toarray(), dense_adjacency(ref))
+            for edges in variants:
+                assert_same_graph(Graph(n, edges, vertex_ids=vertex_ids), ref)
+                assert_same_graph(Graph(n, edges.tolist(), vertex_ids=vertex_ids), ref)
+
+    def test_empty_edge_inputs(self):
+        for edges in ((), [], np.empty((0, 2), dtype=np.int64)):
+            g = Graph(4, edges, vertex_ids=[9, 2, 5, 7])
+            assert g.edge_count == 0 and g.edges.shape == (0, 2)
+            assert g.adjacency.nnz == 0 and list(g.degrees) == [0, 0, 0, 0]
+        assert Graph(0).num_vertices == 0
+
+    def test_self_loops_raise(self):
+        with pytest.raises(ValueError):
+            Graph(4, [(0, 1), (2, 2)])
+        with pytest.raises(ValueError):
+            Graph(3, [(9, 4), (6, 6)], vertex_ids=[4, 6, 9])
+
+    @pytest.mark.parametrize("edge", [(0, 4), (-1, 2), (3, 4)])
+    def test_unknown_ids_raise(self, edge):
+        with pytest.raises(KeyError):
+            Graph(4, [(0, 1), edge])
+        with pytest.raises(KeyError):
+            Graph(4, [(1, 3), edge], vertex_ids=[1, 3, 5, 7])
+
+    def test_malformed_edge_array_raises(self):
+        with pytest.raises(ValueError):
+            Graph(4, [(0, 1, 2)])
+        with pytest.raises(ValueError):
+            Graph(4, [0, 1])
 
 
 class TestPartition:
@@ -160,6 +232,72 @@ class TestSampleSbm:
         assert abs(mean) <= 4 * se
 
 
+class TestSampleSbmOracle:
+    """The row-block sampler against enumeration of every pair at once."""
+
+    CASES = [
+        SbmParams(7, 13, 0.5, 0.1),  # n1 != n2
+        SbmParams(1, 30, 0.4, 0.2),  # n1 = 1
+        SbmParams(30, 1, 0.4, 0.2),  # n2 = 1
+        SbmParams(1, 1, 0.5, 0.5),  # one pair
+        SbmParams(20, 20, 0.1, 0.6),  # p < q
+        SbmParams(15, 15, 0.0, 0.3),  # p = 0
+        SbmParams(10, 12, 0.4, 1.0),  # q = 1
+        SbmParams(9, 9, 0.0, 0.0),  # no edges
+        SbmParams(6, 5, 1.0, 1.0),  # complete graph
+    ]
+
+    @staticmethod
+    def check(params, seed):
+        g, planted = sample_sbm(params, seed)
+        ref, ref_planted = reference_sample_sbm(params, seed)
+        assert_same_graph(g, ref)
+        assert planted == ref_planted
+        adj = reference_adjacency(g)
+        assert np.array_equal(g.adjacency.indptr, adj.indptr)
+        assert np.array_equal(g.adjacency.indices, adj.indices)
+
+    @pytest.mark.parametrize("params", CASES, ids=repr)
+    def test_small_cases(self, params):
+        for seed in (0, 1, 2024):
+            self.check(params, seed)
+
+    def test_several_row_blocks(self):
+        # 1.2M pairs, more than four blocks at the module's block size
+        params = LogScaleParams(50, 1, 1600).to_sbm_params(700, 900)
+        n = params.n
+        assert n * (n - 1) // 2 > 4 * graphs._PAIR_BLOCK
+        self.check(params, seed=99)
+
+    @pytest.mark.parametrize("block", [1, 7, 50, 1000])
+    def test_block_size_never_matters(self, monkeypatch, block):
+        # blocks shorter than a row, ending mid-block and spanning many rows
+        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
+        for params in (SbmParams(40, 33, 0.3, 0.05), SbmParams(1, 60, 0.2, 0.7)):
+            self.check(params, seed=block)
+
+    def test_memory_stays_linear(self):
+        # the pair enumeration would need ~6.6 GB of temporaries at n = 20000;
+        # the child's address space is capped so such a regression fails fast
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from sketchbisect import LogScaleParams, sample_sbm\n"
+            "g, _ = sample_sbm(LogScaleParams(50, 1, 20000).to_sbm_params(), seed=1)\n"
+            "assert g.edge_count > 2_000_000\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=False,
+            timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(SRC), OMP_NUM_THREADS="1",
+                     OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1"),
+        )
+        assert done.returncode == 0, done.stderr
+        peak_kib = int(done.stdout.split()[-1])  # Linux reports KiB
+        assert peak_kib < 1.5 * 2**20
+
+
 class TestBernoulliSample:
     def test_extremes(self):
         g = Graph(8, [(0, 1)])
@@ -198,6 +336,33 @@ class TestInducedSubgraph:
         g, _ = sample_sbm(SbmParams(8, 8, 0.5, 0.2), seed=4)
         assert induced_subgraph(g, g.vertex_ids) == g
 
+    def test_keeping_every_vertex_returns_the_input(self):
+        g, _ = sample_sbm(SbmParams(8, 8, 0.5, 0.2), seed=4)
+        assert induced_subgraph(g, g.vertex_ids) is g
+        assert induced_subgraph(g, list(g.vertex_ids[::-1]) * 2) is g
+        sub = induced_subgraph(g, [1, 4, 6, 9, 15])
+        assert induced_subgraph(sub, [15, 9, 6, 4, 1]) is sub
+        with pytest.raises(KeyError):
+            induced_subgraph(g, list(range(15)) + [99])
+
+    def test_matches_mask_filter(self):
+        rng = np.random.default_rng(23)
+        g, _ = sample_sbm(SbmParams(30, 25, 0.3, 0.1), seed=23)
+        ids = 2 * np.arange(55) + 1
+        relabelled = Graph(55, ids[g.edges], vertex_ids=ids)
+        for graph in (g, relabelled):
+            for frac in (0.0, 0.1, 0.5, 0.9, 0.98):
+                verts = graph.vertex_ids[rng.random(55) < frac]
+                keep = set(verts.tolist())
+                expected = Graph(
+                    verts.size,
+                    [(u, v) for u, v in graph.edges.tolist() if u in keep and v in keep],
+                    vertex_ids=verts,
+                )
+                sub = induced_subgraph(graph, rng.permutation(verts))
+                assert_same_graph(sub, expected)
+                assert np.array_equal(sub.adjacency.toarray(), dense_adjacency(sub))
+
     def test_labels_survive_nesting(self):
         g, _ = sample_sbm(SbmParams(10, 10, 0.6, 0.2), seed=5)
         sub = induced_subgraph(g, [2, 5, 7, 11, 19])
@@ -212,30 +377,6 @@ class TestInducedSubgraph:
         for _ in range(5):
             keep = [int(v) for v in g.vertex_ids if rng.random() < 0.6]
             assert induced_subgraph(g, keep).edge_count <= g.edge_count
-
-
-class TestEdgesToSet:
-    def test_k4_full_set(self):
-        k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-        assert edges_to_set(k4, 0, {1, 2, 3}) == 3
-
-    def test_empty_set(self):
-        g = Graph(4, [(0, 1)])
-        assert edges_to_set(g, 0, set()) == 0
-
-    def test_path_partial(self):
-        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        assert edges_to_set(path, 1, {0, 3}) == 1
-
-    def test_degree_split_identity(self):
-        g, _ = sample_sbm(SbmParams(12, 12, 0.5, 0.3), seed=8)
-        rng = np.random.default_rng(8)
-        for v in range(24):
-            others = [u for u in range(24) if u != v]
-            mask = rng.random(len(others)) < 0.5
-            s1 = {u for u, m in zip(others, mask) if m}
-            s2 = set(others) - s1
-            assert edges_to_set(g, v, s1) + edges_to_set(g, v, s2) == g.degree(v)
 
 
 class TestLogScaleParams:
@@ -310,3 +451,73 @@ class TestSerialization:
         bad2.write_text("0 1 2\n")
         with pytest.raises(ValueError):
             load_partition(bad2)
+
+
+class TestEdgeListFiles:
+    @staticmethod
+    def write(tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        return path
+
+    def test_save_matches_one_line_per_edge(self, tmp_path):
+        g, _ = sample_sbm(SbmParams(60, 70, 0.3, 0.05), seed=6)
+        path = tmp_path / "g.edges"
+        save_graph(g, path)
+        expected = f"n {g.num_vertices}\n" + "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
+        assert path.read_bytes() == expected.encode("ascii")
+        assert load_graph(path) == g
+
+    def test_save_edge_free_graph(self, tmp_path):
+        path = tmp_path / "g.edges"
+        save_graph(Graph(3), path)
+        assert path.read_text() == "n 3\n"
+        assert load_graph(path) == Graph(3)
+
+    def test_blank_lines_and_whitespace_parse(self, tmp_path):
+        text = "\n  \nn 5  \n\n0 1 \n\t2   4\t\n\n3 1\r\n   \n"
+        g = load_graph(self.write(tmp_path, text))
+        assert g == Graph(5, [(0, 1), (2, 4), (1, 3)])
+
+    @pytest.mark.parametrize("text, line", [
+        ("", None),
+        ("\n \n", None),
+        ("0 1\n", 1),
+        ("n\n0 1\n", 1),
+        ("n x\n", 1),
+        ("n 2.5\n", 1),
+        ("m 4\n", 1),
+        ("n 4 5\n", 1),
+        ("n -3\n", 1),
+        ("\n\nnodes 4\n", 3),
+    ])
+    def test_bad_header(self, tmp_path, text, line):
+        match = "header" if line is None else f"line {line}:"
+        with pytest.raises(ValueError, match=match):
+            load_graph(self.write(tmp_path, text))
+
+    @pytest.mark.parametrize("bad", ["2", "2 3 1", "1 x", "1.0 2", "0 1e3", "# 0 1"])
+    def test_bad_edge_line_named(self, tmp_path, bad):
+        path = self.write(tmp_path, f"n 4\n0 1\n\n{bad}\n2 3\n")
+        with pytest.raises(ValueError, match="line 4:"):
+            load_graph(path)
+
+    def test_bad_first_edge_line_named(self, tmp_path):
+        # a one-token first line must be named, not the well-formed line after it
+        path = self.write(tmp_path, "n 4\n2\n0 1\n")
+        with pytest.raises(ValueError, match="line 2:"):
+            load_graph(path)
+
+    @pytest.mark.parametrize("bad", ["0 4", "-1 2", "3 3", "0 99999999999999999999"])
+    def test_bad_vertex_ids_named(self, tmp_path, bad):
+        path = self.write(tmp_path, f"n 4\n0 1\n{bad}\n")
+        with pytest.raises(ValueError, match="line 3:"):
+            load_graph(path)
+
+    def test_out_of_range_id_is_a_cli_error(self, tmp_path, capsys):
+        path = self.write(tmp_path, "n 3\n0 1\n1 5\n")
+        code = cli.main(["solve", str(path), "--out", str(tmp_path / "cut")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 3:") and "5" in err
+        assert "Traceback" not in err

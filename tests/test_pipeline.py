@@ -67,11 +67,19 @@ class TestVoteExtend:
     def test_validation(self):
         g = Graph(4, [(0, 1)])
         with pytest.raises(ValueError):
-            vote_extend(g, [], [1])
-        with pytest.raises(ValueError):
-            vote_extend(g, [0], [])
+            vote_extend(g, [], [])
         with pytest.raises(ValueError):
             vote_extend(g, [0, 1], [1, 2])
+
+    def test_one_empty_side(self):
+        # 2 and 3 see only the non-empty side; 4 sees no seed at all
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        part, unassigned = vote_extend(g, [], [0, 1])
+        assert part.side == {0: -1, 1: -1, 2: -1, 3: -1}
+        assert list(unassigned) == [4]
+        part, unassigned = vote_extend(g, [0], [], tie_rule=TIE_TO_FIRST)
+        assert unassigned.size == 0
+        assert part.side == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
 
     def test_no_outsiders_is_identity(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -228,6 +236,21 @@ class TestSketchAndSolve:
         crippled = SolverConfig(rank=2, max_sweeps=1, objective_tolerance=1e-15)
         cfg = SketchConfig(gamma=0.9, seed=15, solver=crippled, tie_rule=TIE_TO_FIRST)
         assert sketch_and_solve(graph, cfg).full_partition == sketch_and_solve(graph, cfg).full_partition
+
+    def test_one_sided_certified_cut_extends(self):
+        # at mu = 0 the all-ones cut is the certified optimum; the sketch
+        # run must extend it like full_solve returns it, not crash
+        params = LogScaleParams(20, 2, 200).to_sbm_params()
+        graph, _ = sample_sbm(params, seed=1)
+        full = full_solve(graph, mu=0.0)
+        assert full.certificate.verdict == CERTIFIED
+        assert full.full_partition.n_minus == 0
+        result = sketch_and_solve(graph, SketchConfig(gamma=0.3, mu=0.0, seed=0))
+        assert result.certificate.verdict == CERTIFIED
+        assert not result.fell_back_random
+        assert result.sketch_partition.n_minus == 0
+        assert result.full_partition.n_minus == 0
+        assert result.full_partition.n_plus + result.unassigned.size == 200
 
     def test_auto_gamma_pipeline_recovers_strong_signal(self):
         params = LogScaleParams(50, 1, 300).to_sbm_params()
