@@ -13,15 +13,11 @@ from .certificate import (
     INCONCLUSIVE,
     NOT_CERTIFIED,
     CertificateReport,
-    CertificateTolerances,
-    build_z_operator,
     check_certificate,
     exhaustive_unique_opt_check,
 )
 from .encoding import (
     MuEstimate,
-    ObjectiveOperator,
-    apply_objective,
     estimate_mu,
     expected_mu,
     mu_concentration_bound,
@@ -92,7 +88,6 @@ __all__ = [
     "CERTIFIED",
     "CellResult",
     "CertificateReport",
-    "CertificateTolerances",
     "Graph",
     "GridSpec",
     "IMPOSSIBLE",
@@ -102,7 +97,6 @@ __all__ = [
     "METHOD_SKETCH",
     "MuEstimate",
     "NOT_CERTIFIED",
-    "ObjectiveOperator",
     "Partition",
     "PipelineResult",
     "RECOVERABLE",
@@ -114,11 +108,9 @@ __all__ = [
     "TIE_FAIL",
     "TIE_RANDOM",
     "TIE_TO_FIRST",
-    "apply_objective",
     "auto_gamma",
     "bernoulli_vertex_sample",
     "brute_force_max",
-    "build_z_operator",
     "check_certificate",
     "conjectured_gamma_threshold",
     "emit_csv",

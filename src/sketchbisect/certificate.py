@@ -14,35 +14,24 @@ search.
 The check is matrix-free: the bottom of the spectrum on the complement of
 g is bracketed with a deflated Lanczos iteration (fully reorthogonalized,
 restarting on breakdown) whose Ritz residuals give certified two-sided
-bounds. A shifted power iteration and an exact dense reduction are
-available as alternatives.
+bounds.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 CERTIFIED = "CERTIFIED"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class CertificateTolerances:
-    """Decision margins, scaled by the operator's Gershgorin row bound."""
-
-    positive_margin_rel: float = 1e-8
-    residual_rel: float = 1e-9
-    max_iterations: object = None
-    method: str = "auto"
-
-    def __post_init__(self):
-        if self.method not in ("auto", "lanczos", "power", "dense"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.positive_margin_rel <= 0 or self.residual_rel <= 0:
-            raise ValueError("tolerances must be positive")
+# Decision margins, relative to the operator's Gershgorin row bound, and the
+# Lanczos step budget; the iteration never takes more than n - 1 steps.
+POSITIVE_MARGIN_REL = 1e-8
+RESIDUAL_REL = 1e-9
+LANCZOS_BUDGET = 300
 
 
 @dataclass
@@ -89,18 +78,10 @@ class ZOperator:
     def matvec(self, x):
         return self._diag * x - self._adj @ x + self.mu * x.sum()
 
-    def quadratic(self, x):
-        return float(x @ self.matvec(x))
-
     def dense(self):
         z = np.diag(self._diag + self.mu) - self._adj.toarray()
         z += self.mu * (np.ones((self.n, self.n)) - np.eye(self.n))
         return z
-
-
-def build_z_operator(graph, partition, mu):
-    """Assemble the matrix-free certificate operator; Z g = 0 structurally."""
-    return ZOperator(graph, partition, mu)
 
 
 def _project_out(x, g_unit):
@@ -203,51 +184,7 @@ def _lanczos_bottom(op, g_unit, budget, margin, rng):
     return best, k
 
 
-def _power_bottom(op, g_unit, budget, margin, rng):
-    """Bottom eigenpair via power iteration on scale*I - Z (deflated)."""
-    n = op.n
-    shift = op.scale
-    x = _fresh_direction(rng, n, g_unit, np.zeros((0, n)), 0)
-    if x is None:
-        return None, 0
-    best = None
-    matvecs = 0
-    for it in range(1, budget + 1):
-        y = shift * x - op.matvec(x)
-        matvecs += 1
-        y = _project_out(y, g_unit)
-        ny = np.linalg.norm(y)
-        if ny < 1e-14:
-            break
-        x = y / ny
-        if it % 10 == 0 or it == budget:
-            zx = op.matvec(x)
-            matvecs += 1
-            rq = float(x @ zx)
-            res = float(np.linalg.norm(zx - rq * x))
-            if best is None or rq - res > best[0] - best[1]:
-                best = (rq, res, x.copy())
-            if rq < -margin:
-                best = (rq, res, x.copy())
-                break
-            if rq - res > margin and res <= 0.05 * abs(rq) + margin:
-                best = (rq, res, x.copy())
-                break
-    return best, matvecs
-
-
-def _dense_bottom(op, g_unit):
-    """Exact smallest eigenpair of Z restricted to the complement of g."""
-    basis = scipy.linalg.null_space(g_unit[None, :])
-    reduced = basis.T @ op.dense() @ basis
-    evals, evecs = np.linalg.eigh(reduced)
-    y = basis @ evecs[:, 0]
-    y /= np.linalg.norm(y)
-    slack = 64 * np.finfo(np.float64).eps * max(1.0, op.scale)
-    return (float(evals[0]), slack, y)
-
-
-def check_certificate(graph, partition, mu, tolerances=None):
+def check_certificate(graph, partition, mu):
     """Decide whether the cut is certified as the unique SDP optimum.
 
     CERTIFIED requires a proven lower bound lambda2_lower > margin for the
@@ -256,8 +193,7 @@ def check_certificate(graph, partition, mu, tolerances=None):
     the iteration cannot separate from zero at the working margin is
     INCONCLUSIVE.
     """
-    tol = tolerances or CertificateTolerances()
-    op = build_z_operator(graph, partition, mu)
+    op = ZOperator(graph, partition, mu)
     n = op.n
     if n < 2:
         raise ValueError("certificate needs at least two vertices")
@@ -265,9 +201,9 @@ def check_certificate(graph, partition, mu, tolerances=None):
     g_unit = g / math.sqrt(n)
     zg = op.matvec(g)
     zg_residual = float(np.abs(zg).max())
-    margin = max(tol.positive_margin_rel * op.scale, 1e-10)
+    margin = max(POSITIVE_MARGIN_REL * op.scale, 1e-10)
 
-    if zg_residual > tol.residual_rel * (1.0 + op.scale):
+    if zg_residual > RESIDUAL_REL * (1.0 + op.scale):
         return CertificateReport(
             verdict=INCONCLUSIVE,
             lambda2_lower=0.0,
@@ -293,25 +229,8 @@ def check_certificate(graph, partition, mu, tolerances=None):
             witness_value=0.0,
         )
 
-    budget = tol.max_iterations or min(n - 1, 300)
     rng = np.random.default_rng(0xC0FFEE)
-    iterations = 0
-    if tol.method == "dense":
-        best = _dense_bottom(op, g_unit)
-    elif tol.method == "power":
-        best, iterations = _power_bottom(op, g_unit, max(budget, 10 * n), margin, rng)
-    else:
-        best, iterations = _lanczos_bottom(op, g_unit, budget, margin, rng)
-        decisive = best is not None and (
-            best[0] - best[1] > margin or best[0] < -margin
-        )
-        if tol.method == "auto" and not decisive and iterations < n - 1:
-            refine, extra = _power_bottom(op, g_unit, 10 * n, margin, rng)
-            iterations += extra
-            if refine is not None and (
-                best is None or refine[0] - refine[1] > best[0] - best[1] or refine[0] < -margin
-            ):
-                best = refine
+    best, iterations = _lanczos_bottom(op, g_unit, LANCZOS_BUDGET, margin, rng)
 
     if best is None:
         return CertificateReport(
@@ -360,7 +279,7 @@ def exhaustive_unique_opt_check(graph, partition, mu):
     n = graph.num_vertices
     if n > 12:
         raise ValueError("exhaustive check limited to n <= 12")
-    op = build_z_operator(graph, partition, mu)
+    op = ZOperator(graph, partition, mu)
     z = op.dense()
     evals, evecs = np.linalg.eigh(z)
     if evals[0] < -1e-10:

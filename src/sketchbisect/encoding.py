@@ -1,8 +1,6 @@
-"""Implicit objective operator A - mu*J and edge-density estimates of mu.
+"""Edge-density estimates of the offset mu in the objective A - mu*J.
 
-The bisection SDP maximizes <A - mu*J, X>. The matrix is never formed:
-J = ones(n, n) is rank one, so applying A - mu*J to a vector costs one
-sparse matvec plus a scaled sum.
+The bisection SDP maximizes <A - mu*J, X>, where J = ones(n, n).
 
 The classical +/-1 edge-sign encoding B = 2A - J + I is the affine image
 2*(A - J/2) + I, so mu = 1/2 reproduces its maximizers; the max-cut
@@ -12,8 +10,6 @@ family handled here.
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -59,30 +55,3 @@ def mu_concentration_bound(params, c):
     if c < 0:
         raise ValueError("c must be non-negative")
     return c * math.log(n) / n**1.5
-
-
-class ObjectiveOperator:
-    """Matrix-free A - mu*J acting on vectors of length n."""
-
-    def __init__(self, graph, mu):
-        if mu < 0:
-            raise ValueError("mu must be non-negative")
-        self._adj = graph.adjacency
-        self.mu = float(mu)
-        self.n = graph.num_vertices
-
-    def apply(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}")
-        return self._adj @ x - self.mu * x.sum()
-
-    def quadratic_form(self, g):
-        """g^T (A - mu*J) g for any real vector g."""
-        g = np.asarray(g, dtype=np.float64)
-        return float(g @ (self._adj @ g) - self.mu * g.sum() ** 2)
-
-
-def apply_objective(operator, x):
-    """Apply the implicit objective matrix to a vector."""
-    return operator.apply(x)

@@ -123,17 +123,10 @@ class CellResult:
     total_ms: float = 0.0
 
 
-def _cell_seed(spec, a_idx, b_idx, rep, method):
-    ss = np.random.SeedSequence(
-        [spec.base_seed, a_idx, b_idx, rep, _METHOD_CODES[method]]
-    )
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
 def _run_cell(spec, a_idx, b_idx, rep, method):
     alpha = spec.alphas[a_idx]
     beta = spec.betas[b_idx]
-    seed = _cell_seed(spec, a_idx, b_idx, rep, method)
+    seed = spawn_seed(spec.base_seed, a_idx, b_idx, rep, _METHOD_CODES[method])
     cell = CellResult(
         alpha=alpha,
         beta=beta,

@@ -251,11 +251,6 @@ class Partition:
         self._signs.flags.writeable = False
 
     @classmethod
-    def from_side_map(cls, side):
-        items = sorted(side.items())
-        return cls([v for v, _ in items], [s for _, s in items])
-
-    @classmethod
     def from_sides(cls, plus, minus):
         plus = list(plus)
         minus = list(minus)
@@ -432,7 +427,7 @@ def _edge_line_error(lines, first_lineno, n):
 def load_graph(path):
     """Read the edge-list format written by ``save_graph``.
 
-    Blank lines and surrounding whitespace are ignored. A missing or
+    Blank lines and leading or trailing whitespace are ignored. A missing or
     malformed header, an edge line without exactly two integer tokens, an
     id outside 0..n-1 or a self-loop raises ValueError naming the line.
     """

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .certificate import CERTIFIED, CertificateTolerances, check_certificate
+from .certificate import CERTIFIED, check_certificate
 from .encoding import estimate_mu
 from .graphs import Partition, bernoulli_vertex_sample, induced_subgraph
 from .seeding import spawn_seed
@@ -44,9 +44,6 @@ class SketchConfig:
     mu: object = "auto"
     alpha: object = None
     beta: object = None
-    certificate_tolerances: CertificateTolerances = field(
-        default_factory=CertificateTolerances
-    )
 
     def __post_init__(self):
         if self.gamma != "auto":
@@ -183,9 +180,7 @@ def sketch_and_solve(graph, config=None):
     cert = None
     t0 = time.perf_counter()
     if accept and config.certify:
-        cert = check_certificate(
-            sub, sdp.rounded_cut, mu_used, config.certificate_tolerances
-        )
+        cert = check_certificate(sub, sdp.rounded_cut, mu_used)
         accept = cert.verdict == CERTIFIED
     timings["certify"] = time.perf_counter() - t0
 

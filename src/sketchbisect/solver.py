@@ -24,7 +24,6 @@ class SolverConfig:
     rank: object = "auto"
     max_sweeps: int = 500
     objective_tolerance: float = 1e-9
-    rounding: str = "top-eigenvector"
     seed: int = 0
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class SolverConfig:
             raise ValueError("max_sweeps must be positive")
         if self.objective_tolerance <= 0:
             raise ValueError("objective_tolerance must be positive")
-        if self.rounding != "top-eigenvector":
-            raise ValueError("only top-eigenvector rounding is implemented")
 
     def resolve_rank(self, n):
         """Factor rank: min(n, ceil(sqrt(2n)) + 1) when 'auto'."""

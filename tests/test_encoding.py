@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -8,16 +7,13 @@ import pytest
 from sketchbisect import (
     Graph,
     LogScaleParams,
-    ObjectiveOperator,
     SbmParams,
-    apply_objective,
     estimate_mu,
     expected_mu,
     mu_concentration_bound,
-    sample_sbm,
 )
 
-from conftest import dense_objective, random_test_graph
+from conftest import random_test_graph
 
 
 class TestEstimateMu:
@@ -93,70 +89,3 @@ class TestMuConcentrationBound:
             mu_concentration_bound(1, 1.0)
         with pytest.raises(ValueError):
             mu_concentration_bound(10, -1.0)
-
-
-class TestObjectiveOperator:
-    def test_mu_zero_is_plain_matvec(self):
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        op = ObjectiveOperator(g, 0.0)
-        x = np.array([1.0, 2.0, -1.0, 0.5])
-        assert np.allclose(op.apply(x), g.adjacency @ x)
-
-    def test_zero_sum_kills_j_term(self):
-        rng = np.random.default_rng(5)
-        g = random_test_graph(rng, 12, 0.4)
-        op = ObjectiveOperator(g, 0.7)
-        x = rng.standard_normal(12)
-        x -= x.mean()
-        assert np.allclose(op.apply(x), g.adjacency @ x, atol=1e-12)
-
-    def test_triangle_with_ones(self):
-        k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        out = apply_objective(ObjectiveOperator(k3, 0.5), np.ones(3))
-        assert np.allclose(out, [0.5, 0.5, 0.5])
-
-    def test_dimension_checked(self):
-        op = ObjectiveOperator(Graph(3, []), 0.1)
-        with pytest.raises(ValueError):
-            op.apply(np.ones(4))
-
-    def test_negative_mu_rejected(self):
-        with pytest.raises(ValueError):
-            ObjectiveOperator(Graph(3, []), -0.5)
-
-    def test_agrees_with_dense_route(self):
-        rng = np.random.default_rng(17)
-        for _ in range(8):
-            n = int(rng.integers(2, 65))
-            g = random_test_graph(rng, n, rng.random())
-            for mu in (0.0, 0.3, 1.0):
-                dense = dense_objective(g, mu)
-                op = ObjectiveOperator(g, mu)
-                x = rng.standard_normal(n)
-                want = dense @ x
-                got = op.apply(x)
-                scale = np.linalg.norm(want) + 1.0
-                assert np.linalg.norm(got - want) <= 1e-12 * scale
-                assert op.quadratic_form(x) == pytest.approx(
-                    float(x @ dense @ x), rel=1e-10, abs=1e-9
-                )
-
-    def test_balanced_argmax_independent_of_mu(self):
-        # on balanced +/-1 vectors the J term is constant, so the set of
-        # maximizers of the quadratic form cannot depend on mu
-        rng = np.random.default_rng(23)
-        n = 8
-        vectors = []
-        for comb in itertools.combinations(range(1, n), n // 2 - 1):
-            g = -np.ones(n)
-            g[0] = 1.0
-            g[list(comb)] = 1.0
-            vectors.append(g)
-        for _ in range(5):
-            graph = random_test_graph(rng, n, 0.5)
-            argmax_sets = []
-            for mu in (0.0, 0.4, 1.3):
-                op = ObjectiveOperator(graph, mu)
-                vals = np.array([op.quadratic_form(v) for v in vectors])
-                argmax_sets.append(frozenset(np.flatnonzero(vals >= vals.max() - 1e-9)))
-            assert argmax_sets[0] == argmax_sets[1] == argmax_sets[2]

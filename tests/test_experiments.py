@@ -18,7 +18,7 @@ from sketchbisect.experiments import (
     parse_grid_config,
     run_grid,
 )
-from sketchbisect.experiments import _cell_seed
+from sketchbisect.seeding import spawn_seed
 
 
 def make_cell(alpha, beta, rep=0, method=METHOD_FULL_SDP, recovered=True, **kw):
@@ -88,22 +88,32 @@ class TestGridSpec:
         assert spec.split == (5, 5)
 
 
+def cell_seeds(spec):
+    """Cell seed keyed by (alpha index, beta index, rep, method)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cells = run_grid(spec)
+    return {
+        (spec.alphas.index(c.alpha), spec.betas.index(c.beta), c.rep, c.method): c.seed
+        for c in cells
+    }
+
+
 class TestCellSeeds:
     def test_distinct_across_coordinates(self):
-        spec = GridSpec(alphas=(4, 6), betas=(1, 2), n=10, reps=3)
-        seeds = {
-            _cell_seed(spec, ai, bi, rep, m)
-            for ai in range(2)
-            for bi in range(2)
-            for rep in range(3)
-            for m in spec.methods
-        }
-        assert len(seeds) == 2 * 2 * 3 * 2
+        spec = GridSpec(alphas=(4, 6), betas=(1, 2), n=10, reps=3, base_seed=5)
+        seeds = cell_seeds(spec)
+        assert len(set(seeds.values())) == 2 * 2 * 3 * 2
+        # the derivation is pinned: spawn_seed over (base, a, b, rep, method code)
+        codes = {METHOD_FULL_SDP: 1, METHOD_SKETCH: 2}
+        for (ai, bi, rep, m), seed in seeds.items():
+            assert seed == spawn_seed(5, ai, bi, rep, codes[m])
 
     def test_independent_of_anything_but_coordinates(self):
         a = GridSpec(alphas=(4, 6), betas=(1, 2), n=10, reps=3)
-        b = GridSpec(alphas=(4, 6), betas=(1, 2), n=50, reps=3)
-        assert _cell_seed(a, 1, 0, 2, METHOD_SKETCH) == _cell_seed(b, 1, 0, 2, METHOD_SKETCH)
+        b = GridSpec(alphas=(4, 6), betas=(1, 2), n=12, reps=3)
+        key = (1, 0, 2, METHOD_SKETCH)
+        assert cell_seeds(a)[key] == cell_seeds(b)[key]
 
 
 class TestRunGrid:

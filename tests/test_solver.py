@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,8 +33,6 @@ class TestSolverConfig:
             SolverConfig(max_sweeps=0)
         with pytest.raises(ValueError):
             SolverConfig(objective_tolerance=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(rounding="hyperplane")
 
 
 class TestSolveSdp:
@@ -146,6 +145,25 @@ class TestObjectiveValue:
             sv = signs.astype(np.float64)
             want = float(sv @ dense_objective(g, mu) @ sv)
             assert objective_value(g, mu, part) == pytest.approx(want, rel=1e-12, abs=1e-9)
+
+    def test_balanced_argmax_independent_of_mu(self):
+        # on balanced cuts the J term is constant, so the set of maximizers
+        # of the objective cannot depend on mu
+        rng = np.random.default_rng(23)
+        n = 8
+        cuts = []
+        for comb in itertools.combinations(range(1, n), n // 2 - 1):
+            signs = -np.ones(n, dtype=np.int8)
+            signs[0] = 1
+            signs[list(comb)] = 1
+            cuts.append(Partition(np.arange(n), signs))
+        for _ in range(5):
+            graph = random_test_graph(rng, n, 0.5)
+            argmax_sets = []
+            for mu in (0.0, 0.4, 1.3):
+                vals = np.array([objective_value(graph, mu, c) for c in cuts])
+                argmax_sets.append(frozenset(np.flatnonzero(vals >= vals.max() - 1e-9)))
+            assert argmax_sets[0] == argmax_sets[1] == argmax_sets[2]
 
 
 class TestBruteForceMax:
