@@ -41,6 +41,7 @@ class CertificateReport:
     zg_residual: float
     iterations: int
     scale: float
+    matvecs: int = 0
     witness: object = None
     witness_value: object = None
 
@@ -56,8 +57,10 @@ class ZOperator:
         adj = graph.adjacency
         plus = (g > 0).astype(np.float64)
         minus = (g < 0).astype(np.float64)
-        d_plus = np.where(g > 0, adj @ plus, adj @ minus)
-        d_minus = np.where(g > 0, adj @ minus, adj @ plus)
+        to_plus = adj @ plus
+        to_minus = adj @ minus
+        d_plus = np.where(g > 0, to_plus, to_minus)
+        d_minus = np.where(g > 0, to_minus, to_plus)
         n1 = int(plus.sum())
         n2 = n - n1
         self.n = n
@@ -128,6 +131,8 @@ def _lanczos_bottom(op, g_unit, budget, margin, rng):
     iteration restarts in the unexplored complement, which makes the small
     matrix block tridiagonal — harmless, since candidate bounds come from
     explicit residuals, not from the recurrence.
+
+    Returns (best Ritz triple or None, Krylov steps, operator applications).
     """
     n = op.n
     kmax = min(budget, n - 1)
@@ -135,7 +140,7 @@ def _lanczos_bottom(op, g_unit, budget, margin, rng):
     tri = np.zeros((kmax, kmax))
     q = _fresh_direction(rng, n, g_unit, basis, 0)
     if q is None:
-        return None, 0
+        return None, 0, 0
     beta = 0.0
     q_prev = np.zeros(n)
     matvecs = 0
@@ -181,7 +186,7 @@ def _lanczos_bottom(op, g_unit, budget, margin, rng):
             tri[k - 1, k] = tri[k, k - 1] = beta
             q_prev, q = q, w / beta
 
-    return best, k
+    return best, k, matvecs
 
 
 def check_certificate(graph, partition, mu):
@@ -191,7 +196,9 @@ def check_certificate(graph, partition, mu):
     spectrum of Z on the complement of g. NOT_CERTIFIED requires an
     explicit witness direction with negative Rayleigh quotient. Anything
     the iteration cannot separate from zero at the working margin is
-    INCONCLUSIVE.
+    INCONCLUSIVE. ``iterations`` counts Krylov steps; ``matvecs`` counts
+    every application of Z (the Zg check, the Krylov steps and the Ritz
+    checks).
     """
     op = ZOperator(graph, partition, mu)
     n = op.n
@@ -210,6 +217,7 @@ def check_certificate(graph, partition, mu):
             zg_residual=zg_residual,
             iterations=0,
             scale=op.scale,
+            matvecs=1,
         )
 
     if op.scale == 0.0:
@@ -225,12 +233,14 @@ def check_certificate(graph, partition, mu):
             zg_residual=zg_residual,
             iterations=0,
             scale=0.0,
+            matvecs=1,
             witness=w,
             witness_value=0.0,
         )
 
     rng = np.random.default_rng(0xC0FFEE)
-    best, iterations = _lanczos_bottom(op, g_unit, LANCZOS_BUDGET, margin, rng)
+    best, iterations, matvecs = _lanczos_bottom(op, g_unit, LANCZOS_BUDGET, margin, rng)
+    matvecs += 1
 
     if best is None:
         return CertificateReport(
@@ -239,6 +249,7 @@ def check_certificate(graph, partition, mu):
             zg_residual=zg_residual,
             iterations=iterations,
             scale=op.scale,
+            matvecs=matvecs,
         )
 
     rq, res, y = best
@@ -250,6 +261,7 @@ def check_certificate(graph, partition, mu):
             zg_residual=zg_residual,
             iterations=iterations,
             scale=op.scale,
+            matvecs=matvecs,
         )
     if rq < -margin:
         return CertificateReport(
@@ -258,6 +270,7 @@ def check_certificate(graph, partition, mu):
             zg_residual=zg_residual,
             iterations=iterations,
             scale=op.scale,
+            matvecs=matvecs,
             witness=y,
             witness_value=rq,
         )
@@ -267,6 +280,7 @@ def check_certificate(graph, partition, mu):
         zg_residual=zg_residual,
         iterations=iterations,
         scale=op.scale,
+        matvecs=matvecs,
     )
 
 

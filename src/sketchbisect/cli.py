@@ -64,6 +64,8 @@ def _cmd_certify(args):
             "verdict": report.verdict,
             "lambda2_lower": report.lambda2_lower,
             "zg_residual": report.zg_residual,
+            "iterations": report.iterations,
+            "matvecs": report.matvecs,
         }
     )
     return 0
@@ -199,7 +201,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

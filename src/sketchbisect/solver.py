@@ -59,6 +59,10 @@ def solve_sdp(graph, mu, config=None):
     Returns the factor matrix, the objective <A - mu*J, VV^T>, a cut read
     off the top singular vector of V, and rank_one_gap = 1 - s1(V)^2 / n
     measuring how far X is from a rank-one (exactly two-sided) solution.
+
+    The row views of V and the neighbour index lists are built once per
+    solve, so each vertex update is a gather, a row fold, one norm and two
+    in-place row updates.
     """
     if config is None:
         config = SolverConfig()
@@ -79,7 +83,6 @@ def solve_sdp(graph, mu, config=None):
     V /= norms[:, None]
 
     adj = graph.adjacency
-    indptr, indices = adj.indptr, adj.indices
 
     def objective(W):
         s = W.sum(axis=0)
@@ -90,18 +93,20 @@ def solve_sdp(graph, mu, config=None):
     running = V.sum(axis=0)
     converged = False
     sweeps_used = 0
+    # Views, not copies: writing a row writes V.
+    rows = list(V)
+    neighbors = np.split(adj.indices, adj.indptr[1:-1])
     for sweep in range(1, config.max_sweeps + 1):
         sweeps_used = sweep
-        for i in range(n):
-            row = V[i]
-            c = V[indices[indptr[i]:indptr[i + 1]]].sum(axis=0)
+        for row, nbr in zip(rows, neighbors):
+            c = np.add.reduce(V.take(nbr, 0), 0)
             c -= mu * (running - row)
-            nc = np.linalg.norm(c)
+            nc = math.sqrt(c.dot(c))
             if nc < _STALL_NORM:
                 continue
             c /= nc
             running += c - row
-            V[i] = c
+            row[:] = c
         running = V.sum(axis=0)
         new_obj = objective(V)
         if new_obj < obj - 1e-8 * (1.0 + abs(new_obj)):

@@ -116,3 +116,80 @@ def assert_same_graph(a, b):
         x, y = getattr(a.adjacency, name), getattr(b.adjacency, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert np.array_equal(a.degrees, b.degrees)
+
+
+def reference_solve_sdp(graph, mu, config=None):
+    """Mixing-method solver with the per-vertex sweep written out plainly.
+
+    Each vertex slices its neighbours out of the CSR arrays, gathers their
+    rows by fancy indexing, sums them with ``.sum(axis=0)`` and normalizes
+    with ``np.linalg.norm``. Initialization, stopping rule, monotonicity
+    guard and rounding are those of ``solve_sdp``, which must return
+    exactly this solution, float for float.
+    """
+    from sketchbisect import Partition, SolverConfig
+    from sketchbisect.solver import _STALL_NORM, SdpSolution
+
+    if config is None:
+        config = SolverConfig()
+    n = graph.num_vertices
+    mu = float(mu)
+    r = config.resolve_rank(n)
+
+    rng = np.random.default_rng(config.seed)
+    V = rng.standard_normal((n, r))
+    norms = np.linalg.norm(V, axis=1)
+    while np.any(norms < _STALL_NORM):
+        V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
+        norms = np.linalg.norm(V, axis=1)
+    V /= norms[:, None]
+
+    adj = graph.adjacency
+    indptr, indices = adj.indptr, adj.indices
+
+    def objective(W):
+        s = W.sum(axis=0)
+        return float((W * (adj @ W)).sum() - mu * (s @ s))
+
+    obj = objective(V)
+    history = [obj]
+    running = V.sum(axis=0)
+    converged = False
+    sweeps_used = 0
+    for sweep in range(1, config.max_sweeps + 1):
+        sweeps_used = sweep
+        for i in range(n):
+            row = V[i]
+            c = V[indices[indptr[i]:indptr[i + 1]]].sum(axis=0)
+            c -= mu * (running - row)
+            nc = np.linalg.norm(c)
+            if nc < _STALL_NORM:
+                continue
+            c /= nc
+            running += c - row
+            V[i] = c
+        running = V.sum(axis=0)
+        new_obj = objective(V)
+        if new_obj < obj - 1e-8 * (1.0 + abs(new_obj)):
+            raise RuntimeError("coordinate ascent lost monotonicity")
+        gain = new_obj - obj
+        obj = new_obj
+        history.append(obj)
+        if gain < config.objective_tolerance * (1.0 + abs(obj)):
+            converged = True
+            break
+
+    u, s, _ = np.linalg.svd(V, full_matrices=False)
+    signs = np.where(u[:, 0] >= 0.0, 1, -1).astype(np.int8)
+    if signs[0] < 0:
+        signs = -signs
+    gap = 1.0 - (float(s[0]) * float(s[0])) / n
+    return SdpSolution(
+        factors=V,
+        objective=obj,
+        rounded_cut=Partition(graph.vertex_ids, signs),
+        rank_one_gap=float(min(max(gap, 0.0), 1.0)),
+        sweeps_used=sweeps_used,
+        converged=converged,
+        sweep_objectives=history,
+    )

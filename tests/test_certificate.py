@@ -210,6 +210,47 @@ class TestCheckCertificate:
         assert verdicts.count(NOT_CERTIFIED) >= 6
 
 
+class TestMatvecCount:
+    """``CertificateReport.matvecs`` counts every application of Z."""
+
+    @staticmethod
+    def counted_report(monkeypatch, graph, partition, mu):
+        calls = []
+        matvec = ZOperator.matvec
+
+        def counting(self, x):
+            calls.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(ZOperator, "matvec", counting)
+        report = check_certificate(graph, partition, mu)
+        assert report.matvecs == len(calls)
+        return report
+
+    def test_each_verdict(self, monkeypatch, two_triangles, k22_cross):
+        report = self.counted_report(monkeypatch, *two_triangles, 0.5)
+        assert report.verdict == CERTIFIED
+        # the Zg check, one per Krylov step and at least one Ritz check
+        assert report.matvecs >= report.iterations + 2
+        report = self.counted_report(monkeypatch, *k22_cross, 0.5)
+        assert report.verdict == NOT_CERTIFIED
+        assert report.matvecs >= report.iterations + 2
+        halves = Partition.from_sides([0, 1], [2, 3])
+        report = self.counted_report(monkeypatch, Graph(4, []), halves, 0.1)
+        assert report.verdict == INCONCLUSIVE
+
+    def test_zero_operator_counts_only_zg_check(self, monkeypatch):
+        split_edge = Partition.from_sides([0], [1])
+        report = self.counted_report(monkeypatch, Graph(2, [(0, 1)]), split_edge, 1.0)
+        assert report.iterations == 0 and report.matvecs == 1
+
+    def test_above_lanczos_budget(self, monkeypatch):
+        graph, planted = sample_sbm(LogScaleParams(6, 1, 400).to_sbm_params(), 2)
+        report = self.counted_report(monkeypatch, graph, planted, estimate_mu(graph).mu)
+        # one Ritz check per five Krylov steps, plus the Zg check
+        assert report.matvecs >= report.iterations + report.iterations // 5 + 1
+
+
 class TestExhaustiveCheck:
     def test_examples(self, two_triangles, k22_cross):
         assert exhaustive_unique_opt_check(*two_triangles, 0.5) is True

@@ -11,6 +11,7 @@ from sketchbisect import (
     save_graph,
     save_partition,
 )
+from sketchbisect import cli
 from sketchbisect.cli import main
 
 
@@ -52,6 +53,19 @@ class TestSolveCommand:
         assert code == 0
         assert json.loads(stdout)["mu"] == pytest.approx(6 / 15)
 
+    def test_solver_runtime_error_fails_cleanly(
+        self, capsys, tmp_path, triangle_files, monkeypatch
+    ):
+        def failing_solve(*args, **kwargs):
+            raise RuntimeError("coordinate ascent lost monotonicity")
+
+        monkeypatch.setattr(cli, "solve_sdp", failing_solve)
+        gpath, _, _, _ = triangle_files
+        code, stdout, stderr = run_cli(capsys, "solve", gpath, "--out", tmp_path / "cut.txt")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: coordinate ascent lost monotonicity\n"
+
     def test_missing_graph_file_fails_cleanly(self, capsys, tmp_path):
         code, _, stderr = run_cli(
             capsys, "solve", tmp_path / "nope.txt", "--out", tmp_path / "cut.txt"
@@ -66,8 +80,12 @@ class TestCertifyCommand:
         code, stdout, _ = run_cli(capsys, "certify", gpath, ppath, "--mu", "0.5")
         assert code == 0
         record = json.loads(stdout)
-        assert set(record) == {"verdict", "lambda2_lower", "zg_residual"}
+        assert set(record) == {
+            "verdict", "lambda2_lower", "zg_residual", "iterations", "matvecs",
+        }
         assert record["verdict"] == "CERTIFIED"
+        assert record["iterations"] >= 1
+        assert record["matvecs"] >= record["iterations"] + 2
         assert record["lambda2_lower"] == pytest.approx(3.0, abs=1e-6)
         assert record["zg_residual"] <= 1e-9
 

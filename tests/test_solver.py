@@ -6,14 +6,17 @@ import pytest
 
 from sketchbisect import (
     Graph,
+    LogScaleParams,
     Partition,
     SolverConfig,
     brute_force_max,
+    estimate_mu,
     objective_value,
+    sample_sbm,
     solve_sdp,
 )
 
-from conftest import dense_objective, random_test_graph
+from conftest import dense_objective, random_test_graph, reference_solve_sdp
 
 
 class TestSolverConfig:
@@ -117,6 +120,59 @@ class TestSolveSdp:
             solve_sdp(Graph(1, []), 0.5)
         with pytest.raises(ValueError):
             solve_sdp(Graph(3, []), -0.1)
+
+
+def _sbm_case(alpha, n, seed, max_sweeps):
+    graph, _ = sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
+    return graph, estimate_mu(graph).mu, SolverConfig(max_sweeps=max_sweeps, seed=seed)
+
+
+class TestSweepOracle:
+    """``solve_sdp`` reproduces the plainly written sweep bit for bit."""
+
+    @staticmethod
+    def assert_same_trajectory(graph, mu, config):
+        got = solve_sdp(graph, mu, config)
+        want = reference_solve_sdp(graph, mu, config)
+        assert got.factors.shape == want.factors.shape
+        assert got.factors.tobytes() == want.factors.tobytes()
+        assert got.sweep_objectives == want.sweep_objectives
+        assert got.objective == want.objective
+        assert got.sweeps_used == want.sweeps_used
+        assert got.converged == want.converged
+        assert got.rank_one_gap == want.rank_one_gap
+        assert got.rounded_cut == want.rounded_cut
+        return got
+
+    def test_isolated_vertex(self):
+        graph = Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        assert graph.degrees[6] == 0
+        self.assert_same_trajectory(graph, 0.4, SolverConfig(seed=3))
+
+    def test_stall_branch_empty_graph_mu_zero(self):
+        sol = self.assert_same_trajectory(Graph(5, []), 0.0, SolverConfig(seed=1))
+        assert sol.sweeps_used == 1
+
+    def test_two_vertices(self):
+        for mu in (0.0, 0.5, 2.0):
+            self.assert_same_trajectory(Graph(2, [(0, 1)]), mu, SolverConfig(seed=5))
+
+    def test_explicit_ranks(self, two_triangles):
+        graph, _ = two_triangles
+        for rank in (1, 2, 50):
+            self.assert_same_trajectory(graph, 0.5, SolverConfig(rank=rank, seed=8))
+
+    def test_budget_limited_near_threshold(self):
+        sol = self.assert_same_trajectory(*_sbm_case(4, 400, 2, 30))
+        assert not sol.converged and sol.sweeps_used == 30
+
+    def test_converged_above_threshold(self):
+        sol = self.assert_same_trajectory(*_sbm_case(8, 400, 1, 500))
+        assert sol.converged
+
+    def test_dense_instance(self):
+        sol = self.assert_same_trajectory(*_sbm_case(50, 1000, 0, 500))
+        assert sol.converged
 
 
 class TestObjectiveValue:
