@@ -92,7 +92,10 @@ def _cmd_sketch(args):
             "fell_back_random": result.fell_back_random,
             "unassigned": int(result.unassigned.size),
             "rank_one_gap": result.sdp.rank_one_gap,
+            "sweeps_used": result.sdp.sweeps_used,
             "certificate": None if cert is None else cert.verdict,
+            "iterations": None if cert is None else cert.iterations,
+            "matvecs": None if cert is None else cert.matvecs,
         }
     )
     return 0

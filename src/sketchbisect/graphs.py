@@ -209,10 +209,6 @@ class Graph:
         cols = self._adj.indices[self._adj.indptr[i]:self._adj.indptr[i + 1]]
         return self._ids[cols]
 
-    def degree(self, v):
-        i = int(self.indices_of([v])[0])
-        return int(self._degrees[i])
-
     def has_edge(self, u, v):
         i, j = self.indices_of([u, v])
         if i == j:

@@ -138,11 +138,18 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
 def sketch_and_solve(graph, config=None):
     """Run the full pipeline on ``graph`` and report every intermediate.
 
-    The rounded sketch cut is accepted only when the solver output is
-    numerically rank one (rank_one_gap <= 1e-6) and, unless certification
-    is disabled, the dual certificate confirms unique optimality. On
-    rejection the sketch is assigned by fair coin flips instead, and the
-    result is flagged with ``fell_back_random``.
+    With certification on, the certificate is the solver's stopping rule:
+    the sweep is resumed in doubling chunks, and the rounded cut is checked
+    after cumulative sweeps 1, 2, 4, 8, ... and at the last sweep
+    (converged or out of budget). The solve stops at the first CERTIFIED
+    cut, which is then proven the unique SDP optimum, so more signal means
+    fewer sweeps. The cut is accepted iff the last check is CERTIFIED; an
+    instance that never certifies runs the full solve as before. With
+    certification off, one solve runs and its cut is accepted only when
+    the output is numerically rank one (rank_one_gap <= 1e-6). On rejection
+    the sketch is assigned by fair coin flips instead, and the result is
+    flagged with ``fell_back_random``. ``timings["solve"]`` and
+    ``timings["certify"]`` sum the solver and certificate calls.
     """
     config = config or SketchConfig()
     timings = {}
@@ -171,18 +178,19 @@ def sketch_and_solve(graph, config=None):
             "raise gamma or retry with another seed"
         )
 
-    t0 = time.perf_counter()
     solver_cfg = replace(config.solver, seed=spawn_seed(config.seed, 2))
-    sdp = solve_sdp(sub, mu_used, solver_cfg)
-    timings["solve"] = time.perf_counter() - t0
-
-    accept = sdp.rank_one_gap <= _RANK_ONE_GAP_MAX
-    cert = None
-    t0 = time.perf_counter()
-    if accept and config.certify:
-        cert = check_certificate(sub, sdp.rounded_cut, mu_used)
+    if config.certify:
+        sdp, cert, timings["solve"], timings["certify"] = _solve_until_certified(
+            sub, mu_used, solver_cfg
+        )
         accept = cert.verdict == CERTIFIED
-    timings["certify"] = time.perf_counter() - t0
+    else:
+        t0 = time.perf_counter()
+        sdp = solve_sdp(sub, mu_used, solver_cfg)
+        timings["solve"] = time.perf_counter() - t0
+        timings["certify"] = 0.0
+        cert = None
+        accept = sdp.rank_one_gap <= _RANK_ONE_GAP_MAX
 
     if accept:
         sketch_partition = sdp.rounded_cut
@@ -218,6 +226,29 @@ def sketch_and_solve(graph, config=None):
         unassigned=unassigned,
         timings=timings,
     )
+
+
+def _solve_until_certified(graph, mu, solver_cfg):
+    """Sweep in doubling chunks, checking the cut after each; stop at CERTIFIED.
+
+    Returns the solution, the last certificate report and the summed solve
+    and certify times.
+    """
+    solve_s = certify_s = 0.0
+    sdp = None
+    chunk = 1
+    while True:
+        t0 = time.perf_counter()
+        sdp = solve_sdp(graph, mu, replace(solver_cfg, max_sweeps=chunk), start=sdp)
+        t1 = time.perf_counter()
+        cert = check_certificate(graph, sdp.rounded_cut, mu)
+        t2 = time.perf_counter()
+        solve_s += t1 - t0
+        certify_s += t2 - t1
+        left = solver_cfg.max_sweeps - sdp.sweeps_used
+        if cert.verdict == CERTIFIED or sdp.converged or left == 0:
+            return sdp, cert, solve_s, certify_s
+        chunk = min(sdp.sweeps_used, left)
 
 
 def full_solve(graph, mu="auto", solver=None, certify=True, tie_rule=TIE_FAIL, seed=0):

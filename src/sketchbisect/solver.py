@@ -53,15 +53,22 @@ class SdpSolution:
     sweep_objectives: list
 
 
-def solve_sdp(graph, mu, config=None):
+def solve_sdp(graph, mu, config=None, start=None):
     """Solve the factored SDP on ``graph`` with density offset ``mu``.
 
     Returns the factor matrix, the objective <A - mu*J, VV^T>, a cut read
     off the top singular vector of V, and rank_one_gap = 1 - s1(V)^2 / n
     measuring how far X is from a rank-one (exactly two-sided) solution.
 
+    ``start`` resumes an earlier solution for the same graph and mu: up to
+    ``config.max_sweeps`` more sweeps run from ``start.factors``, which
+    are advanced in place, so ``start`` is consumed. ``sweeps_used`` and
+    ``sweep_objectives`` continue cumulatively, and a solve split into
+    such calls gives the uninterrupted solve bit for bit. The factors must
+    have shape (n, rank) for this config; otherwise ValueError.
+
     The row views of V and the neighbour index lists are built once per
-    solve, so each vertex update is a gather, a row fold, one norm and two
+    call, so each vertex update is a gather, a row fold, one norm and two
     in-place row updates.
     """
     if config is None:
@@ -74,13 +81,18 @@ def solve_sdp(graph, mu, config=None):
     mu = float(mu)
     r = config.resolve_rank(n)
 
-    rng = np.random.default_rng(config.seed)
-    V = rng.standard_normal((n, r))
-    norms = np.linalg.norm(V, axis=1)
-    while np.any(norms < _STALL_NORM):
-        V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
+    if start is None:
+        rng = np.random.default_rng(config.seed)
+        V = rng.standard_normal((n, r))
         norms = np.linalg.norm(V, axis=1)
-    V /= norms[:, None]
+        while np.any(norms < _STALL_NORM):
+            V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
+            norms = np.linalg.norm(V, axis=1)
+        V /= norms[:, None]
+    else:
+        V = start.factors
+        if V.shape != (n, r):
+            raise ValueError(f"start factors have shape {V.shape}, expected {(n, r)}")
 
     adj = graph.adjacency
 
@@ -88,15 +100,17 @@ def solve_sdp(graph, mu, config=None):
         s = W.sum(axis=0)
         return float((W * (adj @ W)).sum() - mu * (s @ s))
 
+    # Resumed, this recomputes the objective the last sweep ended with.
     obj = objective(V)
-    history = [obj]
+    history = [obj] if start is None else list(start.sweep_objectives)
+    done = 0 if start is None else start.sweeps_used
     running = V.sum(axis=0)
     converged = False
-    sweeps_used = 0
+    sweeps_used = done
     # Views, not copies: writing a row writes V.
     rows = list(V)
     neighbors = np.split(adj.indices, adj.indptr[1:-1])
-    for sweep in range(1, config.max_sweeps + 1):
+    for sweep in range(done + 1, done + config.max_sweeps + 1):
         sweeps_used = sweep
         for row, nbr in zip(rows, neighbors):
             c = np.add.reduce(V.take(nbr, 0), 0)

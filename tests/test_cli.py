@@ -111,12 +111,16 @@ class TestSketchCommand:
         record = json.loads(stdout)
         assert set(record) == {
             "mu", "sketch_size", "fell_back_random", "unassigned",
-            "rank_one_gap", "certificate",
+            "rank_one_gap", "sweeps_used", "certificate", "iterations", "matvecs",
         }
         assert record["sketch_size"] == 6
         assert record["unassigned"] == 0
         assert record["fell_back_random"] is False
         assert record["certificate"] == "CERTIFIED"
+        # the first rounded cut already certifies, so the solve stops there
+        assert record["sweeps_used"] == 1
+        assert record["iterations"] >= 1
+        assert record["matvecs"] >= record["iterations"] + 2
         assert load_partition(out).equals_up_to_flip(planted)
 
     def test_partial_sketch_extends(self, capsys, tmp_path, triangle_files):
@@ -137,7 +141,10 @@ class TestSketchCommand:
             capsys, "sketch", gpath, "--out", out, "--gamma", "1.0", "--no-certify"
         )
         assert code == 0
-        assert json.loads(stdout)["certificate"] is None
+        record = json.loads(stdout)
+        assert record["certificate"] is None
+        assert record["iterations"] is None and record["matvecs"] is None
+        assert record["sweeps_used"] >= 1
 
     def test_auto_gamma_needs_rates(self, capsys, tmp_path, triangle_files):
         gpath, _, _, _ = triangle_files

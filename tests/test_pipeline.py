@@ -6,6 +6,7 @@ import pytest
 
 from sketchbisect import (
     CERTIFIED,
+    NOT_CERTIFIED,
     Graph,
     LogScaleParams,
     Partition,
@@ -16,13 +17,37 @@ from sketchbisect import (
     TIE_TO_FIRST,
     auto_gamma,
     bernoulli_vertex_sample,
+    check_certificate,
+    estimate_mu,
     full_solve,
     recovered_planted,
     sample_sbm,
     sketch_and_solve,
+    solve_sdp,
     spawn_seed,
     vote_extend,
 )
+from sketchbisect import pipeline
+from sketchbisect.certificate import ZOperator
+
+
+def count_stage_calls(monkeypatch):
+    """Log ``("solve", sweeps_used)`` and ``("certify", verdict)`` per pipeline call."""
+    calls = []
+
+    def solve(*args, **kwargs):
+        sol = solve_sdp(*args, **kwargs)
+        calls.append(("solve", sol.sweeps_used))
+        return sol
+
+    def certify(*args, **kwargs):
+        report = check_certificate(*args, **kwargs)
+        calls.append(("certify", report.verdict))
+        return report
+
+    monkeypatch.setattr(pipeline, "solve_sdp", solve)
+    monkeypatch.setattr(pipeline, "check_certificate", certify)
+    return calls
 
 
 class TestVoteExtend:
@@ -216,26 +241,50 @@ class TestSketchAndSolve:
         restricted = result.full_partition.restrict(result.sketch_vertices)
         assert restricted == result.sketch_partition
 
-    def test_sabotaged_solver_falls_back(self):
-        # one sweep at rank 2 cannot reach a rank-one optimum, so the gap
-        # gate rejects the solve and the seeded-coin fallback kicks in
+    def test_sabotaged_solver_falls_back_without_certificate(self):
+        # one sweep at rank 2 cannot reach a rank-one optimum, so with the
+        # certificate off the gap gate rejects the solve and the
+        # seeded-coin fallback kicks in
         params = LogScaleParams(20, 2, 120).to_sbm_params()
         graph, _ = sample_sbm(params, seed=15)
         crippled = SolverConfig(rank=2, max_sweeps=1, objective_tolerance=1e-15)
         result = sketch_and_solve(
             graph,
-            SketchConfig(gamma=0.9, seed=15, solver=crippled, tie_rule=TIE_TO_FIRST),
+            SketchConfig(
+                gamma=0.9, seed=15, solver=crippled, certify=False, tie_rule=TIE_TO_FIRST
+            ),
         )
+        assert result.sdp.rank_one_gap > 1e-6
+        assert result.certificate is None
         assert result.fell_back_random
         assert result.unassigned.size == 0
         assert result.full_partition.n_plus + result.full_partition.n_minus == 120
+
+    def test_uncertified_cuts_fall_back_to_seeded_coins(self, monkeypatch):
+        # below the threshold no rounded cut certifies, at any checked sweep
+        params = LogScaleParams(3, 1, 200).to_sbm_params()
+        graph, _ = sample_sbm(params, seed=0)
+        calls = count_stage_calls(monkeypatch)
+        result = sketch_and_solve(graph, SketchConfig(gamma=0.9, seed=6, tie_rule=TIE_TO_FIRST))
+        verdicts = [v for kind, v in calls if kind == "certify"]
+        assert len(verdicts) > 1
+        assert set(verdicts) == {NOT_CERTIFIED}
+        assert result.certificate.verdict == NOT_CERTIFIED
+        assert result.fell_back_random
+        rng = np.random.default_rng(spawn_seed(6, 3))
+        coin = np.where(rng.random(result.sketch_vertices.size) < 0.5, 1, -1)
+        assert result.sketch_partition == Partition(result.sketch_vertices, coin.astype(np.int8))
 
     def test_fallback_reproducible(self):
         params = LogScaleParams(20, 2, 120).to_sbm_params()
         graph, _ = sample_sbm(params, seed=15)
         crippled = SolverConfig(rank=2, max_sweeps=1, objective_tolerance=1e-15)
-        cfg = SketchConfig(gamma=0.9, seed=15, solver=crippled, tie_rule=TIE_TO_FIRST)
-        assert sketch_and_solve(graph, cfg).full_partition == sketch_and_solve(graph, cfg).full_partition
+        cfg = SketchConfig(
+            gamma=0.9, seed=15, solver=crippled, certify=False, tie_rule=TIE_TO_FIRST
+        )
+        a, b = sketch_and_solve(graph, cfg), sketch_and_solve(graph, cfg)
+        assert a.fell_back_random and b.fell_back_random
+        assert a.full_partition == b.full_partition
 
     def test_one_sided_certified_cut_extends(self):
         # at mu = 0 the all-ones cut is the certified optimum; the sketch
@@ -277,6 +326,78 @@ class TestSketchAndSolve:
             rates.append(wins / 20)
         assert rates[0] <= rates[1] + 0.15
         assert rates[1] <= rates[2] + 0.15
+
+
+class TestCertificateStopsSolve:
+    """With certification on, the first CERTIFIED cut ends the solve."""
+
+    def test_certified_instance_stops_at_first_certificate(self, monkeypatch):
+        graph, planted = sample_sbm(LogScaleParams(50, 1, 600).to_sbm_params(), seed=3)
+        converged = solve_sdp(graph, estimate_mu(graph).mu, SolverConfig(seed=spawn_seed(3, 2)))
+        calls = count_stage_calls(monkeypatch)
+        result = full_solve(graph, seed=3)
+        verdicts = [v for kind, v in calls if kind == "certify"]
+        assert verdicts[-1] == CERTIFIED
+        assert CERTIFIED not in verdicts[:-1]
+        assert [kind for kind, _ in calls] == ["solve", "certify"] * len(verdicts)
+        assert result.certificate.verdict == CERTIFIED
+        assert not result.fell_back_random
+        assert result.sdp.sweeps_used < converged.sweeps_used
+        assert result.full_partition == converged.rounded_cut
+        assert result.full_partition.equals_up_to_flip(planted)
+
+    def test_uncertified_instance_checked_on_doubling_schedule(self, monkeypatch):
+        graph, _ = sample_sbm(LogScaleParams(4, 1, 400).to_sbm_params(), seed=0)
+        calls = count_stage_calls(monkeypatch)
+        result = full_solve(graph, solver=SolverConfig(max_sweeps=30), seed=0)
+        checked_at = [calls[i - 1][1] for i, (kind, _) in enumerate(calls) if kind == "certify"]
+        assert checked_at == [1, 2, 4, 8, 16, 30]
+        assert {v for kind, v in calls if kind == "certify"} == {NOT_CERTIFIED}
+        assert result.sdp.sweeps_used == 30 and not result.sdp.converged
+        assert result.fell_back_random
+
+    def test_no_certify_solves_once(self, monkeypatch):
+        graph, _ = sample_sbm(LogScaleParams(50, 1, 400).to_sbm_params(), seed=3)
+        calls = count_stage_calls(monkeypatch)
+        result = full_solve(graph, certify=False, seed=3)
+        assert calls == [("solve", result.sdp.sweeps_used)]
+        assert result.sdp.converged
+        assert result.timings["certify"] == 0.0
+
+    def test_accepted_cuts_match_converged_solve_and_are_proven(self):
+        # near the threshold: where the uninterrupted solve passes the gap
+        # gate its cut is the one accepted, and no cut that the gate and
+        # the certificate accepted after convergence is lost; every accepted
+        # cut has a positive lambda2 of the projected dense certificate
+        n = 400
+        accepted = 0
+        for alpha in (4, 5, 6, 7, 8):
+            for seed in (1002, 1003, 1004, 1005):
+                graph, _ = sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
+                result = full_solve(graph, seed=seed)
+                mu = result.mu_used
+                ref = solve_sdp(graph, mu, SolverConfig(seed=spawn_seed(seed, 2)))
+                if ref.rank_one_gap <= 1e-6:
+                    if check_certificate(graph, ref.rounded_cut, mu).verdict == CERTIFIED:
+                        assert not result.fell_back_random, (alpha, seed)
+                    if not result.fell_back_random:
+                        assert result.sketch_partition == ref.rounded_cut, (alpha, seed)
+                if result.fell_back_random:
+                    continue
+                accepted += 1
+                op = ZOperator(graph, result.sketch_partition, mu)
+                gu = op.g / np.sqrt(n)
+                proj = np.eye(n) - np.outer(gu, gu)
+                eigs = np.linalg.eigvalsh(proj @ op.dense() @ proj)
+                assert eigs[1] > 0, (alpha, seed, eigs[:2])
+        assert accepted >= 12
+
+    def test_resumed_pipeline_deterministic(self):
+        graph, _ = sample_sbm(LogScaleParams(6, 1, 400).to_sbm_params(), seed=1009)
+        a, b = full_solve(graph, seed=1009), full_solve(graph, seed=1009)
+        assert a.sdp.sweeps_used == b.sdp.sweeps_used
+        assert a.sdp.factors.tobytes() == b.sdp.factors.tobytes()
+        assert a.full_partition == b.full_partition
 
 
 class TestFullSolve:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -127,21 +128,34 @@ def _sbm_case(alpha, n, seed, max_sweeps):
     return graph, estimate_mu(graph).mu, SolverConfig(max_sweeps=max_sweeps, seed=seed)
 
 
+def chunked_solve(graph, mu, config):
+    """Solve in chunks of 1, 1, 2, 4, ... sweeps, each call resuming the last."""
+    sol = None
+    chunk = 1
+    while True:
+        sol = solve_sdp(graph, mu, replace(config, max_sweeps=chunk), start=sol)
+        left = config.max_sweeps - sol.sweeps_used
+        if sol.converged or left == 0:
+            return sol
+        chunk = min(sol.sweeps_used, left)
+
+
 class TestSweepOracle:
-    """``solve_sdp`` reproduces the plainly written sweep bit for bit."""
+    """``solve_sdp`` reproduces the plainly written sweep bit for bit, both
+    in one call and resumed in chunks of 1, 1, 2, 4, ... sweeps."""
 
     @staticmethod
     def assert_same_trajectory(graph, mu, config):
-        got = solve_sdp(graph, mu, config)
         want = reference_solve_sdp(graph, mu, config)
-        assert got.factors.shape == want.factors.shape
-        assert got.factors.tobytes() == want.factors.tobytes()
-        assert got.sweep_objectives == want.sweep_objectives
-        assert got.objective == want.objective
-        assert got.sweeps_used == want.sweeps_used
-        assert got.converged == want.converged
-        assert got.rank_one_gap == want.rank_one_gap
-        assert got.rounded_cut == want.rounded_cut
+        for got in (solve_sdp(graph, mu, config), chunked_solve(graph, mu, config)):
+            assert got.factors.shape == want.factors.shape
+            assert got.factors.tobytes() == want.factors.tobytes()
+            assert got.sweep_objectives == want.sweep_objectives
+            assert got.objective == want.objective
+            assert got.sweeps_used == want.sweeps_used
+            assert got.converged == want.converged
+            assert got.rank_one_gap == want.rank_one_gap
+            assert got.rounded_cut == want.rounded_cut
         return got
 
     def test_isolated_vertex(self):
@@ -173,6 +187,28 @@ class TestSweepOracle:
     def test_dense_instance(self):
         sol = self.assert_same_trajectory(*_sbm_case(50, 1000, 0, 500))
         assert sol.converged
+
+
+class TestResume:
+    """``start=`` continues an earlier solve; the oracle above covers the bits."""
+
+    def test_start_is_advanced_in_place(self, two_triangles):
+        graph, _ = two_triangles
+        first = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2))
+        second = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2), start=first)
+        assert second.factors is first.factors
+        assert second.sweeps_used == 2
+        assert len(second.sweep_objectives) == 3
+        assert len(first.sweep_objectives) == 2
+
+    def test_wrong_start_shape_rejected(self, two_triangles):
+        graph, _ = two_triangles
+        sol = solve_sdp(graph, 0.5, SolverConfig(rank=2, max_sweeps=1))
+        with pytest.raises(ValueError):
+            solve_sdp(graph, 0.5, SolverConfig(rank=3), start=sol)
+        other = solve_sdp(Graph(4, [(0, 1), (2, 3)]), 0.5, SolverConfig(rank=2, max_sweeps=1))
+        with pytest.raises(ValueError):
+            solve_sdp(graph, 0.5, SolverConfig(rank=2), start=other)
 
 
 class TestObjectiveValue:
