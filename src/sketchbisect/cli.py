@@ -153,7 +153,9 @@ def build_parser():
     p.add_argument("--mu", type=_mu_arg, default="auto")
     p.add_argument("--rank", type=_rank_arg, default="auto")
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-sweeps", type=int, default=500)
+    p.add_argument("--max-sweeps", type=int, default=500,
+                   help="sweep budget; 0 runs no sweep and writes the sign cut of "
+                        "the leading eigenvector of A - mu*J")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_solve)
 
@@ -194,7 +196,8 @@ def build_parser():
                    default="recovery_rate")
     p.add_argument("--overlay", choices=["none", "prop1_curve", "conjecture_gamma_iso"],
                    default="none")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes, at most the CPUs this process may use")
     p.set_defaults(func=_cmd_experiment)
     return parser
 

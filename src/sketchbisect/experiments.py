@@ -7,6 +7,7 @@ parallel schedules, or any subset of cells, produce identical numbers.
 
 import csv
 import math
+import os
 import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -206,12 +207,22 @@ def _run_cell_args(args):
     return _run_cell(*args)
 
 
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
 def run_grid(spec, jobs=1):
     """Run every (alpha, beta, rep, method) cell; order is canonical.
 
     Cells with beta >= alpha are marked SKIPPED. Failures inside a cell
     are recorded on the CellResult rather than raised. ``jobs`` > 1 runs
-    cells in a process pool; results are identical to the serial run.
+    cells in a process pool of at most as many workers as this process
+    may use CPUs: further workers add no throughput, and the time a cell
+    spends descheduled would land in its ``runtime_ms``. Results are
+    identical to the serial run.
     """
     tasks = [
         (spec, ai, bi, rep, method)
@@ -220,9 +231,10 @@ def run_grid(spec, jobs=1):
         for rep in range(spec.reps)
         for method in sorted(spec.methods)
     ]
-    if jobs <= 1:
+    workers = min(jobs, _usable_cpus())
+    if workers <= 1:
         return [_run_cell_args(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_cell_args, tasks, chunksize=1))
 
 

@@ -103,16 +103,13 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     in_seed[rows_minus] = True
     outside = np.flatnonzero(~in_seed)
 
-    ind_plus = np.zeros(n)
-    ind_plus[rows_plus] = 1.0
-    ind_minus = np.zeros(n)
-    ind_minus[rows_minus] = 1.0
-    votes_plus = (graph.adjacency @ ind_plus)[outside]
-    votes_minus = (graph.adjacency @ ind_minus)[outside]
+    # one product gives (edges to plus) - (edges to minus), exact in floats
+    seed_signs = np.zeros(n)
+    seed_signs[rows_plus] = 1.0
+    seed_signs[rows_minus] = -1.0
+    margin = (graph.adjacency @ seed_signs)[outside]
 
-    signs = np.zeros(outside.size, dtype=np.int8)
-    signs[votes_plus > votes_minus] = 1
-    signs[votes_minus > votes_plus] = -1
+    signs = np.sign(margin).astype(np.int8)
     tied = signs == 0
     if np.any(tied):
         if tie_rule == TIE_TO_FIRST:
@@ -140,11 +137,13 @@ def sketch_and_solve(graph, config=None):
 
     With certification on, the certificate is the solver's stopping rule:
     the sweep is resumed in doubling chunks, and the rounded cut is checked
-    after cumulative sweeps 1, 2, 4, 8, ... and at the last sweep
-    (converged or out of budget). The solve stops at the first CERTIFIED
-    cut, which is then proven the unique SDP optimum, so more signal means
-    fewer sweeps. The cut is accepted iff the last check is CERTIFIED; an
-    instance that never certifies runs the full solve as before. With
+    after cumulative sweeps 0, 1, 2, 4, 8, ... and at the last sweep
+    (converged or out of budget). Sweep 0 is the spectral cut that
+    ``solve_sdp`` returns before any sweep. The solve stops at the first
+    CERTIFIED cut, which is then proven the unique SDP optimum however it
+    was found, so more signal means fewer sweeps: at alpha = 50 no sweep
+    runs. The cut is accepted iff the last check is CERTIFIED; an instance
+    that never certifies runs the full solve as before. With
     certification off, one solve runs and its cut is accepted only when
     the output is numerically rank one (rank_one_gap <= 1e-6). On rejection
     the sketch is assigned by fair coin flips instead, and the result is
@@ -229,14 +228,15 @@ def sketch_and_solve(graph, config=None):
 
 
 def _solve_until_certified(graph, mu, solver_cfg):
-    """Sweep in doubling chunks, checking the cut after each; stop at CERTIFIED.
+    """Solve in chunks of 0, 1, 1, 2, 4, ... sweeps; stop at the first CERTIFIED cut.
 
+    The cut is checked after every chunk, the 0-sweep spectral cut first.
     Returns the solution, the last certificate report and the summed solve
     and certify times.
     """
     solve_s = certify_s = 0.0
     sdp = None
-    chunk = 1
+    chunk = 0
     while True:
         t0 = time.perf_counter()
         sdp = solve_sdp(graph, mu, replace(solver_cfg, max_sweeps=chunk), start=sdp)
@@ -248,7 +248,7 @@ def _solve_until_certified(graph, mu, solver_cfg):
         left = solver_cfg.max_sweeps - sdp.sweeps_used
         if cert.verdict == CERTIFIED or sdp.converged or left == 0:
             return sdp, cert, solve_s, certify_s
-        chunk = min(sdp.sweeps_used, left)
+        chunk = min(max(sdp.sweeps_used, 1), left)
 
 
 def full_solve(graph, mu="auto", solver=None, certify=True, tie_rule=TIE_FAIL, seed=0):

@@ -7,6 +7,10 @@ rows minus mu times the sum of all other rows, which is the exact
 coordinate maximizer, so the objective never decreases. At rank
 ceil(sqrt(2n)) + 1 and above, second-order critical points of the factored
 problem are global optima of the SDP.
+
+Before the first sweep the factors carry no structure, so a solve that
+stops at sweep 0 reads its cut off the leading eigenvector of the implicit
+A - mu*J instead, found by a short Lanczos iteration.
 """
 
 import math
@@ -15,12 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Partition
+from .seeding import spawn_seed
 
 _STALL_NORM = 1e-13
+
+# Lanczos for the sweep-0 cut: step budget and relative Ritz residual at
+# which the leading pair counts as converged.
+_LANCZOS_STEPS = 60
+_LANCZOS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Factor rank, sweep budget, stopping tolerance and seed of ``solve_sdp``.
+
+    ``max_sweeps = 0`` runs no sweep: the solve returns the seeded start
+    and the spectral cut (see ``solve_sdp``).
+    """
+
     rank: object = "auto"
     max_sweeps: int = 500
     objective_tolerance: float = 1e-9
@@ -30,8 +46,8 @@ class SolverConfig:
         if self.rank != "auto":
             if not isinstance(self.rank, int) or self.rank < 1:
                 raise ValueError("rank must be 'auto' or a positive integer")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
+        if self.max_sweeps < 0:
+            raise ValueError("max_sweeps must be non-negative")
         if self.objective_tolerance <= 0:
             raise ValueError("objective_tolerance must be positive")
 
@@ -56,16 +72,21 @@ class SdpSolution:
 def solve_sdp(graph, mu, config=None, start=None):
     """Solve the factored SDP on ``graph`` with density offset ``mu``.
 
-    Returns the factor matrix, the objective <A - mu*J, VV^T>, a cut read
-    off the top singular vector of V, and rank_one_gap = 1 - s1(V)^2 / n
-    measuring how far X is from a rank-one (exactly two-sided) solution.
+    Returns the factor matrix, the objective <A - mu*J, VV^T>, a rounded
+    cut, and rank_one_gap = 1 - s1(V)^2 / n measuring how far X is from a
+    rank-one (exactly two-sided) solution. Once V has had at least one
+    sweep the cut is read off the top singular vector of V. Before that
+    (``max_sweeps = 0`` on a fresh solve) V is the seeded start unchanged,
+    ``sweeps_used`` is 0, and the cut is the sign vector of the leading
+    eigenvector of A - mu*J; the certificate judges it like any other cut.
 
     ``start`` resumes an earlier solution for the same graph and mu: up to
     ``config.max_sweeps`` more sweeps run from ``start.factors``, which
     are advanced in place, so ``start`` is consumed. ``sweeps_used`` and
     ``sweep_objectives`` continue cumulatively, and a solve split into
-    such calls gives the uninterrupted solve bit for bit. The factors must
-    have shape (n, rank) for this config; otherwise ValueError.
+    such calls gives the uninterrupted solve bit for bit, a 0-sweep first
+    call included. The factors must have shape (n, rank) for this config;
+    otherwise ValueError.
 
     The row views of V and the neighbour index lists are built once per
     call, so each vertex update is a gather, a row fold, one norm and two
@@ -100,16 +121,22 @@ def solve_sdp(graph, mu, config=None, start=None):
         s = W.sum(axis=0)
         return float((W * (adj @ W)).sum() - mu * (s @ s))
 
-    # Resumed, this recomputes the objective the last sweep ended with.
-    obj = objective(V)
-    history = [obj] if start is None else list(start.sweep_objectives)
-    done = 0 if start is None else start.sweeps_used
+    if start is None:
+        obj = objective(V)
+        history = [obj]
+        done = 0
+    else:
+        # the objective the last call ended with, of these very factors
+        obj = start.objective
+        history = list(start.sweep_objectives)
+        done = start.sweeps_used
     running = V.sum(axis=0)
     converged = False
     sweeps_used = done
-    # Views, not copies: writing a row writes V.
-    rows = list(V)
-    neighbors = np.split(adj.indices, adj.indptr[1:-1])
+    if config.max_sweeps:
+        # Views, not copies: writing a row writes V.
+        rows = list(V)
+        neighbors = np.split(adj.indices, adj.indptr[1:-1])
     for sweep in range(done + 1, done + config.max_sweeps + 1):
         sweeps_used = sweep
         for row, nbr in zip(rows, neighbors):
@@ -132,11 +159,16 @@ def solve_sdp(graph, mu, config=None, start=None):
             converged = True
             break
 
-    top_sv, top_vec = _top_singular(V)
+    if sweeps_used:
+        top_sv, top_vec = _top_singular(V)
+        s1_squared = top_sv * top_sv
+    else:
+        top_vec = _leading_eigenvector(adj, mu, spawn_seed(config.seed, 1))
+        s1_squared = float(np.linalg.eigvalsh(V.T @ V)[-1])
     signs = np.where(top_vec >= 0.0, 1, -1).astype(np.int8)
     if signs[0] < 0:
         signs = -signs
-    gap = 1.0 - (top_sv * top_sv) / n
+    gap = 1.0 - s1_squared / n
     return SdpSolution(
         factors=V,
         objective=obj,
@@ -151,6 +183,44 @@ def solve_sdp(graph, mu, config=None, start=None):
 def _top_singular(V):
     u, s, _ = np.linalg.svd(V, full_matrices=False)
     return float(s[0]), u[:, 0]
+
+
+def _leading_eigenvector(adj, mu, seed):
+    """Ritz vector for the largest eigenvalue of A - mu*J, by Lanczos.
+
+    The operator is applied matrix-free as x -> A x - mu * sum(x). The
+    basis is fully reorthogonalized, so the Ritz residual |beta_k s_k| is
+    the true one; the iteration stops once it falls to ``_LANCZOS_TOL``
+    times the Ritz value (floored at 1), on breakdown (an invariant
+    subspace, beta ~ 0, which the same test catches), or after
+    ``_LANCZOS_STEPS`` steps. The vector
+    only proposes a cut, so an unconverged one costs a refuted check, not
+    a wrong answer.
+    """
+    n = adj.shape[0]
+    kmax = min(n, _LANCZOS_STEPS)
+    basis = np.empty((kmax, n))
+    tri = np.zeros((kmax, kmax))
+    q = np.random.default_rng(seed).standard_normal(n)
+    q /= math.sqrt(q @ q)
+    for k in range(kmax):
+        basis[k] = q
+        w = adj @ q
+        w -= mu * q.sum()
+        krylov = basis[: k + 1]
+        h = krylov @ w
+        tri[k, k] = h[k]
+        w -= h @ krylov
+        w -= (krylov @ w) @ krylov  # classical Gram-Schmidt: twice is enough
+        beta = math.sqrt(w @ w)
+        evals, evecs = np.linalg.eigh(tri[: k + 1, : k + 1])
+        top = evecs[:, -1]
+        if beta * abs(top[-1]) <= _LANCZOS_TOL * max(abs(evals[-1]), 1.0):
+            break
+        if k + 1 < kmax:
+            tri[k, k + 1] = tri[k + 1, k] = beta
+            q = w / beta
+    return top @ basis[: k + 1]
 
 
 def objective_value(graph, mu, partition):

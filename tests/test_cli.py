@@ -46,6 +46,27 @@ class TestSolveCommand:
         assert record["mu"] == 0.5
         assert load_partition(out).equals_up_to_flip(planted)
 
+    def test_zero_sweeps_writes_spectral_cut(self, capsys, tmp_path, triangle_files):
+        gpath, _, graph, planted = triangle_files
+        out = tmp_path / "cut.txt"
+        code, stdout, _ = run_cli(
+            capsys, "solve", gpath, "--out", out, "--mu", "0.5", "--max-sweeps", "0"
+        )
+        assert code == 0
+        record = json.loads(stdout)
+        assert record["sweeps_used"] == 0
+        assert record["converged"] is False
+        cut = load_partition(out)
+        assert list(cut.ids) == list(graph.vertex_ids)
+        assert set(cut.signs.tolist()) <= {-1, 1}
+        assert cut.equals_up_to_flip(planted)
+
+    def test_help_explains_zero_sweeps(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "0 runs no sweep" in " ".join(capsys.readouterr().out.split())
+
     def test_solve_auto_mu(self, capsys, tmp_path, triangle_files):
         gpath, _, _, _ = triangle_files
         out = tmp_path / "cut.txt"
@@ -117,8 +138,8 @@ class TestSketchCommand:
         assert record["unassigned"] == 0
         assert record["fell_back_random"] is False
         assert record["certificate"] == "CERTIFIED"
-        # the first rounded cut already certifies, so the solve stops there
-        assert record["sweeps_used"] == 1
+        # the spectral cut already certifies, so no sweep runs
+        assert record["sweeps_used"] == 0
         assert record["iterations"] >= 1
         assert record["matvecs"] >= record["iterations"] + 2
         assert load_partition(out).equals_up_to_flip(planted)

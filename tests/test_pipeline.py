@@ -351,9 +351,35 @@ class TestCertificateStopsSolve:
         calls = count_stage_calls(monkeypatch)
         result = full_solve(graph, solver=SolverConfig(max_sweeps=30), seed=0)
         checked_at = [calls[i - 1][1] for i, (kind, _) in enumerate(calls) if kind == "certify"]
-        assert checked_at == [1, 2, 4, 8, 16, 30]
+        assert checked_at == [0, 1, 2, 4, 8, 16, 30]
         assert {v for kind, v in calls if kind == "certify"} == {NOT_CERTIFIED}
         assert result.sdp.sweeps_used == 30 and not result.sdp.converged
+        assert result.fell_back_random
+
+    def test_strong_signal_certifies_at_sweep_zero(self, monkeypatch):
+        # the spectral cut is proven optimal before any sweep runs
+        graph, planted = sample_sbm(LogScaleParams(50, 1, 600).to_sbm_params(), seed=3)
+        calls = count_stage_calls(monkeypatch)
+        result = full_solve(graph, seed=3)
+        assert calls == [("solve", 0), ("certify", CERTIFIED)]
+        assert result.sdp.sweeps_used == 0
+        assert result.full_partition.equals_up_to_flip(planted)
+
+    def test_refuted_spectral_cut_falls_through_to_the_sweep(self, monkeypatch):
+        graph, planted = sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
+        calls = count_stage_calls(monkeypatch)
+        result = full_solve(graph, seed=1004)
+        assert calls[:2] == [("solve", 0), ("certify", NOT_CERTIFIED)]
+        assert calls[-2:] == [("solve", 2), ("certify", CERTIFIED)]
+        assert len(calls) == 6
+        assert not result.fell_back_random
+        assert result.full_partition.equals_up_to_flip(planted)
+
+    def test_zero_sweep_budget_checks_once(self, monkeypatch):
+        graph, _ = sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
+        calls = count_stage_calls(monkeypatch)
+        result = full_solve(graph, solver=SolverConfig(max_sweeps=0), seed=1004)
+        assert calls == [("solve", 0), ("certify", NOT_CERTIFIED)]
         assert result.fell_back_random
 
     def test_no_certify_solves_once(self, monkeypatch):
@@ -368,9 +394,10 @@ class TestCertificateStopsSolve:
         # near the threshold: where the uninterrupted solve passes the gap
         # gate its cut is the one accepted, and no cut that the gate and
         # the certificate accepted after convergence is lost; every accepted
-        # cut has a positive lambda2 of the projected dense certificate
+        # cut, sweep-0 spectral cuts included, has a positive lambda2 of the
+        # projected dense certificate
         n = 400
-        accepted = 0
+        accepted = at_sweep_zero = 0
         for alpha in (4, 5, 6, 7, 8):
             for seed in (1002, 1003, 1004, 1005):
                 graph, _ = sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
@@ -385,12 +412,14 @@ class TestCertificateStopsSolve:
                 if result.fell_back_random:
                     continue
                 accepted += 1
+                at_sweep_zero += result.sdp.sweeps_used == 0
                 op = ZOperator(graph, result.sketch_partition, mu)
                 gu = op.g / np.sqrt(n)
                 proj = np.eye(n) - np.outer(gu, gu)
                 eigs = np.linalg.eigvalsh(proj @ op.dense() @ proj)
                 assert eigs[1] > 0, (alpha, seed, eigs[:2])
         assert accepted >= 12
+        assert at_sweep_zero >= 8
 
     def test_resumed_pipeline_deterministic(self):
         graph, _ = sample_sbm(LogScaleParams(6, 1, 400).to_sbm_params(), seed=1009)

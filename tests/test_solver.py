@@ -34,7 +34,8 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(rank=0)
         with pytest.raises(ValueError):
-            SolverConfig(max_sweeps=0)
+            SolverConfig(max_sweeps=-1)
+        assert SolverConfig(max_sweeps=0).max_sweeps == 0
         with pytest.raises(ValueError):
             SolverConfig(objective_tolerance=0.0)
 
@@ -129,20 +130,20 @@ def _sbm_case(alpha, n, seed, max_sweeps):
 
 
 def chunked_solve(graph, mu, config):
-    """Solve in chunks of 1, 1, 2, 4, ... sweeps, each call resuming the last."""
+    """Solve in chunks of 0, 1, 1, 2, 4, ... sweeps, each call resuming the last."""
     sol = None
-    chunk = 1
+    chunk = 0
     while True:
         sol = solve_sdp(graph, mu, replace(config, max_sweeps=chunk), start=sol)
         left = config.max_sweeps - sol.sweeps_used
         if sol.converged or left == 0:
             return sol
-        chunk = min(sol.sweeps_used, left)
+        chunk = min(max(sol.sweeps_used, 1), left)
 
 
 class TestSweepOracle:
     """``solve_sdp`` reproduces the plainly written sweep bit for bit, both
-    in one call and resumed in chunks of 1, 1, 2, 4, ... sweeps."""
+    in one call and resumed in chunks of 0, 1, 1, 2, 4, ... sweeps."""
 
     @staticmethod
     def assert_same_trajectory(graph, mu, config):
@@ -187,6 +188,74 @@ class TestSweepOracle:
     def test_dense_instance(self):
         sol = self.assert_same_trajectory(*_sbm_case(50, 1000, 0, 500))
         assert sol.converged
+
+
+def _two_cliques(k):
+    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    edges += [(i + k, j + k) for i, j in edges]
+    return Graph(2 * k, edges)
+
+
+class TestSweepZero:
+    """``max_sweeps=0``: the seeded start and the spectral cut, no sweep."""
+
+    CASES = (
+        ("empty graph", Graph(5, []), 0.5),
+        ("empty graph, mu = 0", Graph(5, []), 0.0),
+        ("two vertices", Graph(2, [(0, 1)]), 0.5),
+        ("two vertices, mu = 0", Graph(2, [(0, 1)]), 0.0),
+        ("isolated vertex", Graph(7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]), 0.4),
+        ("two disjoint cliques", _two_cliques(6), 0.5),
+        ("two disjoint cliques, mu = 0", _two_cliques(6), 0.0),
+    )
+
+    @pytest.mark.parametrize("name,graph,mu", CASES, ids=[c[0] for c in CASES])
+    def test_returns_seeded_start_and_full_cut(self, name, graph, mu):
+        config = SolverConfig(max_sweeps=0, seed=4)
+        sol = solve_sdp(graph, mu, config)
+        start = reference_solve_sdp(graph, mu, config)
+        assert sol.factors.tobytes() == start.factors.tobytes()
+        assert sol.objective == start.objective
+        assert sol.sweep_objectives == [sol.objective]
+        assert sol.sweeps_used == 0 and not sol.converged
+        assert sol.rank_one_gap == pytest.approx(start.rank_one_gap, abs=1e-12)
+        cut = sol.rounded_cut
+        assert np.array_equal(cut.ids, graph.vertex_ids)
+        assert np.all(np.abs(cut.signs) == 1)
+        assert cut.sign_of(int(graph.vertex_ids[0])) == 1
+
+    def test_two_calls_same_cut(self):
+        graph, _ = sample_sbm(LogScaleParams(6, 1, 300).to_sbm_params(), 5)
+        mu = estimate_mu(graph).mu
+        a = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=9))
+        b = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=9))
+        assert a.rounded_cut == b.rounded_cut
+        assert a.factors.tobytes() == b.factors.tobytes()
+
+    def test_strong_signal_cut_is_planted(self):
+        graph, planted = sample_sbm(LogScaleParams(50, 1, 1000).to_sbm_params(), 7)
+        sol = solve_sdp(graph, estimate_mu(graph).mu, SolverConfig(max_sweeps=0, seed=7))
+        assert sol.rounded_cut.equals_up_to_flip(planted)
+
+    def test_disjoint_cliques_split_at_mu_half(self):
+        # A - J/2 has leading eigenvector (1, ..., 1, -1, ..., -1)
+        graph = _two_cliques(6)
+        sol = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0))
+        assert sol.rounded_cut == Partition(range(12), [1] * 6 + [-1] * 6)
+
+    def test_resume_from_sweep_zero(self, two_triangles):
+        graph, planted = two_triangles
+        first = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2))
+        again = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2), start=first)
+        assert again.sweeps_used == 0 and again.rounded_cut == first.rounded_cut
+        swept = solve_sdp(graph, 0.5, SolverConfig(seed=2), start=again)
+        assert swept.sweeps_used >= 1
+        assert swept.rounded_cut.equals_up_to_flip(planted)
+        # once swept, a 0-sweep call rounds V itself, as the last call did
+        idle = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2), start=swept)
+        assert idle.sweeps_used == swept.sweeps_used
+        assert idle.rounded_cut == swept.rounded_cut
+        assert idle.rank_one_gap == swept.rank_one_gap
 
 
 class TestResume:
