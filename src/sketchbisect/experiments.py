@@ -7,6 +7,7 @@ parallel schedules, or any subset of cells, produce identical numbers.
 
 import csv
 import math
+import multiprocessing
 import os
 import statistics
 import time
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import LogScaleParams, sample_sbm
+from .graphs import LogScaleParams, sample_sbm, usable_cpus
 from .pipeline import (
     TIE_FAIL,
     SketchConfig,
@@ -207,11 +208,26 @@ def _run_cell_args(args):
     return _run_cell(*args)
 
 
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
+def _pin_worker(cpu_ids):
+    """Pool initializer: bind this worker to one CPU of its own.
+
+    Inside the worker ``usable_cpus`` then reads 1, so ``sample_sbm`` draws
+    on one thread and workers never contend for a CPU.
+    """
+    os.sched_setaffinity(0, {cpu_ids.get()})
+
+
+def _worker_pool(workers):
+    """Process pool of ``workers`` cell workers, each pinned to its own CPU."""
+    if not hasattr(os, "sched_setaffinity"):  # not every platform has it
+        return ProcessPoolExecutor(max_workers=workers)
+    ctx = multiprocessing.get_context()
+    cpu_ids = ctx.SimpleQueue()
+    for cpu in sorted(os.sched_getaffinity(0))[:workers]:
+        cpu_ids.put(cpu)
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=ctx, initializer=_pin_worker, initargs=(cpu_ids,)
+    )
 
 
 def run_grid(spec, jobs=1):
@@ -220,7 +236,8 @@ def run_grid(spec, jobs=1):
     Cells with beta >= alpha are marked SKIPPED. Failures inside a cell
     are recorded on the CellResult rather than raised. ``jobs`` > 1 runs
     cells in a process pool of at most as many workers as this process
-    may use CPUs: further workers add no throughput, and the time a cell
+    may use CPUs, each pinned to a CPU of its own: further workers, or
+    sampler threads beside them, add no throughput, and the time a cell
     spends descheduled would land in its ``runtime_ms``. Results are
     identical to the serial run.
     """
@@ -231,10 +248,10 @@ def run_grid(spec, jobs=1):
         for rep in range(spec.reps)
         for method in sorted(spec.methods)
     ]
-    workers = min(jobs, _usable_cpus())
+    workers = min(jobs, usable_cpus())
     if workers <= 1:
         return [_run_cell_args(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with _worker_pool(workers) as pool:
         return list(pool.map(_run_cell_args, tasks, chunksize=1))
 
 

@@ -7,8 +7,10 @@ vertex set without any index translation.
 """
 
 import math
+import os
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +95,14 @@ class LogScaleParams:
         return SbmParams(n1=n1, n2=n2, p=p, q=q)
 
 
+def usable_cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
 def _sorted_unique(values):
     """np.unique of a 1-d array by one sort.
 
@@ -125,10 +135,7 @@ class Graph:
             ids.sort()
             if n and np.any(np.diff(ids) == 0):
                 raise ValueError("duplicate vertex ids")
-        self._ids = ids
-        self._ids.flags.writeable = False
-        # sorted distinct labels spanning 0..n-1 are exactly arange(n)
-        self._contiguous = n == 0 or (ids[0] == 0 and ids[-1] == n - 1)
+        self._set_ids(ids)
 
         e = np.asarray(edges, dtype=np.int64)
         if e.size == 0:
@@ -146,6 +153,29 @@ class Graph:
         key = lo * n + hi
         if np.any(key[1:] <= key[:-1]):
             lo, hi = np.divmod(_sorted_unique(key), n)
+        self._build(n, lo, hi)
+
+    @classmethod
+    def _from_canonical(cls, n, lo, hi):
+        """Graph on labels 0..n-1 from canonical edge rows, unchecked.
+
+        The rows must satisfy what ``__init__`` establishes: 0 <= lo < hi < n
+        and strictly increasing keys ``lo * n + hi``.
+        """
+        graph = cls.__new__(cls)
+        graph._set_ids(np.arange(n, dtype=np.int64))
+        graph._build(n, lo, hi)
+        return graph
+
+    def _set_ids(self, ids):
+        n = ids.shape[0]
+        self._ids = ids
+        self._ids.flags.writeable = False
+        # sorted distinct labels spanning 0..n-1 are exactly arange(n)
+        self._contiguous = n == 0 or (ids[0] == 0 and ids[-1] == n - 1)
+
+    def _build(self, n, lo, hi):
+        """Edge rows, CSR adjacency and degrees from canonical edge rows."""
         self._edge_rows = np.column_stack([lo, hi])
         self._edge_rows.flags.writeable = False
 
@@ -202,19 +232,6 @@ class Graph:
             bad = v[~ok]
             raise KeyError(f"unknown vertex id(s): {bad[:5].tolist()}")
         return pos
-
-    def neighbors(self, v):
-        """Sorted labels adjacent to v."""
-        i = int(self.indices_of([v])[0])
-        cols = self._adj.indices[self._adj.indptr[i]:self._adj.indptr[i + 1]]
-        return self._ids[cols]
-
-    def has_edge(self, u, v):
-        i, j = self.indices_of([u, v])
-        if i == j:
-            return False
-        cols = self._adj.indices[self._adj.indptr[i]:self._adj.indptr[i + 1]]
-        return bool(np.searchsorted(cols, j) < cols.size and cols[np.searchsorted(cols, j)] == j)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -320,31 +337,24 @@ class Partition:
         return f"Partition(n={len(self)}, +{self.n_plus}/-{self.n_minus})"
 
 
-def sample_sbm(params, seed):
-    """Draw a graph from the block model plus its planted partition.
+def _sample_rows(state, bounds, offsets, n1, p, q):
+    """Edges among the pairs of rows ``bounds[0]`` to ``bounds[-1] - 1``.
 
-    Pair indicators are drawn in one pass over the i < j pairs in
-    lexicographic order, so a given seed yields the same edge set on every
-    platform. The first block gets labels 0..n1-1 and side +1.
-
-    The uniforms are drawn in blocks of whole rows of about
-    ``_PAIR_BLOCK`` pairs; drawing the stream in pieces yields the same
-    numbers as one draw over all pairs. Only the draws below max(p, q) are
-    mapped back to their (i, j) pair for the exact test, so memory is
-    O(_PAIR_BLOCK + m) rather than O(n^2).
+    ``state`` is the PCG64 state at the first pair of the whole draw; it is
+    advanced to pair ``offsets[bounds[0]]`` and the row blocks between
+    consecutive ``bounds`` are drawn in turn into one reused buffer.
+    Returns one canonical ``(i, j)`` pair of arrays per block.
     """
-    rng = np.random.default_rng(seed)
-    n, n1, p, q = params.n, params.n1, params.p, params.q
-    r = np.arange(n + 1, dtype=np.int64)
-    # offsets[i]: number of pairs (i', j) with i' < i, i.e. where row i starts
-    offsets = r * (n - 1) - r * (r - 1) // 2
+    bit_gen = np.random.PCG64(0)
+    bit_gen.state = state
+    bit_gen.advance(int(offsets[bounds[0]]))
+    rng = np.random.Generator(bit_gen)
+    buf = np.empty(int(np.diff(offsets[bounds]).max()))
     rate_max = max(p, q)
     blocks = []
-    r0 = 0
-    while r0 < n - 1:
-        r1 = int(np.searchsorted(offsets, offsets[r0] + _PAIR_BLOCK, side="right")) - 1
-        r1 = max(r1, r0 + 1)  # a row longer than the block still goes whole
-        u = rng.random(int(offsets[r1] - offsets[r0]))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        u = buf[:offsets[r1] - offsets[r0]]
+        rng.random(out=u)
         k = np.flatnonzero(u < rate_max)
         u = u[k]
         k += offsets[r0]
@@ -352,9 +362,71 @@ def sample_sbm(params, seed):
         i = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(row_starts))
         j = k - offsets[i] + i + 1
         keep = u < np.where((i < n1) == (j < n1), p, q)
-        blocks.append(np.column_stack([i[keep], j[keep]]))
-        r0 = r1
-    graph = Graph(n, np.concatenate(blocks))
+        blocks.append((i[keep], j[keep]))
+    return blocks
+
+
+def sample_sbm(params, seed):
+    """Draw a graph from the block model plus its planted partition.
+
+    Pair indicators are drawn in one pass over the i < j pairs in
+    lexicographic order, so a given seed yields the same edge set on every
+    platform. The first block gets labels 0..n1-1 and side +1. ``seed`` is
+    anything ``np.random.default_rng`` accepts whose bit generator is PCG64;
+    another bit generator raises TypeError.
+
+    The uniforms are drawn in blocks of whole rows of about
+    ``_PAIR_BLOCK`` pairs; drawing the stream in pieces yields the same
+    numbers as one draw over all pairs. Only the draws below max(p, q) are
+    mapped back to their (i, j) pair for the exact test, so memory is
+    O(_PAIR_BLOCK + m) rather than O(n^2).
+
+    The blocks are split into contiguous runs of about equal pair count,
+    one per usable CPU (``usable_cpus``), and the runs are drawn on threads.
+    ``Generator.random`` spends exactly one 64-bit PCG64 output per double,
+    so a copy of the seeded state advanced by ``PCG64.advance`` to a run's
+    first pair yields the very uniforms the one-pass draw gives that run.
+    The graph is therefore the same for any CPU count and thread timing.
+    """
+    bit_gen = np.random.default_rng(seed).bit_generator
+    if not isinstance(bit_gen, np.random.PCG64):
+        raise TypeError(
+            f"sample_sbm needs a PCG64 bit generator, got {type(bit_gen).__name__}"
+        )
+    state = bit_gen.state
+    n, n1, p, q = params.n, params.n1, params.p, params.q
+    r = np.arange(n + 1, dtype=np.int64)
+    # offsets[i]: number of pairs (i', j) with i' < i, i.e. where row i starts
+    offsets = r * (n - 1) - r * (r - 1) // 2
+    # a caller's generator ends where the one-pass draw would leave it
+    bit_gen.advance(int(offsets[n]))
+    bounds = [0]
+    while bounds[-1] < n - 1:
+        r0 = bounds[-1]
+        r1 = int(np.searchsorted(offsets, offsets[r0] + _PAIR_BLOCK, side="right")) - 1
+        bounds.append(max(r1, r0 + 1))  # a row longer than the block still goes whole
+    # One run per usable CPU, cut at the first block bound past each equal share of pairs.
+    num_blocks = len(bounds) - 1
+    workers = min(num_blocks, usable_cpus())
+    targets = offsets[n - 1] * np.arange(1, workers) // workers
+    cuts = np.unique(np.clip(np.searchsorted(offsets[bounds], targets), 1, num_blocks - 1))
+    splits = [0, *cuts.tolist(), num_blocks]
+    runs = [bounds[a:b + 1] for a, b in zip(splits[:-1], splits[1:])]
+
+    def draw(run):
+        return _sample_rows(state, run, offsets, n1, p, q)
+
+    if len(runs) == 1:
+        parts = [draw(runs[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            parts = list(pool.map(draw, runs))
+    blocks = [block for part in parts for block in part]
+    graph = Graph._from_canonical(
+        n,
+        np.concatenate([i for i, _ in blocks]),
+        np.concatenate([j for _, j in blocks]),
+    )
     signs = np.ones(n, dtype=np.int8)
     signs[n1:] = -1
     return graph, Partition(np.arange(n), signs)

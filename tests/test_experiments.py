@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from sketchbisect import experiments, graphs
 from sketchbisect.experiments import (
     CSV_HEADER,
     CellResult,
@@ -18,6 +19,7 @@ from sketchbisect.experiments import (
     parse_grid_config,
     run_grid,
 )
+from sketchbisect.graphs import usable_cpus
 from sketchbisect.seeding import spawn_seed
 
 
@@ -167,6 +169,27 @@ class TestRunGrid:
             assert s.mu_used == p.mu_used
             assert s.unassigned_count == p.unassigned_count
             assert s.error == p.error
+
+    @pytest.mark.skipif(usable_cpus() < 2, reason="needs two usable CPUs")
+    def test_pool_workers_sample_on_one_cpu(self):
+        # n = 800 is two row blocks: the serial run samples on two threads,
+        # each pool worker on one, and the cells agree
+        assert 800 * 799 // 2 > graphs._PAIR_BLOCK
+        spec = GridSpec(alphas=(8, 50), betas=(1,), n=800, reps=1, base_seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            serial = run_grid(spec, jobs=1)
+            parallel = run_grid(spec, jobs=2)
+
+        def untimed(cell):
+            timing = ("runtime_ms", "stage_ms", "total_ms")
+            return {k: v for k, v in vars(cell).items() if k not in timing}
+
+        assert [untimed(c) for c in parallel] == [untimed(c) for c in serial]
+        assert not any(c.error for c in serial)
+        with experiments._worker_pool(2) as pool:
+            futures = [pool.submit(usable_cpus) for _ in range(4)]
+            assert [f.result(timeout=60) for f in futures] == [1, 1, 1, 1]
 
     def test_cell_failures_recorded_not_raised(self):
         # gamma so small the sketch usually loses a whole community: the

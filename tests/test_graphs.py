@@ -58,13 +58,15 @@ class TestGraphBasics:
 
     def test_neighbors_sorted(self):
         g = Graph(5, [(2, 4), (2, 0), (2, 3), (2, 1)])
-        assert list(g.neighbors(2)) == [0, 1, 3, 4]
+        adj = g.adjacency
+        assert list(adj.indices[adj.indptr[2]:adj.indptr[3]]) == [0, 1, 3, 4]
 
     def test_has_edge(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert not g.has_edge(0, 2)
-        assert not g.has_edge(1, 1)
+        dense = g.adjacency.toarray()
+        assert dense[0, 1] == dense[1, 0] == 1
+        assert dense[0, 2] == 0 and dense[1, 1] == 0
+        assert edge_set(g) == {(0, 1), (2, 3)}
 
     def test_adjacency_matches_edge_list(self):
         rng = np.random.default_rng(3)
@@ -121,6 +123,18 @@ class TestGraphConstruction:
             assert g.edge_count == 0 and g.edges.shape == (0, 2)
             assert g.adjacency.nnz == 0 and list(g.degrees) == [0, 0, 0, 0]
         assert Graph(0).num_vertices == 0
+
+    def test_canonical_constructor_matches_init(self):
+        sampled, _ = sample_sbm(SbmParams(12, 9, 0.5, 0.2), seed=8)
+        cases = ((5, []), (0, []), (1, []), (2, [(0, 1)]),
+                 (sampled.num_vertices, sampled.edges))
+        for n, edges in cases:
+            ref = Graph(n, edges)
+            g = Graph._from_canonical(n, ref.edges[:, 0], ref.edges[:, 1])
+            assert_same_graph(g, ref)
+            assert np.array_equal(g.indices_of(ref.vertex_ids), ref.indices_of(ref.vertex_ids))
+            with pytest.raises(KeyError):
+                g.indices_of([n])
 
     def test_self_loops_raise(self):
         with pytest.raises(ValueError):
@@ -271,10 +285,51 @@ class TestSampleSbmOracle:
 
     @pytest.mark.parametrize("block", [1, 7, 50, 1000])
     def test_block_size_never_matters(self, monkeypatch, block):
-        # blocks shorter than a row, ending mid-block and spanning many rows
+        # blocks shorter than a row, ending mid-block and spanning many rows,
+        # split into runs of many blocks, of one block, and for more CPUs
+        # than there are blocks
         monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
-        for params in (SbmParams(40, 33, 0.3, 0.05), SbmParams(1, 60, 0.2, 0.7)):
-            self.check(params, seed=block)
+        run_starts = []
+        draw = graphs._sample_rows
+
+        def spy(state, bounds, *args):
+            run_starts.append(int(bounds[0]))
+            return draw(state, bounds, *args)
+
+        monkeypatch.setattr(graphs, "_sample_rows", spy)
+        for cpus in (1, 2, 3, 7):
+            monkeypatch.setattr(graphs, "usable_cpus", lambda: cpus)
+            for params in (SbmParams(40, 33, 0.3, 0.05), SbmParams(1, 60, 0.2, 0.7)):
+                run_starts.clear()
+                self.check(params, seed=block)
+                assert len(run_starts) == len(set(run_starts))
+                assert (len(run_starts) > 1) == (cpus > 1)
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a one-block sample started a thread pool")
+
+        monkeypatch.setattr(graphs, "ThreadPoolExecutor", no_threads)
+        monkeypatch.setattr(graphs, "usable_cpus", lambda: 4)
+        params = LogScaleParams(8, 1, 400).to_sbm_params()
+        assert params.n * (params.n - 1) // 2 <= graphs._PAIR_BLOCK
+        self.check(params, seed=5)
+
+    def test_seed_forms(self):
+        params = SbmParams(20, 25, 0.4, 0.1)
+        g, _ = sample_sbm(params, None)
+        assert_same_graph(g, Graph(params.n, g.edges))
+        assert 0 < g.edge_count < math.comb(params.n, 2)
+        by_int, _ = sample_sbm(params, 31)
+        by_sequence, _ = sample_sbm(params, np.random.SeedSequence(31))
+        assert_same_graph(by_sequence, by_int)
+        gen = np.random.default_rng(31)
+        sample_sbm(params, gen)
+        ref = np.random.default_rng(31)
+        ref.random(math.comb(params.n, 2))
+        assert gen.random() == ref.random()
+        with pytest.raises(TypeError, match="PCG64"):
+            sample_sbm(params, np.random.Generator(np.random.MT19937(31)))
 
     def test_memory_stays_linear(self):
         # the pair enumeration would need ~6.6 GB of temporaries at n = 20000;
@@ -368,8 +423,7 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, [2, 5, 7, 11, 19])
         sub2 = induced_subgraph(sub, [5, 11, 19])
         assert list(sub2.vertex_ids) == [5, 11, 19]
-        for u, v in sub2.edges:
-            assert g.has_edge(int(u), int(v))
+        assert edge_set(sub2) <= edge_set(g)
 
     def test_edge_count_monotone(self):
         rng = np.random.default_rng(11)
