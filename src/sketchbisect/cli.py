@@ -76,7 +76,6 @@ def _cmd_sketch(args):
     config = SketchConfig(
         gamma=args.gamma,
         seed=args.seed,
-        certify=not args.no_certify,
         tie_rule=args.tie_rule,
         mu=args.mu,
         alpha=args.alpha,
@@ -93,9 +92,9 @@ def _cmd_sketch(args):
             "unassigned": int(result.unassigned.size),
             "rank_one_gap": result.sdp.rank_one_gap,
             "sweeps_used": result.sdp.sweeps_used,
-            "certificate": None if cert is None else cert.verdict,
-            "iterations": None if cert is None else cert.iterations,
-            "matvecs": None if cert is None else cert.matvecs,
+            "certificate": cert.verdict,
+            "iterations": cert.iterations,
+            "matvecs": cert.matvecs,
         }
     )
     return 0
@@ -174,7 +173,6 @@ def build_parser():
     p.add_argument("--mu", type=_mu_arg, default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tie-rule", choices=["FAIL", "TO_FIRST", "RANDOM"], default="FAIL")
-    p.add_argument("--no-certify", action="store_true")
     p.set_defaults(func=_cmd_sketch)
 
     p = sub.add_parser("thresholds", help="closed-form threshold quantities")

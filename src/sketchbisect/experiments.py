@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import LogScaleParams, sample_sbm, usable_cpus
-from .pipeline import (
-    TIE_FAIL,
-    SketchConfig,
-    auto_gamma,
-    full_solve,
-    recovered_planted,
-    sketch_and_solve,
-)
+from .pipeline import SketchConfig, auto_gamma, full_solve, recovered_planted, sketch_and_solve
 from .seeding import spawn_seed
 from .solver import SolverConfig
 
@@ -65,8 +58,6 @@ class GridSpec:
     n1: object = None
     n2: object = None
     solver: SolverConfig = field(default_factory=SolverConfig)
-    certify: bool = True
-    tie_rule: str = TIE_FAIL
 
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
@@ -164,22 +155,13 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
 
         if method == METHOD_FULL_SDP:
             cell.gamma_used = 1.0
-            result = full_solve(
-                graph,
-                mu=mu,
-                solver=spec.solver,
-                certify=spec.certify,
-                tie_rule=spec.tie_rule,
-                seed=spawn_seed(seed, 1),
-            )
+            result = full_solve(graph, mu=mu, solver=spec.solver, seed=spawn_seed(seed, 1))
         else:
             gamma = spec.gamma_policy if spec.gamma_policy != "auto" else "auto"
             cfg = SketchConfig(
                 gamma=gamma,
                 seed=spawn_seed(seed, 1),
                 solver=spec.solver,
-                certify=spec.certify,
-                tie_rule=spec.tie_rule,
                 mu=mu,
                 alpha=alpha,
                 beta=beta,

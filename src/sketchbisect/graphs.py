@@ -44,11 +44,6 @@ class SbmParams:
     def n(self):
         return self.n1 + self.n2
 
-    @property
-    def imbalance(self):
-        """Absolute block size difference |n1 - n2|."""
-        return abs(self.n1 - self.n2)
-
 
 @dataclass(frozen=True)
 class LogScaleParams:
@@ -276,11 +271,6 @@ class Partition:
     @property
     def signs(self):
         return self._signs
-
-    @property
-    def side(self):
-        """Mapping vertex id -> sign (fresh dict)."""
-        return {int(v): int(s) for v, s in zip(self._ids, self._signs)}
 
     @property
     def n_plus(self):

@@ -22,8 +22,6 @@ TIE_FAIL = "FAIL"
 TIE_TO_FIRST = "TO_FIRST"
 TIE_RANDOM = "RANDOM"
 
-_RANK_ONE_GAP_MAX = 1e-6
-
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -39,7 +37,6 @@ class SketchConfig:
     gamma: object = "auto"
     seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
-    certify: bool = True
     tie_rule: str = TIE_FAIL
     mu: object = "auto"
     alpha: object = None
@@ -135,20 +132,19 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
 def sketch_and_solve(graph, config=None):
     """Run the full pipeline on ``graph`` and report every intermediate.
 
-    With certification on, the certificate is the solver's stopping rule:
-    the sweep is resumed in doubling chunks, and the rounded cut is checked
-    after cumulative sweeps 0, 1, 2, 4, 8, ... and at the last sweep
-    (converged or out of budget). Sweep 0 is the spectral cut that
+    The certificate is the only acceptance rule, and the solver's stopping
+    rule: the sweep is resumed in doubling chunks, and the rounded cut is
+    checked after cumulative sweeps 0, 1, 2, 4, 8, ... and at the last
+    sweep (converged or out of budget). Sweep 0 is the spectral cut that
     ``solve_sdp`` returns before any sweep. The solve stops at the first
     CERTIFIED cut, which is then proven the unique SDP optimum however it
     was found, so more signal means fewer sweeps: at alpha = 50 no sweep
     runs. The cut is accepted iff the last check is CERTIFIED; an instance
-    that never certifies runs the full solve as before. With
-    certification off, one solve runs and its cut is accepted only when
-    the output is numerically rank one (rank_one_gap <= 1e-6). On rejection
-    the sketch is assigned by fair coin flips instead, and the result is
-    flagged with ``fell_back_random``. ``timings["solve"]`` and
-    ``timings["certify"]`` sum the solver and certificate calls.
+    that never certifies runs the full solve. On rejection the sketch is
+    assigned by fair coin flips instead, and the result is flagged with
+    ``fell_back_random``. ``certificate`` is the last check's report.
+    ``timings["solve"]`` and ``timings["certify"]`` sum the solver and
+    certificate calls.
     """
     config = config or SketchConfig()
     timings = {}
@@ -178,20 +174,11 @@ def sketch_and_solve(graph, config=None):
         )
 
     solver_cfg = replace(config.solver, seed=spawn_seed(config.seed, 2))
-    if config.certify:
-        sdp, cert, timings["solve"], timings["certify"] = _solve_until_certified(
-            sub, mu_used, solver_cfg
-        )
-        accept = cert.verdict == CERTIFIED
-    else:
-        t0 = time.perf_counter()
-        sdp = solve_sdp(sub, mu_used, solver_cfg)
-        timings["solve"] = time.perf_counter() - t0
-        timings["certify"] = 0.0
-        cert = None
-        accept = sdp.rank_one_gap <= _RANK_ONE_GAP_MAX
+    sdp, cert, timings["solve"], timings["certify"] = _solve_until_certified(
+        sub, mu_used, solver_cfg
+    )
 
-    if accept:
+    if cert.verdict == CERTIFIED:
         sketch_partition = sdp.rounded_cut
         fell_back = False
     else:
@@ -251,16 +238,12 @@ def _solve_until_certified(graph, mu, solver_cfg):
         chunk = min(max(sdp.sweeps_used, 1), left)
 
 
-def full_solve(graph, mu="auto", solver=None, certify=True, tie_rule=TIE_FAIL, seed=0):
-    """Solve on the whole vertex set (gamma = 1); same result shape as the sketch."""
-    config = SketchConfig(
-        gamma=1.0,
-        seed=seed,
-        solver=solver or SolverConfig(),
-        certify=certify,
-        tie_rule=tie_rule,
-        mu=mu,
-    )
+def full_solve(graph, mu="auto", solver=None, seed=0):
+    """Solve on the whole vertex set (gamma = 1); same result shape as the sketch.
+
+    Every vertex is in the sketch, so no vertex is left to the vote.
+    """
+    config = SketchConfig(gamma=1.0, seed=seed, solver=solver or SolverConfig(), mu=mu)
     return sketch_and_solve(graph, config)
 
 

@@ -153,19 +153,13 @@ class TestSketchCommand:
         assert code == 0
         record = json.loads(stdout)
         assert record["sketch_size"] == 4
+        assert record["unassigned"] == 0
+        assert record["fell_back_random"] is False
+        # the certificate covers the sketch, and its work is reported
+        assert record["certificate"] == "CERTIFIED"
+        assert record["iterations"] >= 1
+        assert record["matvecs"] >= record["iterations"] + 2
         assert load_partition(out).equals_up_to_flip(planted)
-
-    def test_no_certify_flag(self, capsys, tmp_path, triangle_files):
-        gpath, _, _, _ = triangle_files
-        out = tmp_path / "cut.txt"
-        code, stdout, _ = run_cli(
-            capsys, "sketch", gpath, "--out", out, "--gamma", "1.0", "--no-certify"
-        )
-        assert code == 0
-        record = json.loads(stdout)
-        assert record["certificate"] is None
-        assert record["iterations"] is None and record["matvecs"] is None
-        assert record["sweeps_used"] >= 1
 
     def test_auto_gamma_needs_rates(self, capsys, tmp_path, triangle_files):
         gpath, _, _, _ = triangle_files

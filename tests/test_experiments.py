@@ -241,15 +241,16 @@ class TestRunGrid:
                     rate = sum(votes) / len(votes)
                     assert rate >= 0.8, (a, b, m, rate)
 
-    def test_figure_one_sketch_faster_at_strong_signal(self, desk_grid):
-        _, results = desk_grid
+    def test_figure_one_sketch_faster_at_strong_signal(self):
+        # a strip of its own at n = 1000: at the desk grid's n = 200 and
+        # alpha = 50, p clamps to 1, the graph is two cliques and both
+        # methods cost the same few ms of per-call overhead
+        spec = GridSpec(alphas=(50,), betas=(1,), n=1000, reps=5, base_seed=42)
+        results = run_grid(spec)
         med = {}
         for m in (METHOD_FULL_SDP, METHOD_SKETCH):
-            times = [
-                c.runtime_ms
-                for c in results
-                if c.method == m and c.alpha == 50.0 and c.beta == 1.0 and not c.error
-            ]
+            times = [c.runtime_ms for c in results if c.method == m and not c.error]
+            assert len(times) == spec.reps
             med[m] = statistics.median(times)
         assert med[METHOD_SKETCH] < med[METHOD_FULL_SDP]
 

@@ -159,7 +159,8 @@ class TestGraphConstruction:
 class TestPartition:
     def test_side_map(self):
         p = Partition([3, 1, 2], [1, -1, 1])
-        assert p.side == {1: -1, 2: 1, 3: 1}
+        assert list(p.ids) == [1, 2, 3]
+        assert p == Partition.from_sides([2, 3], [1])
         assert p.sign_of(1) == -1
         assert p.n_plus == 2 and p.n_minus == 1
 
@@ -188,7 +189,7 @@ class TestPartition:
     def test_restrict_and_sides(self):
         p = Partition.from_sides([0, 2], [1, 3])
         r = p.restrict([0, 1])
-        assert r.side == {0: 1, 1: -1}
+        assert r == Partition.from_sides([0], [1])
         assert list(p.side_vertices(1)) == [0, 2]
         with pytest.raises(KeyError):
             p.restrict([9])
@@ -202,7 +203,7 @@ class TestSampleSbm:
     def test_degenerate_rates_force_graph(self):
         g, planted = sample_sbm(SbmParams(2, 2, 1.0, 0.0), seed=123)
         assert edge_set(g) == {(0, 1), (2, 3)}
-        assert planted.side == {0: 1, 1: 1, 2: -1, 3: -1}
+        assert planted == Partition.from_sides([0, 1], [2, 3])
 
     def test_all_ones_gives_complete_graph(self):
         g, _ = sample_sbm(SbmParams(3, 3, 1.0, 1.0), seed=9)
@@ -461,7 +462,6 @@ class TestLogScaleParams:
     def test_unbalanced_split(self):
         params = LogScaleParams(10, 2, 300).to_sbm_params(100, 200)
         assert (params.n1, params.n2) == (100, 200)
-        assert params.imbalance == 100
 
 
 class TestSbmParamsValidation:

@@ -341,7 +341,7 @@ class TestBruteForceMax:
         assert part.n_plus == 2
         # deterministic tie-break: lexicographically smallest with g_0 = +1,
         # scanning -1 before +1, is (+1, -1, -1, +1)
-        assert part.side == {0: 1, 1: -1, 2: -1, 3: 1}
+        assert part == Partition.from_sides([0, 3], [1, 2])
 
     def test_isolated_pair(self):
         _, val = brute_force_max(Graph(2, []), 0.0, balanced_only=True)
