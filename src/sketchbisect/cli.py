@@ -15,16 +15,12 @@ from .solver import SolverConfig, solve_sdp
 from .thresholds import phase_boundary_curve, threshold_report
 
 
-def _mu_arg(value):
+def _auto_or_float(value):
     return "auto" if value == "auto" else float(value)
 
 
 def _rank_arg(value):
     return "auto" if value == "auto" else int(value)
-
-
-def _gamma_arg(value):
-    return "auto" if value == "auto" else float(value)
 
 
 def _print_json(record):
@@ -134,7 +130,7 @@ def _cmd_experiment(args):
     recovered = sum(1 for c in ran if c.recovered)
     sys.stdout.write(
         f"{len(results)} cells ({len(results) - len(ran)} skipped/failed), "
-        f"{recovered}/{len(ran) or 1} recovered\n"
+        f"{recovered}/{len(ran)} recovered\n"
     )
     return 0
 
@@ -149,7 +145,7 @@ def build_parser():
     p = sub.add_parser("solve", help="solve the SDP on an edge-list graph")
     p.add_argument("graph")
     p.add_argument("--out", required=True, help="partition output file")
-    p.add_argument("--mu", type=_mu_arg, default="auto")
+    p.add_argument("--mu", type=_auto_or_float, default="auto")
     p.add_argument("--rank", type=_rank_arg, default="auto")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-sweeps", type=int, default=500,
@@ -167,10 +163,10 @@ def build_parser():
     p = sub.add_parser("sketch", help="sketch-and-solve pipeline")
     p.add_argument("graph")
     p.add_argument("--out", required=True, help="partition output file")
-    p.add_argument("--gamma", type=_gamma_arg, default="auto")
+    p.add_argument("--gamma", type=_auto_or_float, default="auto")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--mu", type=_mu_arg, default="auto")
+    p.add_argument("--mu", type=_auto_or_float, default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tie-rule", choices=["FAIL", "TO_FIRST", "RANDOM"], default="FAIL")
     p.set_defaults(func=_cmd_sketch)

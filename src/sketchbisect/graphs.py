@@ -3,7 +3,8 @@
 Graphs are simple and undirected. Every vertex carries a stable integer
 label: induced subgraphs keep the labels of the parent graph, which lets
 a cut found on a sketch be compared against, or extended to, the full
-vertex set without any index translation.
+vertex set without any index translation. A graph stores its labels and
+its CSR adjacency only; the edge list is derived from the CSR on demand.
 """
 
 import math
@@ -108,13 +109,42 @@ def _sorted_unique(values):
     return s[np.concatenate(([True], s[1:] != s[:-1]))] if s.size else s
 
 
+def _rows_of(ids, vertices):
+    """Positions of labels in the sorted label array ``ids``; KeyError if absent."""
+    v = np.asarray(vertices, dtype=np.int64)
+    n = ids.shape[0]
+    # sorted distinct labels spanning 0..n-1 are exactly arange(n)
+    if n == 0 or (ids[0] == 0 and ids[-1] == n - 1):
+        ok = (v >= 0) & (v < n)
+        pos = v.copy()
+    else:
+        pos = np.searchsorted(ids, v)
+        ok = (pos < n) & (ids[np.minimum(pos, n - 1)] == v)
+    if not np.all(ok):
+        bad = v[~ok]
+        raise KeyError(f"unknown vertex id(s): {bad[:5].tolist()}")
+    return pos
+
+
+def _canonical_csr(n, lo, hi):
+    """Symmetric 0/1 CSR adjacency from canonical edge rows (lo < hi)."""
+    # Lower-triangle entries first: a stable COO -> CSR pass then leaves
+    # every row's columns sorted, so no per-row sort runs.
+    m = lo.shape[0]
+    return sp.csr_matrix(
+        (np.ones(2 * m), (np.concatenate([hi, lo]), np.concatenate([lo, hi]))),
+        shape=(n, n),
+    )
+
+
 class Graph:
     """Immutable simple undirected graph over labelled vertices.
 
     ``vertex_ids`` is kept sorted ascending; adjacency rows follow that
-    order. Neighbor lists are sorted, and the edge list is stored in
-    lexicographic (u < v) order, so all derived quantities are
-    deterministic functions of the edge set.
+    order and neighbor lists are sorted. The CSR adjacency is the only edge
+    store: the edge count and the lexicographic (u < v) edge list are read
+    off it, so all derived quantities are deterministic functions of the
+    edge set.
     """
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
@@ -130,15 +160,14 @@ class Graph:
             ids.sort()
             if n and np.any(np.diff(ids) == 0):
                 raise ValueError("duplicate vertex ids")
-        self._set_ids(ids)
 
         e = np.asarray(edges, dtype=np.int64)
         if e.size == 0:
             e = np.empty((0, 2), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
-        a = self.indices_of(e[:, 0])
-        b = self.indices_of(e[:, 1])
+        a = _rows_of(ids, e[:, 0])
+        b = _rows_of(ids, e[:, 1])
         if np.any(a == b):
             raise ValueError("self-loops are not allowed")
         lo = np.minimum(a, b)
@@ -148,7 +177,7 @@ class Graph:
         key = lo * n + hi
         if np.any(key[1:] <= key[:-1]):
             lo, hi = np.divmod(_sorted_unique(key), n)
-        self._build(n, lo, hi)
+        self._install(ids, _canonical_csr(n, lo, hi))
 
     @classmethod
     def _from_canonical(cls, n, lo, hi):
@@ -157,33 +186,16 @@ class Graph:
         The rows must satisfy what ``__init__`` establishes: 0 <= lo < hi < n
         and strictly increasing keys ``lo * n + hi``.
         """
-        graph = cls.__new__(cls)
-        graph._set_ids(np.arange(n, dtype=np.int64))
-        graph._build(n, lo, hi)
-        return graph
+        return cls.__new__(cls)._install(np.arange(n, dtype=np.int64), _canonical_csr(n, lo, hi))
 
-    def _set_ids(self, ids):
-        n = ids.shape[0]
+    def _install(self, ids, adj):
+        """Store sorted labels and their symmetric CSR adjacency; returns self."""
         self._ids = ids
         self._ids.flags.writeable = False
-        # sorted distinct labels spanning 0..n-1 are exactly arange(n)
-        self._contiguous = n == 0 or (ids[0] == 0 and ids[-1] == n - 1)
-
-    def _build(self, n, lo, hi):
-        """Edge rows, CSR adjacency and degrees from canonical edge rows."""
-        self._edge_rows = np.column_stack([lo, hi])
-        self._edge_rows.flags.writeable = False
-
-        # Lower-triangle entries first: a stable COO -> CSR pass then leaves
-        # every row's columns sorted, so no per-row sort runs.
-        m = lo.shape[0]
-        adj = sp.csr_matrix(
-            (np.ones(2 * m), (np.concatenate([hi, lo]), np.concatenate([lo, hi]))),
-            shape=(n, n),
-        )
         self._adj = adj
         self._degrees = np.diff(adj.indptr).astype(np.int64)
         self._degrees.flags.writeable = False
+        return self
 
     @property
     def num_vertices(self):
@@ -195,14 +207,15 @@ class Graph:
 
     @property
     def edge_count(self):
-        return self._edge_rows.shape[0]
+        return self._adj.nnz // 2
 
     @property
     def edges(self):
-        """Edge list as label pairs, lexicographically sorted with u < v."""
-        if self._edge_rows.size == 0:
-            return np.empty((0, 2), dtype=np.int64)
-        return self._ids[self._edge_rows]
+        """Label pairs u < v in lexicographic order, read off the CSR's upper triangle."""
+        rows = np.repeat(np.arange(self.num_vertices), self._degrees)
+        cols = self._adj.indices
+        upper = cols > rows
+        return self._ids[np.column_stack([rows[upper], cols[upper]])]
 
     @property
     def adjacency(self):
@@ -215,24 +228,13 @@ class Graph:
 
     def indices_of(self, vertices):
         """Map vertex labels to adjacency row indices (vectorized)."""
-        v = np.asarray(vertices, dtype=np.int64)
-        n = self.num_vertices
-        if self._contiguous:
-            ok = (v >= 0) & (v < n)
-            pos = v.copy()
-        else:
-            pos = np.searchsorted(self._ids, v)
-            ok = (pos < n) & (self._ids[np.minimum(pos, n - 1)] == v)
-        if not np.all(ok):
-            bad = v[~ok]
-            raise KeyError(f"unknown vertex id(s): {bad[:5].tolist()}")
-        return pos
+        return _rows_of(self._ids, vertices)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
-        return np.array_equal(self._ids, other._ids) and np.array_equal(
-            self._edge_rows, other._edge_rows
+        return np.array_equal(self._ids, other._ids) and all(
+            np.array_equal(getattr(self._adj, k), getattr(other._adj, k)) for k in ("indptr", "indices")
         )
 
     def __repr__(self):
@@ -434,17 +436,15 @@ def bernoulli_vertex_sample(graph, gamma, seed):
 def induced_subgraph(graph, vertices):
     """Subgraph induced on the given labels, labels preserved.
 
-    Keeping every vertex returns ``graph`` itself (graphs are immutable).
+    Slices the kept rows, then the kept columns, out of the CSR adjacency:
+    O(n + sum of kept degrees), with no pass over the other edges. Keeping
+    every vertex returns ``graph`` itself (graphs are immutable).
     """
     verts = _sorted_unique(np.asarray(vertices, dtype=np.int64).ravel())
     rows = graph.indices_of(verts)
     if verts.size == graph.num_vertices:
         return graph
-    inset = np.zeros(graph.num_vertices, dtype=bool)
-    inset[rows] = True
-    er = graph._edge_rows
-    kept = er[inset[er[:, 0]] & inset[er[:, 1]]]
-    return Graph(verts.size, graph.vertex_ids[kept], vertex_ids=verts)
+    return Graph.__new__(Graph)._install(verts, graph.adjacency[rows][:, rows])
 
 
 def save_graph(graph, path):
@@ -527,16 +527,27 @@ def save_partition(partition, path):
 
 
 def load_partition(path):
+    """Read the ``vertex sign`` lines written by ``save_partition``.
+
+    Blank lines and surrounding whitespace are ignored. A line without
+    exactly two integer tokens, or with a sign other than +1 or -1, raises
+    ValueError naming the line.
+    """
     ids = []
     signs = []
     with open(path, "r", encoding="ascii") as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
                 continue
-            parts = ln.split()
             if len(parts) != 2:
-                raise ValueError(f"malformed partition line: {ln!r}")
-            ids.append(int(parts[0]))
-            signs.append(int(parts[1]))
+                raise ValueError(f"line {lineno}: expected 'vertex sign', got {line.strip()!r}")
+            for tok in parts:
+                if not _INT_TOKEN.fullmatch(tok):
+                    raise ValueError(f"line {lineno}: {tok!r} is not an integer")
+            v, sign = int(parts[0]), int(parts[1])
+            if sign not in (1, -1):
+                raise ValueError(f"line {lineno}: sign {parts[1]} is not +1 or -1")
+            ids.append(v)
+            signs.append(sign)
     return Partition(ids, signs)

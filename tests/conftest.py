@@ -1,8 +1,10 @@
 """Shared test helpers.
 
-The dense constructions here are deliberately independent of the library
-internals: they rebuild matrices from the edge list with plain numpy so
-that matrix-free code paths are checked against a second route.
+The dense constructions here rebuild matrices from ``graph.edges`` with
+plain numpy, so that the matrix-free solver and certificate paths are
+checked against a second route. They are not independent of the graph
+store: ``edges`` is read off the CSR adjacency, so a test of graph
+construction needs a reference built from its own input.
 """
 
 import numpy as np

@@ -229,6 +229,14 @@ class TestExperimentCommand:
         assert csv_path.read_text().count("\n") == 3
         assert svg_path.read_text().startswith("<svg ")
 
+    def test_no_cell_ran_counts_zero(self, capsys, tmp_path):
+        # beta >= alpha skips every cell; the summary must not invent a denominator
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("alphas = 1\nbetas = 2\nn = 60\nreps = 2\nseed = 5\n")
+        code, stdout, _ = run_cli(capsys, "experiment", "--grid", cfg)
+        assert code == 0
+        assert stdout == "4 cells (4 skipped/failed), 0/0 recovered\n"
+
     def test_bad_config_fails_cleanly(self, capsys, tmp_path):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("alphas = 50\n")

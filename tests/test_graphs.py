@@ -75,13 +75,22 @@ class TestGraphBasics:
             edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                      if rng.random() < 0.3]
             g = Graph(n, edges)
-            assert np.array_equal(g.adjacency.toarray(), dense_adjacency(g))
+            # the reference comes from the input list, not from the graph's store
+            dense = np.zeros((n, n))
+            for i, j in edges:
+                dense[i, j] = dense[j, i] = 1.0
+            assert np.array_equal(g.adjacency.toarray(), dense)
 
     def test_equality(self):
         a = Graph(3, [(0, 1)])
         b = Graph(3, [(1, 0)])
         c = Graph(3, [(0, 2)])
         assert a == b and a != c
+        # same CSR, other labels
+        assert Graph(3, [(5, 6)], vertex_ids=[5, 6, 7]) != a
+        assert Graph(4, [(9, 2), (7, 5), (2, 5)], vertex_ids=[9, 2, 5, 7]) == Graph(
+            4, [(2, 5), (5, 7), (2, 9)], vertex_ids=[2, 5, 7, 9]
+        )
 
 
 class TestGraphConstruction:
@@ -121,8 +130,10 @@ class TestGraphConstruction:
         for edges in ((), [], np.empty((0, 2), dtype=np.int64)):
             g = Graph(4, edges, vertex_ids=[9, 2, 5, 7])
             assert g.edge_count == 0 and g.edges.shape == (0, 2)
+            assert g.edges.dtype == np.int64
             assert g.adjacency.nnz == 0 and list(g.degrees) == [0, 0, 0, 0]
         assert Graph(0).num_vertices == 0
+        assert Graph(0).edges.shape == (0, 2) and Graph(0).edges.dtype == np.int64
 
     def test_canonical_constructor_matches_init(self):
         sampled, _ = sample_sbm(SbmParams(12, 9, 0.5, 0.2), seed=8)
@@ -555,6 +566,20 @@ class TestEdgeListFiles:
         path = self.write(tmp_path, f"n 4\n0 1\n\n{bad}\n2 3\n")
         with pytest.raises(ValueError, match="line 4:"):
             load_graph(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("2", "expected 'vertex sign'"),
+        ("2 1 1", "expected 'vertex sign'"),
+        ("x 1", "'x' is not an integer"),
+        ("2 1.0", "'1.0' is not an integer"),
+        ("2 0", "sign 0 is not"),
+        ("2 -2", "sign -2 is not"),
+    ])
+    def test_bad_partition_line_named(self, tmp_path, bad, message):
+        path = tmp_path / "p.part"
+        path.write_text(f"0 1\n\n1 -1\n{bad}\n3 1\n")
+        with pytest.raises(ValueError, match=f"line 4: {message}"):
+            load_partition(path)
 
     def test_bad_first_edge_line_named(self, tmp_path):
         # a one-token first line must be named, not the well-formed line after it
