@@ -14,11 +14,13 @@ search.
 The check is matrix-free: the bottom of the spectrum on the complement of
 g is bracketed with a deflated Lanczos iteration (fully reorthogonalized,
 restarting on breakdown) whose Ritz residuals give certified two-sided
-bounds.
+bounds. The same loop, undeflated, finds the solver's sweep-0 spectral
+cut; it is the package's only Krylov iteration.
 """
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -91,102 +93,90 @@ def _project_out(x, g_unit):
     return x - (g_unit @ x) * g_unit
 
 
-def _fresh_direction(rng, n, g_unit, basis, k):
-    """Random unit vector orthogonal to g and the first k basis rows."""
-    for _ in range(64):
-        x = _project_out(rng.standard_normal(n), g_unit)
-        if k:
-            x -= basis[:k].T @ (basis[:k] @ x)
-            x = _project_out(x, g_unit)
-        nx = np.linalg.norm(x)
-        if nx > 1e-8:
-            return x / nx
-    return None
+def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
+    """Ritz pairs for the bottom of a symmetric operator, by Lanczos.
 
-
-def _ritz_candidate(op, g_unit, basis, tri, k):
-    """Bottom Ritz pair of the current (block-)tridiagonal restriction.
-
-    Returns (rayleigh quotient, true residual norm, unit vector); the
-    quotient is recomputed from an explicit matvec, so the bounds hold
-    regardless of how the basis was assembled.
-    """
-    evals, evecs = np.linalg.eigh(tri[:k, :k])
-    y = basis[:k].T @ evecs[:, 0]
-    y = _project_out(y, g_unit)
-    ny = np.linalg.norm(y)
-    if ny < 1e-12:
-        return None
-    y /= ny
-    zy = op.matvec(y)
-    rq = float(y @ zy)
-    res = float(np.linalg.norm(zy - rq * y))
-    return rq, res, y
-
-
-def _lanczos_bottom(op, g_unit, budget, margin, rng):
-    """Smallest eigenvalue of Z on the complement of g, with residual bound.
-
-    Full reorthogonalization keeps the basis clean; on breakdown the
-    iteration restarts in the unexplored complement, which makes the small
-    matrix block tridiagonal — harmless, since candidate bounds come from
+    Runs at most ``steps`` Krylov steps, which must not exceed the
+    dimension of the searched space: n, or n - 1 when the unit vector
+    ``deflate`` is projected out of every vector. Full reorthogonalization
+    keeps the basis clean; on breakdown (beta below 1e-10 * max(1, scale))
+    the iteration restarts in the unexplored complement, which makes the
+    small matrix block tridiagonal — harmless, since the bounds come from
     explicit residuals, not from the recurrence.
 
-    Returns (best Ritz triple or None, Krylov steps, operator applications).
+    Every fifth step, on breakdown and at the last step it yields
+    ``(steps taken, operator applications, ritz)``. ``ritz`` is the bottom
+    Ritz pair as (rayleigh quotient, true residual norm, unit vector),
+    recomputed from one explicit matvec, or None when deflation leaves no
+    Ritz vector. Each caller keeps its own stop rule and leaves the loop
+    when it is met.
     """
-    n = op.n
-    kmax = min(budget, n - 1)
-    basis = np.zeros((kmax, n))
-    tri = np.zeros((kmax, kmax))
-    q = _fresh_direction(rng, n, g_unit, basis, 0)
+
+    def project(x):
+        return x if deflate is None else _project_out(x, deflate)
+
+    def fresh_direction(k):
+        # random unit vector orthogonal to deflate and the first k basis rows
+        for _ in range(64):
+            x = project(rng.standard_normal(n))
+            if k:
+                x -= basis[:k].T @ (basis[:k] @ x)
+                x = project(x)
+            nx = np.linalg.norm(x)
+            if nx > 1e-8:
+                return x / nx
+        return None
+
+    def ritz_pair(k):
+        evals, evecs = np.linalg.eigh(tri[:k, :k])
+        y = project(basis[:k].T @ evecs[:, 0])
+        ny = np.linalg.norm(y)
+        if ny < 1e-12:
+            return None
+        y /= ny
+        zy = matvec(y)
+        rq = float(y @ zy)
+        return rq, float(np.linalg.norm(zy - rq * y)), y
+
+    basis = np.zeros((steps, n))
+    tri = np.zeros((steps, steps))
+    breakdown = 1e-10 * max(1.0, scale)
+    q = fresh_direction(0)
     if q is None:
-        return None, 0, 0
+        return
     beta = 0.0
     q_prev = np.zeros(n)
     matvecs = 0
-    best = None
     k = 0
-    while k < kmax:
+    while k < steps:
         basis[k] = q
-        w = _project_out(op.matvec(q), g_unit)
+        w = project(matvec(q))
         matvecs += 1
         alpha = float(q @ w)
         tri[k, k] = alpha
         w -= alpha * q + beta * q_prev
         w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
-        w = _project_out(w, g_unit)
+        w = project(w)
         beta = float(np.linalg.norm(w))
         k += 1
 
-        checkpoint = (k % 5 == 0) or k == kmax
-        if beta < 1e-10 * max(1.0, op.scale):
-            checkpoint = True
-        if checkpoint:
-            cand = _ritz_candidate(op, g_unit, basis, tri, k)
-            if cand is not None:
+        broke = beta < breakdown
+        if broke or k % 5 == 0 or k == steps:
+            ritz = ritz_pair(k)
+            if ritz is not None:
                 matvecs += 1
-                rq, res, y = cand
-                if best is None or rq - res > best[0] - best[1]:
-                    best = (rq, res, y)
-                if rq < -margin:
-                    best = (rq, res, y)
-                    break
-                if rq - res > margin and res <= 0.05 * abs(rq) + margin:
-                    best = (rq, res, y)
-                    break
+            yield k, matvecs, ritz
 
-        if k == kmax:
-            break
-        if beta < 1e-10 * max(1.0, op.scale):
-            q_new = _fresh_direction(rng, n, g_unit, basis, k)
-            if q_new is None:
-                break
-            q, q_prev, beta = q_new, np.zeros(n), 0.0
+        if k == steps:
+            return
+        if broke:
+            q = fresh_direction(k)
+            if q is None:
+                return
+            q_prev, beta = np.zeros(n), 0.0
         else:
             tri[k - 1, k] = tri[k, k - 1] = beta
             q_prev, q = q, w / beta
-
-    return best, k, matvecs
 
 
 def check_certificate(graph, partition, mu):
@@ -210,15 +200,9 @@ def check_certificate(graph, partition, mu):
     zg_residual = float(np.abs(zg).max())
     margin = max(POSITIVE_MARGIN_REL * op.scale, 1e-10)
 
+    report = partial(CertificateReport, zg_residual=zg_residual, scale=op.scale)
     if zg_residual > RESIDUAL_REL * (1.0 + op.scale):
-        return CertificateReport(
-            verdict=INCONCLUSIVE,
-            lambda2_lower=0.0,
-            zg_residual=zg_residual,
-            iterations=0,
-            scale=op.scale,
-            matvecs=1,
-        )
+        return report(INCONCLUSIVE, 0.0, iterations=0, matvecs=1)
 
     if op.scale == 0.0:
         # Z is identically zero: PSD but rank 0 < n - 1, so the optimum
@@ -227,61 +211,38 @@ def check_certificate(graph, partition, mu):
         w[0] = 1.0
         w = _project_out(w, g_unit)
         w /= np.linalg.norm(w)
-        return CertificateReport(
-            verdict=NOT_CERTIFIED,
-            lambda2_lower=0.0,
-            zg_residual=zg_residual,
-            iterations=0,
-            scale=0.0,
-            matvecs=1,
-            witness=w,
-            witness_value=0.0,
-        )
+        return report(NOT_CERTIFIED, 0.0, iterations=0, matvecs=1, witness=w, witness_value=0.0)
 
-    rng = np.random.default_rng(0xC0FFEE)
-    best, iterations, matvecs = _lanczos_bottom(op, g_unit, LANCZOS_BUDGET, margin, rng)
-    matvecs += 1
+    # Keep the Ritz pair with the best lower bound rq - res, unless one
+    # decides: a negative quotient refutes, a tight positive bound proves.
+    best, iterations, matvecs = None, 0, 0
+    checkpoints = _lanczos_bottom(
+        op.matvec,
+        n,
+        min(LANCZOS_BUDGET, n - 1),
+        op.scale,
+        np.random.default_rng(0xC0FFEE),
+        deflate=g_unit,
+    )
+    for iterations, matvecs, ritz in checkpoints:
+        if ritz is None:
+            continue
+        rq, res, _ = ritz
+        if rq < -margin or (rq - res > margin and res <= 0.05 * abs(rq) + margin):
+            best = ritz
+            break
+        if best is None or rq - res > best[0] - best[1]:
+            best = ritz
+    report = partial(report, iterations=iterations, matvecs=matvecs + 1)  # + the Zg check
 
     if best is None:
-        return CertificateReport(
-            verdict=INCONCLUSIVE,
-            lambda2_lower=0.0,
-            zg_residual=zg_residual,
-            iterations=iterations,
-            scale=op.scale,
-            matvecs=matvecs,
-        )
-
+        return report(INCONCLUSIVE, 0.0)
     rq, res, y = best
-    lambda2_lower = rq - res
-    if lambda2_lower > margin:
-        return CertificateReport(
-            verdict=CERTIFIED,
-            lambda2_lower=lambda2_lower,
-            zg_residual=zg_residual,
-            iterations=iterations,
-            scale=op.scale,
-            matvecs=matvecs,
-        )
+    if rq - res > margin:
+        return report(CERTIFIED, rq - res)
     if rq < -margin:
-        return CertificateReport(
-            verdict=NOT_CERTIFIED,
-            lambda2_lower=lambda2_lower,
-            zg_residual=zg_residual,
-            iterations=iterations,
-            scale=op.scale,
-            matvecs=matvecs,
-            witness=y,
-            witness_value=rq,
-        )
-    return CertificateReport(
-        verdict=INCONCLUSIVE,
-        lambda2_lower=lambda2_lower,
-        zg_residual=zg_residual,
-        iterations=iterations,
-        scale=op.scale,
-        matvecs=matvecs,
-    )
+        return report(NOT_CERTIFIED, rq - res, witness=y, witness_value=rq)
+    return report(INCONCLUSIVE, rq - res)
 
 
 def exhaustive_unique_opt_check(graph, partition, mu):

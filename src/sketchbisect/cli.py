@@ -16,11 +16,17 @@ from .thresholds import phase_boundary_curve, threshold_report
 
 
 def _auto_or_float(value):
-    return "auto" if value == "auto" else float(value)
+    try:
+        return "auto" if value == "auto" else float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {value!r}")
 
 
 def _rank_arg(value):
-    return "auto" if value == "auto" else int(value)
+    try:
+        return "auto" if value == "auto" else int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a positive integer, got {value!r}")
 
 
 def _print_json(record):

@@ -530,11 +530,12 @@ def load_partition(path):
     """Read the ``vertex sign`` lines written by ``save_partition``.
 
     Blank lines and surrounding whitespace are ignored. A line without
-    exactly two integer tokens, or with a sign other than +1 or -1, raises
-    ValueError naming the line.
+    exactly two integer tokens, with a sign other than +1 or -1, or with a
+    vertex already read raises ValueError naming the line.
     """
     ids = []
     signs = []
+    first_line = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -548,6 +549,9 @@ def load_partition(path):
             v, sign = int(parts[0]), int(parts[1])
             if sign not in (1, -1):
                 raise ValueError(f"line {lineno}: sign {parts[1]} is not +1 or -1")
+            if v in first_line:
+                raise ValueError(f"line {lineno}: vertex {v} repeats line {first_line[v]}")
+            first_line[v] = lineno
             ids.append(v)
             signs.append(sign)
     return Partition(ids, signs)

@@ -10,7 +10,7 @@ problem are global optima of the SDP.
 
 Before the first sweep the factors carry no structure, so a solve that
 stops at sweep 0 reads its cut off the leading eigenvector of the implicit
-A - mu*J instead, found by a short Lanczos iteration.
+A - mu*J instead, found by a short run of the certificate's Lanczos loop.
 """
 
 import math
@@ -18,13 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificate import _lanczos_bottom
 from .graphs import Partition
 from .seeding import spawn_seed
 
 _STALL_NORM = 1e-13
 
 # Lanczos for the sweep-0 cut: step budget and relative Ritz residual at
-# which the leading pair counts as converged.
+# which the leading pair counts as converged. When the budget runs out the
+# last Ritz vector is kept: it only proposes a cut, so an unconverged one
+# costs a refuted check, not a wrong answer.
 _LANCZOS_STEPS = 60
 _LANCZOS_TOL = 1e-6
 
@@ -78,7 +81,8 @@ def solve_sdp(graph, mu, config=None, start=None):
     sweep the cut is read off the top singular vector of V. Before that
     (``max_sweeps = 0`` on a fresh solve) V is the seeded start unchanged,
     ``sweeps_used`` is 0, and the cut is the sign vector of the leading
-    eigenvector of A - mu*J; the certificate judges it like any other cut.
+    eigenvector of A - mu*J, a Ritz vector from the certificate's Lanczos
+    loop; the certificate judges it like any other cut.
 
     ``start`` resumes an earlier solution for the same graph and mu: up to
     ``config.max_sweeps`` more sweeps run from ``start.factors``, which
@@ -163,7 +167,18 @@ def solve_sdp(graph, mu, config=None, start=None):
         top_sv, top_vec = _top_singular(V)
         s1_squared = top_sv * top_sv
     else:
-        top_vec = _leading_eigenvector(adj, mu, spawn_seed(config.seed, 1))
+        # The top of A - mu*J is the bottom of mu*J - A; mu*n plus the
+        # largest degree bounds its row sums.
+        checkpoints = _lanczos_bottom(
+            lambda x: mu * x.sum() - adj @ x,
+            n,
+            min(n, _LANCZOS_STEPS),
+            mu * n + float(graph.degrees.max()),
+            np.random.default_rng(spawn_seed(config.seed, 1)),
+        )
+        for _, _, (rq, res, top_vec) in checkpoints:
+            if res <= _LANCZOS_TOL * max(abs(rq), 1.0):
+                break
         s1_squared = float(np.linalg.eigvalsh(V.T @ V)[-1])
     signs = np.where(top_vec >= 0.0, 1, -1).astype(np.int8)
     if signs[0] < 0:
@@ -183,44 +198,6 @@ def solve_sdp(graph, mu, config=None, start=None):
 def _top_singular(V):
     u, s, _ = np.linalg.svd(V, full_matrices=False)
     return float(s[0]), u[:, 0]
-
-
-def _leading_eigenvector(adj, mu, seed):
-    """Ritz vector for the largest eigenvalue of A - mu*J, by Lanczos.
-
-    The operator is applied matrix-free as x -> A x - mu * sum(x). The
-    basis is fully reorthogonalized, so the Ritz residual |beta_k s_k| is
-    the true one; the iteration stops once it falls to ``_LANCZOS_TOL``
-    times the Ritz value (floored at 1), on breakdown (an invariant
-    subspace, beta ~ 0, which the same test catches), or after
-    ``_LANCZOS_STEPS`` steps. The vector
-    only proposes a cut, so an unconverged one costs a refuted check, not
-    a wrong answer.
-    """
-    n = adj.shape[0]
-    kmax = min(n, _LANCZOS_STEPS)
-    basis = np.empty((kmax, n))
-    tri = np.zeros((kmax, kmax))
-    q = np.random.default_rng(seed).standard_normal(n)
-    q /= math.sqrt(q @ q)
-    for k in range(kmax):
-        basis[k] = q
-        w = adj @ q
-        w -= mu * q.sum()
-        krylov = basis[: k + 1]
-        h = krylov @ w
-        tri[k, k] = h[k]
-        w -= h @ krylov
-        w -= (krylov @ w) @ krylov  # classical Gram-Schmidt: twice is enough
-        beta = math.sqrt(w @ w)
-        evals, evecs = np.linalg.eigh(tri[: k + 1, : k + 1])
-        top = evecs[:, -1]
-        if beta * abs(top[-1]) <= _LANCZOS_TOL * max(abs(evals[-1]), 1.0):
-            break
-        if k + 1 < kmax:
-            tri[k, k + 1] = tri[k + 1, k] = beta
-            q = w / beta
-    return top @ basis[: k + 1]
 
 
 def objective_value(graph, mu, partition):

@@ -49,6 +49,20 @@ def dense_certificate(graph, partition, mu):
     )
 
 
+def recording_loop(monkeypatch, module):
+    """Replace ``module._lanczos_bottom`` by a copy that records its checkpoints."""
+    checkpoints = []
+    loop = module._lanczos_bottom
+
+    def recording(*args, **kwargs):
+        for checkpoint in loop(*args, **kwargs):
+            checkpoints.append(checkpoint)
+            yield checkpoint
+
+    monkeypatch.setattr(module, "_lanczos_bottom", recording)
+    return checkpoints
+
+
 @pytest.fixture
 def two_triangles():
     from sketchbisect import Graph, Partition

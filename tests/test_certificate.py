@@ -18,9 +18,10 @@ from sketchbisect import (
     sample_sbm,
     solve_sdp,
 )
-from sketchbisect.certificate import LANCZOS_BUDGET, ZOperator
+import sketchbisect.certificate as certificate
+from sketchbisect.certificate import LANCZOS_BUDGET, POSITIVE_MARGIN_REL, ZOperator, _lanczos_bottom
 
-from conftest import dense_certificate, random_test_graph
+from conftest import dense_certificate, random_test_graph, recording_loop
 
 
 def random_partition(rng, graph):
@@ -249,6 +250,48 @@ class TestMatvecCount:
         report = self.counted_report(monkeypatch, graph, planted, estimate_mu(graph).mu)
         # one Ritz check per five Krylov steps, plus the Zg check
         assert report.matvecs >= report.iterations + report.iterations // 5 + 1
+
+
+class TestLanczosLoop:
+    """The Krylov loop that the certificate and the sweep-0 cut share."""
+
+    def test_restarts_after_breakdown_without_deflation(self):
+        # three disjoint triangles: -A has eigenvalues -2 (x3) and 1 (x6), so
+        # a Krylov run spans two dimensions and breaks down; only restarts
+        # in the unexplored complement reach all nine steps
+        edges = [(i + k, j + k) for k in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))]
+        adj = Graph(9, edges).adjacency
+        checkpoints = list(
+            _lanczos_bottom(lambda x: -(adj @ x), 9, 9, 2.0, np.random.default_rng(1))
+        )
+        steps = [k for k, _, _ in checkpoints]
+        assert steps[0] == 2 and steps[-1] == 9
+        assert checkpoints[-1][1] == 9 + len(checkpoints)
+        for _, _, (rq, res, y) in checkpoints:
+            assert rq == pytest.approx(-2.0, abs=1e-12)
+            assert res < 1e-12
+            assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+
+    def test_budget_exhausted_reports_largest_lower_bound(self, monkeypatch):
+        # At a 10-step budget neither stop rule fires on this near-threshold
+        # cut. The report takes the checkpoint with the largest rq - res,
+        # which here is the first one, not the last.
+        graph, planted = sample_sbm(LogScaleParams(5, 1, 200).to_sbm_params(), 6)
+        mu = estimate_mu(graph).mu
+        checkpoints = recording_loop(monkeypatch, certificate)
+        monkeypatch.setattr(certificate, "LANCZOS_BUDGET", 10)
+        report = check_certificate(graph, planted, mu)
+        assert [k for k, _, _ in checkpoints] == [5, 10]
+        margin = max(POSITIVE_MARGIN_REL * report.scale, 1e-10)
+        for _, _, (rq, res, _) in checkpoints:
+            assert rq >= -margin
+            assert not (rq - res > margin and res <= 0.05 * abs(rq) + margin)
+        bounds = [rq - res for _, _, (rq, res, _) in checkpoints]
+        assert bounds[0] > bounds[1]
+        assert report.lambda2_lower == bounds[0]
+        assert report.verdict == INCONCLUSIVE
+        # the Zg check, ten Krylov steps and two Ritz checks
+        assert (report.iterations, report.matvecs) == (10, 13)
 
 
 class TestExhaustiveCheck:

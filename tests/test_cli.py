@@ -95,6 +95,26 @@ class TestSolveCommand:
         assert stderr.startswith("error:")
 
 
+class TestValueErrors:
+    @pytest.mark.parametrize("argv, expected", [
+        (["sketch", "--mu", "abc"], "argument --mu: expected 'auto' or a number, got 'abc'"),
+        (["solve", "--mu", "abc"], "argument --mu: expected 'auto' or a number, got 'abc'"),
+        (["sketch", "--gamma", "1/2"],
+         "argument --gamma: expected 'auto' or a number, got '1/2'"),
+        (["solve", "--rank", "x"],
+         "argument --rank: expected 'auto' or a positive integer, got 'x'"),
+    ])
+    def test_bad_value_names_accepted_form(self, capsys, tmp_path, triangle_files, argv, expected):
+        gpath, _, _, _ = triangle_files
+        command, *flags = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(gpath), "--out", str(tmp_path / "c.txt"), *flags])
+        assert exc.value.code == 2
+        stderr = capsys.readouterr().err
+        assert expected in stderr
+        assert "invalid" not in stderr
+
+
 class TestCertifyCommand:
     def test_certified_report(self, capsys, triangle_files):
         gpath, ppath, _, _ = triangle_files
@@ -119,6 +139,14 @@ class TestCertifyCommand:
         code, stdout, _ = run_cli(capsys, "certify", gpath, ppath, "--mu", "0.5")
         assert code == 0
         assert json.loads(stdout)["verdict"] == "NOT_CERTIFIED"
+
+    def test_repeated_vertex_names_its_lines(self, capsys, tmp_path, triangle_files):
+        gpath, _, _, _ = triangle_files
+        ppath = tmp_path / "p.txt"
+        ppath.write_text("0 1\n0 -1\n")
+        code, stdout, stderr = run_cli(capsys, "certify", gpath, ppath, "--mu", "0.5")
+        assert code == 1 and stdout == ""
+        assert stderr == "error: line 2: vertex 0 repeats line 1\n"
 
 
 class TestSketchCommand:

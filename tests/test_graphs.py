@@ -574,6 +574,7 @@ class TestEdgeListFiles:
         ("2 1.0", "'1.0' is not an integer"),
         ("2 0", "sign 0 is not"),
         ("2 -2", "sign -2 is not"),
+        ("1 1", "vertex 1 repeats line 3"),
     ])
     def test_bad_partition_line_named(self, tmp_path, bad, message):
         path = tmp_path / "p.part"

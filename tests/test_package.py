@@ -27,7 +27,7 @@ def test_import_leaves_scipy_linalg_unloaded():
 
 
 def test_solve_and_certify_leave_scipy_linalg_unloaded():
-    # the sweep-0 spectral cut and the certificate run their own Lanczos
+    # the sweep-0 spectral cut and the certificate share one Lanczos loop
     # in numpy; neither may reach for scipy's eigensolvers
     code = (
         "import sys\n"

@@ -9,6 +9,7 @@ from sketchbisect import (
     Graph,
     LogScaleParams,
     Partition,
+    SbmParams,
     SolverConfig,
     brute_force_max,
     estimate_mu,
@@ -17,7 +18,9 @@ from sketchbisect import (
     solve_sdp,
 )
 
-from conftest import dense_objective, random_test_graph, reference_solve_sdp
+import sketchbisect.solver as solver
+
+from conftest import dense_objective, random_test_graph, recording_loop, reference_solve_sdp
 
 
 class TestSolverConfig:
@@ -243,6 +246,26 @@ class TestSweepZero:
         sol = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0))
         assert sol.rounded_cut == Partition(range(12), [1] * 6 + [-1] * 6)
 
+    def test_budget_exhausted_keeps_last_ritz_vector(self, monkeypatch):
+        # At 10 steps no Ritz pair of this near-threshold graph converges. The
+        # cut is the last checkpoint's, not that of the best rq - res.
+        graph, _ = sample_sbm(LogScaleParams(4, 1, 200).to_sbm_params(), 1)
+        mu = estimate_mu(graph).mu
+        checkpoints = recording_loop(monkeypatch, solver)
+        monkeypatch.setattr(solver, "_LANCZOS_STEPS", 10)
+        sol = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=1))
+        assert [k for k, _, _ in checkpoints] == [5, 10]
+        ritz = [r for _, _, r in checkpoints]
+        for rq, res, _ in ritz:
+            assert res > solver._LANCZOS_TOL * max(abs(rq), 1.0)
+
+        def sign_cut(vec):
+            return Partition(graph.vertex_ids, np.where(vec >= 0, 1, -1))
+
+        best = max(ritz, key=lambda r: r[0] - r[1])
+        assert sol.rounded_cut.equals_up_to_flip(sign_cut(ritz[-1][2]))
+        assert not sol.rounded_cut.equals_up_to_flip(sign_cut(best[2]))
+
     def test_resume_from_sweep_zero(self, two_triangles):
         graph, planted = two_triangles
         first = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2))
@@ -256,6 +279,58 @@ class TestSweepZero:
         assert idle.sweeps_used == swept.sweeps_used
         assert idle.rounded_cut == swept.rounded_cut
         assert idle.rank_one_gap == swept.rank_one_gap
+
+
+def _disjoint_union(*parts):
+    offsets = np.cumsum([0] + [g.num_vertices for g in parts])
+    edges = np.concatenate([g.edges + k for g, k in zip(parts, offsets)])
+    return Graph(int(offsets[-1]), edges)
+
+
+def _clique(k):
+    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(2024)
+    for alpha, n, seed in ((3, 120, 1), (3, 240, 2), (5, 60, 3), (5, 240, 4), (8, 120, 5),
+                           (8, 240, 6), (12, 120, 7), (12, 240, 8), (20, 240, 9), (50, 400, 10)):
+        yield f"sbm alpha={alpha} n={n}", sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)[0]
+    for n1, n2, p, q, seed in ((30, 50, 0.5, 0.05, 11), (70, 40, 0.3, 0.02, 12),
+                               (100, 20, 0.2, 0.05, 13), (45, 45, 0.25, 0.1, 14)):
+        yield f"sbm {n1}+{n2}", sample_sbm(SbmParams(n1, n2, p, q), seed)[0]
+    yield "disconnected K8 + K5", _disjoint_union(_clique(8), _clique(5))
+    for n1, p1, n2, p2 in ((40, 0.3, 25, 0.4), (60, 0.2, 30, 0.5), (50, 0.3, 50, 0.15),
+                           (35, 0.4, 20, 0.3)):
+        name = f"disconnected G({n1}, {p1}) + G({n2}, {p2})"
+        yield name, _disjoint_union(random_test_graph(rng, n1, p1), random_test_graph(rng, n2, p2))
+    yield "disconnected, three parts", _disjoint_union(
+        _clique(6), random_test_graph(rng, 30, 0.3), random_test_graph(rng, 12, 0.5)
+    )
+
+
+class TestSpectralOracle:
+    """The 0-sweep cut is the sign cut of the top eigenvector of dense A - mu*J.
+
+    Every case has a clear gap below the top eigenvalue and no near-zero
+    entry in its eigenvector, so the sign cut is well defined. Six graphs
+    are disconnected; on K8 + K5 the undeflated loop breaks down at step 3,
+    where its Ritz pair is exact (``TestLanczosLoop`` in the certificate
+    tests drives the loop on past a breakdown).
+    """
+
+    CASES = list(_oracle_cases())
+
+    @pytest.mark.parametrize("name,graph", CASES, ids=[c[0] for c in CASES])
+    def test_cut_matches_dense_eigenvector(self, name, graph):
+        mu = estimate_mu(graph).mu
+        evals, evecs = np.linalg.eigh(dense_objective(graph, mu))
+        top = evecs[:, -1]
+        assert evals[-1] - evals[-2] >= 0.1 * max(abs(evals[-1]), 1.0)
+        assert np.abs(top).min() * math.sqrt(graph.num_vertices) >= 1e-3
+        want = Partition(graph.vertex_ids, np.where(top >= 0, 1, -1))
+        sol = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=3))
+        assert sol.rounded_cut.equals_up_to_flip(want)
 
 
 class TestResume:
