@@ -57,19 +57,15 @@ class ZOperator:
         n = graph.num_vertices
         g = partition.sign_vector(graph)
         adj = graph.adjacency
-        plus = (g > 0).astype(np.float64)
-        minus = (g < 0).astype(np.float64)
-        to_plus = adj @ plus
-        to_minus = adj @ minus
-        d_plus = np.where(g > 0, to_plus, to_minus)
-        d_minus = np.where(g > 0, to_minus, to_plus)
-        n1 = int(plus.sum())
+        n1 = int(np.count_nonzero(g > 0))
         n2 = n - n1
         self.n = n
         self.mu = float(mu)
         self.g = g
         self._adj = adj
-        self._diag = d_plus - d_minus - mu * (n1 - n2) * g
+        # D_in - D_out = diag(g * (A g)): own-side minus other-side
+        # neighbour counts, exact in floats
+        self._diag = g * (adj @ g) - mu * (n1 - n2) * g
         degrees = graph.degrees.astype(np.float64)
         # max row 1-norm: |Z_ii| + sum_j |Z_ij|; off-diagonals are -(1-mu)
         # on edges and mu on non-edges

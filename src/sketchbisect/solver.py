@@ -9,8 +9,10 @@ ceil(sqrt(2n)) + 1 and above, second-order critical points of the factored
 problem are global optima of the SDP.
 
 Before the first sweep the factors carry no structure, so a solve that
-stops at sweep 0 reads its cut off the leading eigenvector of the implicit
-A - mu*J instead, found by a short run of the certificate's Lanczos loop.
+stops at sweep 0 builds none: it reads its cut g off the leading
+eigenvector of the implicit A - mu*J, found by a short run of the
+certificate's Lanczos loop, and returns the rank-one point X = g g^T. The
+seeded random start is drawn only when the first sweep runs.
 """
 
 import math
@@ -36,8 +38,8 @@ _LANCZOS_TOL = 1e-6
 class SolverConfig:
     """Factor rank, sweep budget, stopping tolerance and seed of ``solve_sdp``.
 
-    ``max_sweeps = 0`` runs no sweep: the solve returns the seeded start
-    and the spectral cut (see ``solve_sdp``).
+    ``max_sweeps = 0`` runs no sweep: the solve returns the spectral cut
+    as a rank-one point (see ``solve_sdp``).
     """
 
     rank: object = "auto"
@@ -78,19 +80,27 @@ def solve_sdp(graph, mu, config=None, start=None):
     Returns the factor matrix, the objective <A - mu*J, VV^T>, a rounded
     cut, and rank_one_gap = 1 - s1(V)^2 / n measuring how far X is from a
     rank-one (exactly two-sided) solution. Once V has had at least one
-    sweep the cut is read off the top singular vector of V. Before that
-    (``max_sweeps = 0`` on a fresh solve) V is the seeded start unchanged,
-    ``sweeps_used`` is 0, and the cut is the sign vector of the leading
+    sweep the cut is read off the top singular vector of V.
+
+    A solve that runs no sweep (``max_sweeps = 0`` on a fresh solve) draws
+    no random start. Its cut g is the sign vector of the leading
     eigenvector of A - mu*J, a Ritz vector from the certificate's Lanczos
-    loop; the certificate judges it like any other cut.
+    loop; the certificate judges it like any other cut. The solution is
+    the rank-one point X = g g^T: ``factors`` is g as an (n, 1) column,
+    ``objective`` is <A - mu*J, g g^T>, ``rank_one_gap`` is 0.0,
+    ``sweep_objectives`` is [objective], ``sweeps_used`` is 0 and
+    ``converged`` is False.
 
     ``start`` resumes an earlier solution for the same graph and mu: up to
     ``config.max_sweeps`` more sweeps run from ``start.factors``, which
     are advanced in place, so ``start`` is consumed. ``sweeps_used`` and
-    ``sweep_objectives`` continue cumulatively, and a solve split into
-    such calls gives the uninterrupted solve bit for bit, a 0-sweep first
-    call included. The factors must have shape (n, rank) for this config;
-    otherwise ValueError.
+    ``sweep_objectives`` continue cumulatively. A start with
+    ``sweeps_used == 0`` carries no sweep state, so the call runs as a
+    fresh one and draws the seeded start from ``config.seed``. A solve
+    split into such calls therefore gives the uninterrupted solve bit for
+    bit, a 0-sweep first call included. A swept start must have factors of
+    shape (n, rank) for this config, or ValueError is raised; a 0-sweep
+    call on it rounds those factors as the last call did.
 
     The row views of V and the neighbour index lists are built once per
     call, so each vertex update is a gather, a row fold, one norm and two
@@ -105,6 +115,28 @@ def solve_sdp(graph, mu, config=None, start=None):
         raise ValueError("mu must be non-negative")
     mu = float(mu)
     r = config.resolve_rank(n)
+    adj = graph.adjacency
+
+    def objective(W):
+        s = W.sum(axis=0)
+        return float((W * (adj @ W)).sum() - mu * (s @ s))
+
+    if start is not None and start.sweeps_used == 0:
+        # a 0-sweep solution holds no sweep state; resume as a fresh call
+        start = None
+    if start is None and not config.max_sweeps:
+        signs = _sign_cut(_spectral_vector(graph, mu, config.seed))
+        g = signs.astype(np.float64)[:, None]
+        obj = objective(g)
+        return SdpSolution(
+            factors=g,
+            objective=obj,
+            rounded_cut=Partition(graph.vertex_ids, signs),
+            rank_one_gap=0.0,
+            sweeps_used=0,
+            converged=False,
+            sweep_objectives=[obj],
+        )
 
     if start is None:
         rng = np.random.default_rng(config.seed)
@@ -114,22 +146,13 @@ def solve_sdp(graph, mu, config=None, start=None):
             V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
             norms = np.linalg.norm(V, axis=1)
         V /= norms[:, None]
-    else:
-        V = start.factors
-        if V.shape != (n, r):
-            raise ValueError(f"start factors have shape {V.shape}, expected {(n, r)}")
-
-    adj = graph.adjacency
-
-    def objective(W):
-        s = W.sum(axis=0)
-        return float((W * (adj @ W)).sum() - mu * (s @ s))
-
-    if start is None:
         obj = objective(V)
         history = [obj]
         done = 0
     else:
+        V = start.factors
+        if V.shape != (n, r):
+            raise ValueError(f"start factors have shape {V.shape}, expected {(n, r)}")
         # the objective the last call ended with, of these very factors
         obj = start.objective
         history = list(start.sweep_objectives)
@@ -163,36 +186,44 @@ def solve_sdp(graph, mu, config=None, start=None):
             converged = True
             break
 
-    if sweeps_used:
-        top_sv, top_vec = _top_singular(V)
-        s1_squared = top_sv * top_sv
-    else:
-        # The top of A - mu*J is the bottom of mu*J - A; mu*n plus the
-        # largest degree bounds its row sums.
-        checkpoints = _lanczos_bottom(
-            lambda x: mu * x.sum() - adj @ x,
-            n,
-            min(n, _LANCZOS_STEPS),
-            mu * n + float(graph.degrees.max()),
-            np.random.default_rng(spawn_seed(config.seed, 1)),
-        )
-        for _, _, (rq, res, top_vec) in checkpoints:
-            if res <= _LANCZOS_TOL * max(abs(rq), 1.0):
-                break
-        s1_squared = float(np.linalg.eigvalsh(V.T @ V)[-1])
-    signs = np.where(top_vec >= 0.0, 1, -1).astype(np.int8)
-    if signs[0] < 0:
-        signs = -signs
-    gap = 1.0 - s1_squared / n
+    top_sv, top_vec = _top_singular(V)
+    gap = 1.0 - top_sv * top_sv / n
     return SdpSolution(
         factors=V,
         objective=obj,
-        rounded_cut=Partition(graph.vertex_ids, signs),
+        rounded_cut=Partition(graph.vertex_ids, _sign_cut(top_vec)),
         rank_one_gap=float(min(max(gap, 0.0), 1.0)),
         sweeps_used=sweeps_used,
         converged=converged,
         sweep_objectives=history,
     )
+
+
+def _spectral_vector(graph, mu, seed):
+    """Ritz vector for the top of A - mu*J, from the certificate's Lanczos loop."""
+    n = graph.num_vertices
+    adj = graph.adjacency
+    # The top of A - mu*J is the bottom of mu*J - A; mu*n plus the largest
+    # degree bounds its row sums.
+    checkpoints = _lanczos_bottom(
+        lambda x: mu * x.sum() - adj @ x,
+        n,
+        min(n, _LANCZOS_STEPS),
+        mu * n + float(graph.degrees.max()),
+        np.random.default_rng(spawn_seed(seed, 1)),
+    )
+    for _, _, (rq, res, vec) in checkpoints:
+        if res <= _LANCZOS_TOL * max(abs(rq), 1.0):
+            break
+    return vec
+
+
+def _sign_cut(vec):
+    """Signs of ``vec`` (zero counts as +1), flipped so the first is +1."""
+    signs = np.where(vec >= 0.0, 1, -1).astype(np.int8)
+    if signs[0] < 0:
+        signs = -signs
+    return signs
 
 
 def _top_singular(V):

@@ -6,8 +6,11 @@ import pytest
 
 from sketchbisect import (
     Graph,
+    LogScaleParams,
     Partition,
     load_partition,
+    objective_value,
+    sample_sbm,
     save_graph,
     save_partition,
 )
@@ -60,6 +63,9 @@ class TestSolveCommand:
         assert list(cut.ids) == list(graph.vertex_ids)
         assert set(cut.signs.tolist()) <= {-1, 1}
         assert cut.equals_up_to_flip(planted)
+        # the solution is the rank-one point of the cut written
+        assert record["rank_one_gap"] == 0.0
+        assert record["objective"] == pytest.approx(objective_value(graph, 0.5, cut), rel=1e-12)
 
     def test_help_explains_zero_sweeps(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -188,6 +194,21 @@ class TestSketchCommand:
         assert record["iterations"] >= 1
         assert record["matvecs"] >= record["iterations"] + 2
         assert load_partition(out).equals_up_to_flip(planted)
+
+    def test_strong_signal_certifies_rank_one_point(self, capsys, tmp_path):
+        graph, planted = sample_sbm(LogScaleParams(50, 1, 600).to_sbm_params(), 5)
+        gpath = tmp_path / "sbm.txt"
+        save_graph(graph, gpath)
+        code, stdout, _ = run_cli(
+            capsys, "sketch", gpath, "--out", tmp_path / "cut.txt",
+            "--alpha", "50", "--beta", "1", "--seed", "5",
+        )
+        assert code == 0
+        record = json.loads(stdout)
+        assert record["certificate"] == "CERTIFIED"
+        assert record["sweeps_used"] == 0
+        assert record["rank_one_gap"] == 0.0
+        assert load_partition(tmp_path / "cut.txt").equals_up_to_flip(planted)
 
     def test_auto_gamma_needs_rates(self, capsys, tmp_path, triangle_files):
         gpath, _, _, _ = triangle_files

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -200,7 +201,7 @@ def _two_cliques(k):
 
 
 class TestSweepZero:
-    """``max_sweeps=0``: the seeded start and the spectral cut, no sweep."""
+    """``max_sweeps=0``: the spectral cut as a rank-one point, no sweep."""
 
     CASES = (
         ("empty graph", Graph(5, []), 0.5),
@@ -214,18 +215,37 @@ class TestSweepZero:
 
     @pytest.mark.parametrize("name,graph,mu", CASES, ids=[c[0] for c in CASES])
     def test_returns_seeded_start_and_full_cut(self, name, graph, mu):
-        config = SolverConfig(max_sweeps=0, seed=4)
-        sol = solve_sdp(graph, mu, config)
-        start = reference_solve_sdp(graph, mu, config)
-        assert sol.factors.tobytes() == start.factors.tobytes()
-        assert sol.objective == start.objective
-        assert sol.sweep_objectives == [sol.objective]
-        assert sol.sweeps_used == 0 and not sol.converged
-        assert sol.rank_one_gap == pytest.approx(start.rank_one_gap, abs=1e-12)
+        """The solution is the rank-one point g g^T of the full spectral cut
+        g; no seeded start is drawn."""
+        sol = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=4))
         cut = sol.rounded_cut
         assert np.array_equal(cut.ids, graph.vertex_ids)
         assert np.all(np.abs(cut.signs) == 1)
         assert cut.sign_of(int(graph.vertex_ids[0])) == 1
+        assert sol.factors.dtype == np.float64
+        assert sol.factors.shape == (graph.num_vertices, 1)
+        assert np.array_equal(sol.factors[:, 0], cut.sign_vector(graph))
+        assert sol.objective == pytest.approx(objective_value(graph, mu, cut), rel=1e-12)
+        assert isinstance(sol.rank_one_gap, float) and sol.rank_one_gap == 0.0
+        assert sol.sweep_objectives == [sol.objective]
+        assert sol.sweeps_used == 0 and not sol.converged
+
+    def test_draws_no_factor_matrix(self):
+        # A 0-sweep solve allocates no n x r array and takes no adj @ V
+        # product: its traced peak stays below one such array (5.08 MiB at
+        # n = 6000, r = 111).
+        graph, _ = sample_sbm(LogScaleParams(50, 1, 6000).to_sbm_params(), 3)
+        mu = estimate_mu(graph).mu
+        config = SolverConfig(max_sweeps=0, seed=3)
+        n = graph.num_vertices
+        tracemalloc.start()
+        try:
+            sol = solve_sdp(graph, mu, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.sweeps_used == 0
+        assert peak < n * config.resolve_rank(n) * 8
 
     def test_two_calls_same_cut(self):
         graph, _ = sample_sbm(LogScaleParams(6, 1, 300).to_sbm_params(), 5)
@@ -279,6 +299,21 @@ class TestSweepZero:
         assert idle.sweeps_used == swept.sweeps_used
         assert idle.rounded_cut == swept.rounded_cut
         assert idle.rank_one_gap == swept.rank_one_gap
+        # A 0-sweep start carries no state, so a swept call resumed from it
+        # is the fresh swept call, also at rank 1, where the start's column
+        # has the factors' shape.
+        for rank in ("auto", 1):
+            config = SolverConfig(rank=rank, seed=2)
+            zero = solve_sdp(graph, 0.5, replace(config, max_sweeps=0))
+            resumed = solve_sdp(graph, 0.5, config, start=zero)
+            fresh = solve_sdp(graph, 0.5, config)
+            assert resumed.sweeps_used == fresh.sweeps_used >= 1
+            assert resumed.factors.tobytes() == fresh.factors.tobytes()
+            assert resumed.sweep_objectives == fresh.sweep_objectives
+            assert resumed.objective == fresh.objective
+            assert resumed.rank_one_gap == fresh.rank_one_gap
+            assert resumed.converged == fresh.converged
+            assert resumed.rounded_cut == fresh.rounded_cut
 
 
 def _disjoint_union(*parts):
