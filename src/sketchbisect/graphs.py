@@ -7,6 +7,7 @@ vertex set without any index translation. A graph stores its labels and
 its CSR adjacency only; the edge list is derived from the CSR on demand.
 """
 
+import itertools
 import math
 import os
 import re
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 # Pairs whose uniforms sample_sbm draws and tests at once (2 MiB of doubles).
 _PAIR_BLOCK = 1 << 18
-# Edges formatted per write by save_graph.
+# Rows formatted per write by save_graph and save_partition.
 _WRITE_ROWS = 1 << 16
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
@@ -127,14 +128,17 @@ def _rows_of(ids, vertices):
 
 
 def _canonical_csr(n, lo, hi):
-    """Symmetric 0/1 CSR adjacency from canonical edge rows (lo < hi)."""
-    # Lower-triangle entries first: a stable COO -> CSR pass then leaves
-    # every row's columns sorted, so no per-row sort runs.
-    m = lo.shape[0]
-    return sp.csr_matrix(
-        (np.ones(2 * m), (np.concatenate([hi, lo]), np.concatenate([lo, hi]))),
-        shape=(n, n),
-    )
+    """Symmetric 0/1 CSR adjacency from canonical edge rows (lo < hi).
+
+    Canonical rows are the upper triangle already in CSR order, so its
+    row pointer is a count of ``lo`` and its column indices are ``hi``;
+    scipy's linear transpose and sorted-row merge add the lower triangle.
+    Nothing is sorted.
+    """
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
+    upper = sp.csr_matrix((np.ones(lo.shape[0]), hi, indptr), shape=(n, n))
+    return upper + upper.T
 
 
 class Graph:
@@ -170,13 +174,18 @@ class Graph:
         b = _rows_of(ids, e[:, 1])
         if np.any(a == b):
             raise ValueError("self-loops are not allowed")
-        lo = np.minimum(a, b)
+        # _rows_of returns fresh arrays, so each pair is ordered in place and
+        # no O(m) temporary outlives its use into the CSR build.
         hi = np.maximum(a, b)
+        lo = np.minimum(a, b, out=a)
+        del a, b
         # One int64 key per edge orders rows lexicographically; canonical
         # input (strictly increasing keys) skips the sort.
-        key = lo * n + hi
+        key = lo * n
+        key += hi
         if np.any(key[1:] <= key[:-1]):
             lo, hi = np.divmod(_sorted_unique(key), n)
+        del key
         self._install(ids, _canonical_csr(n, lo, hi))
 
     @classmethod
@@ -414,11 +423,10 @@ def sample_sbm(params, seed):
         with ThreadPoolExecutor(max_workers=len(runs)) as pool:
             parts = list(pool.map(draw, runs))
     blocks = [block for part in parts for block in part]
-    graph = Graph._from_canonical(
-        n,
-        np.concatenate([i for i, _ in blocks]),
-        np.concatenate([j for _, j in blocks]),
-    )
+    lo = np.concatenate([i for i, _ in blocks])
+    hi = np.concatenate([j for _, j in blocks])
+    del parts, blocks  # the per-block rows are not held through the CSR build
+    graph = Graph._from_canonical(n, lo, hi)
     signs = np.ones(n, dtype=np.int8)
     signs[n1:] = -1
     return graph, Partition(np.arange(n), signs)
@@ -447,6 +455,15 @@ def induced_subgraph(graph, vertices):
     return Graph.__new__(Graph)._install(verts, graph.adjacency[rows][:, rows])
 
 
+def _write_pairs(path, header, pairs):
+    """Write ``header``, then one ``a b`` line per row of the integer array ``pairs``."""
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(header)
+        for start in range(0, pairs.shape[0], _WRITE_ROWS):
+            chunk = pairs[start:start + _WRITE_ROWS]
+            fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
 def save_graph(graph, path):
     """Write edge-list format: header ``n <count>`` then one ``u v`` line per edge.
 
@@ -456,17 +473,46 @@ def save_graph(graph, path):
     n = graph.num_vertices
     if not np.array_equal(graph.vertex_ids, np.arange(n)):
         raise ValueError("edge-list format requires vertex ids 0..n-1")
-    edges = graph.edges
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(f"n {n}\n")
-        for start in range(0, edges.shape[0], _WRITE_ROWS):
-            chunk = edges[start:start + _WRITE_ROWS]
-            fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+    _write_pairs(path, f"n {n}\n", graph.edges)
+
+
+def _read_rows(path, skip):
+    """int64 rows of the whitespace-separated integers after the first ``skip`` lines.
+
+    numpy opens the file and parses it in chunks in C, so neither the text
+    nor its lines are held. Blank lines are skipped; a file without rows
+    gives shape (0, 2). Any line numpy cannot parse, a non-ASCII byte
+    included, raises ValueError without naming the line.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a file without rows is valid
+        # Older numpy releases read a token such as 1.0 or 3.9 as an integer
+        # through a float and only warn; as an error it is a bad token as well.
+        warnings.simplefilter("error", DeprecationWarning)
+        rows = np.loadtxt(
+            path, dtype=np.int64, comments=None, ndmin=2, skiprows=skip, encoding="ascii"
+        )
+    return rows if rows.size else rows.reshape(0, 2)
+
+
+def _open_lines(path):
+    """The file as text lines; a non-ASCII byte reads as a lone surrogate."""
+    return open(path, "r", encoding="ascii", errors="surrogateescape")
+
+
+def _non_ascii_error(line, lineno):
+    """ValueError naming the first non-ASCII byte of a line from ``_open_lines``, if any."""
+    if line.isascii():
+        return None
+    byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+    return ValueError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
 
 
 def _edge_line_error(lines, first_lineno, n):
     """ValueError naming the first edge line that is not ``u v`` with 0 <= u != v < n."""
     for lineno, line in enumerate(lines, start=first_lineno):
+        if error := _non_ascii_error(line, lineno):
+            return error
         parts = line.split()
         if not parts:
             continue
@@ -487,71 +533,81 @@ def load_graph(path):
 
     Blank lines and leading or trailing whitespace are ignored. A missing or
     malformed header, an edge line without exactly two integer tokens, an
-    id outside 0..n-1 or a self-loop raises ValueError naming the line.
+    id outside 0..n-1, a self-loop or a non-ASCII byte raises ValueError
+    naming the line.
+
+    Only the lines up to the header are read here; numpy parses the body
+    from the path and ``Graph`` checks it. The body is read again line by
+    line only when either fails, to name the first bad line.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().split("\n")
-    head = next((k for k, line in enumerate(lines) if line.strip()), None)
-    if head is None:
-        raise ValueError("missing 'n <count>' header")
-    parts = lines[head].split()
+    with _open_lines(path) as fh:
+        for head, line in enumerate(fh):
+            if line.strip():
+                break
+        else:
+            raise ValueError("missing 'n <count>' header")
+    if error := _non_ascii_error(line, head + 1):
+        raise error
+    parts = line.split()
     if len(parts) != 2 or parts[0] != "n" or not _INT_TOKEN.fullmatch(parts[1]):
         raise ValueError(
-            f"line {head + 1}: expected 'n <count>' header, got {lines[head].strip()!r}"
+            f"line {head + 1}: expected 'n <count>' header, got {line.strip()!r}"
         )
     n = int(parts[1])
     if n < 0:
         raise ValueError(f"line {head + 1}: vertex count must be non-negative")
-    body = lines[head + 1:]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # an edge-free body is valid
-            edges = np.loadtxt(body, dtype=np.int64, comments=None, ndmin=2)
-        ok = edges.size == 0 or (
-            edges.shape[1] == 2
-            and np.all((edges >= 0) & (edges < n))
-            and not np.any(edges[:, 0] == edges[:, 1])
-        )
-    except ValueError:
-        ok = False
-    if not ok:
-        raise _edge_line_error(body, head + 2, n) or ValueError("malformed edge list")
-    return Graph(n, edges.reshape(-1, 2))
+        return Graph(n, _read_rows(path, head + 1))
+    except (ValueError, KeyError):
+        pass
+    with _open_lines(path) as fh:
+        error = _edge_line_error(itertools.islice(fh, head + 1, None), head + 2, n)
+    raise error or ValueError("malformed edge list")
 
 
 def save_partition(partition, path):
     """Write one ``vertex sign`` line per vertex, sorted by vertex id."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for v, s in zip(partition.ids, partition.signs):
-            fh.write(f"{v} {s}\n")
+    _write_pairs(path, "", np.column_stack([partition.ids, partition.signs]))
+
+
+def _partition_line_error(lines):
+    """ValueError naming the first line that is not ``vertex sign`` with a new vertex."""
+    first_line = {}
+    for lineno, line in enumerate(lines, start=1):
+        if error := _non_ascii_error(line, lineno):
+            return error
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 2:
+            return ValueError(f"line {lineno}: expected 'vertex sign', got {line.strip()!r}")
+        for tok in parts:
+            if not _INT_TOKEN.fullmatch(tok):
+                return ValueError(f"line {lineno}: {tok!r} is not an integer")
+        v, sign = int(parts[0]), int(parts[1])
+        if sign not in (1, -1):
+            return ValueError(f"line {lineno}: sign {parts[1]} is not +1 or -1")
+        if v in first_line:
+            return ValueError(f"line {lineno}: vertex {v} repeats line {first_line[v]}")
+        first_line[v] = lineno
+    return None
 
 
 def load_partition(path):
     """Read the ``vertex sign`` lines written by ``save_partition``.
 
     Blank lines and surrounding whitespace are ignored. A line without
-    exactly two integer tokens, with a sign other than +1 or -1, or with a
-    vertex already read raises ValueError naming the line.
+    exactly two integer tokens, with a sign other than +1 or -1, with a
+    vertex already read or with a non-ASCII byte raises ValueError naming
+    the line. numpy parses the file from the path; it is read again line
+    by line only when that fails, to name the first bad line.
     """
-    ids = []
-    signs = []
-    first_line = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected 'vertex sign', got {line.strip()!r}")
-            for tok in parts:
-                if not _INT_TOKEN.fullmatch(tok):
-                    raise ValueError(f"line {lineno}: {tok!r} is not an integer")
-            v, sign = int(parts[0]), int(parts[1])
-            if sign not in (1, -1):
-                raise ValueError(f"line {lineno}: sign {parts[1]} is not +1 or -1")
-            if v in first_line:
-                raise ValueError(f"line {lineno}: vertex {v} repeats line {first_line[v]}")
-            first_line[v] = lineno
-            ids.append(v)
-            signs.append(sign)
-    return Partition(ids, signs)
+    try:
+        rows = _read_rows(path, 0)
+        if rows.shape[1] == 2:  # Partition checks the signs and repeats
+            return Partition(rows[:, 0], rows[:, 1])
+    except ValueError:
+        pass
+    with _open_lines(path) as fh:
+        error = _partition_line_error(fh)
+    raise error or ValueError("malformed partition file")

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -165,6 +166,53 @@ class TestGraphConstruction:
             Graph(4, [(0, 1, 2)])
         with pytest.raises(ValueError):
             Graph(4, [0, 1])
+
+
+class TestCanonicalCsr:
+    """The upper-triangle CSR build gives scipy's COO -> CSR, array for array."""
+
+    CASES = ("n0", "n1", "isolated", "star", "complete", "small-sbm", "alpha50-n2000")
+
+    @staticmethod
+    def case(name):
+        """(n, canonical edge rows) of a named case."""
+        if name == "small-sbm":
+            g, _ = sample_sbm(SbmParams(12, 9, 0.5, 0.2), seed=8)
+            return g.num_vertices, g.edges
+        if name == "alpha50-n2000":
+            g, _ = sample_sbm(LogScaleParams(50, 1, 2000).to_sbm_params(), seed=5)
+            return g.num_vertices, g.edges
+        n, edges = {
+            "n0": (0, []),
+            "n1": (1, []),
+            "isolated": (9, [(1, 4), (4, 6)]),
+            "star": (12, [(0, k) for k in range(1, 9)]),
+            "complete": (7, [(i, j) for i in range(7) for j in range(i + 1, 7)]),
+        }[name]
+        return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_every_route_matches_the_coo_reference(self, tmp_path, name):
+        n, canonical = self.case(name)
+        graph = Graph(n, canonical)
+        # the reference is built from graph.edges, so pin those to the input first
+        assert np.array_equal(graph.edges, canonical)
+        ref = reference_adjacency(graph)
+        path = tmp_path / "g.edges"
+        path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in canonical.tolist()))
+        lo, hi = canonical[:, 0].copy(), canonical[:, 1].copy()
+        routes = {
+            "_canonical_csr": graphs._canonical_csr(n, lo, hi),
+            "Graph": graph.adjacency,
+            "_from_canonical": Graph._from_canonical(n, lo, hi).adjacency,
+            "load_graph": load_graph(path).adjacency,
+        }
+        for route, adj in routes.items():
+            assert adj.shape == (n, n), route
+            assert adj.has_canonical_format, route
+            for field in ("indptr", "indices", "data"):
+                x, y = getattr(adj, field), getattr(ref, field)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (route, field)
 
 
 class TestPartition:
@@ -526,12 +574,15 @@ class TestEdgeListFiles:
         return path
 
     def test_save_matches_one_line_per_edge(self, tmp_path):
-        g, _ = sample_sbm(SbmParams(60, 70, 0.3, 0.05), seed=6)
-        path = tmp_path / "g.edges"
-        save_graph(g, path)
-        expected = f"n {g.num_vertices}\n" + "".join(f"{u} {v}\n" for u, v in g.edges.tolist())
-        assert path.read_bytes() == expected.encode("ascii")
-        assert load_graph(path) == g
+        for params, seed in ((SbmParams(60, 70, 0.3, 0.05), 6),
+                             (LogScaleParams(50, 1, 2000).to_sbm_params(), 12)):
+            g, _ = sample_sbm(params, seed=seed)
+            path = tmp_path / "g.edges"
+            save_graph(g, path)
+            expected = f"n {g.num_vertices}\n" + "".join(
+                f"{u} {v}\n" for u, v in g.edges.tolist())
+            assert path.read_bytes() == expected.encode("ascii")
+            assert_same_graph(load_graph(path), g)
 
     def test_save_edge_free_graph(self, tmp_path):
         path = tmp_path / "g.edges"
@@ -543,6 +594,15 @@ class TestEdgeListFiles:
         text = "\n  \nn 5  \n\n0 1 \n\t2   4\t\n\n3 1\r\n   \n"
         g = load_graph(self.write(tmp_path, text))
         assert g == Graph(5, [(0, 1), (2, 4), (1, 3)])
+        # shuffled, flipped and repeated rows behind CRLF ends, tabs and blank lines
+        rng = np.random.default_rng(23)
+        canonical, variants = TestGraphConstruction.canonical_and_variants(
+            rng, 40, 0.4, np.arange(40))
+        for edges in variants:
+            body = "".join(f"{u}\t{v}\r\n" + "\r\n" * (k % 3 == 0)
+                           for k, (u, v) in enumerate(edges.tolist()))
+            path = self.write(tmp_path, f"\r\n \t\r\nn 40\r\n{body}")
+            assert_same_graph(load_graph(path), Graph(40, canonical))
 
     @pytest.mark.parametrize("text, line", [
         ("", None),
@@ -582,6 +642,19 @@ class TestEdgeListFiles:
         with pytest.raises(ValueError, match=f"line 4: {message}"):
             load_partition(path)
 
+    @pytest.mark.parametrize("bad, token", [("2 1.0", "1.0"), ("3.9 1", "3.9")])
+    def test_float_token_named_without_warning_filters(self, tmp_path, bad, token):
+        # older numpy releases parse such a token through a float with only a
+        # warning, which default filters hide; the readers must reject it all the same
+        graph = self.write(tmp_path, f"n 4\n0 1\n\n{bad}\n2 3\n")
+        part = tmp_path / "p.part"
+        part.write_text(f"0 1\n\n1 -1\n{bad}\n3 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for load, path in ((load_graph, graph), (load_partition, part)):
+                with pytest.raises(ValueError, match=f"line 4: '{token}' is not an integer"):
+                    load(path)
+
     def test_bad_first_edge_line_named(self, tmp_path):
         # a one-token first line must be named, not the well-formed line after it
         path = self.write(tmp_path, "n 4\n2\n0 1\n")
@@ -600,4 +673,73 @@ class TestEdgeListFiles:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: line 3:") and "5" in err
+        assert "Traceback" not in err
+
+    def test_reader_memory_is_linear_in_the_csr(self, tmp_path):
+        g, _ = sample_sbm(LogScaleParams(50, 1, 4000).to_sbm_params(), seed=3)
+        path = tmp_path / "g.edges"
+        save_graph(g, path)
+        del g
+        tracemalloc.start()
+        try:
+            loaded = load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adj = loaded.adjacency
+        assert loaded.edge_count > 400_000
+        # neither the text nor a list of its lines is held (reading them peaked at 9.1x)
+        assert peak <= 6 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
+
+    def test_save_partition_matches_one_line_per_vertex(self, tmp_path):
+        path = tmp_path / "p.part"
+        save_partition(Partition([7, 0, 3, 12], [-1, 1, 1, -1]), path)
+        assert path.read_bytes() == b"0 1\n3 1\n7 -1\n12 -1\n"
+        save_partition(Partition([], []), path)
+        assert path.read_bytes() == b""
+
+    @pytest.mark.parametrize("text", ["", "\n", " \r\n\t\n"])
+    def test_empty_partition_file_parses(self, tmp_path, text):
+        path = tmp_path / "p.part"
+        path.write_text(text)
+        p = load_partition(path)
+        assert len(p) == 0 and p == Partition([], [])
+
+    def test_partition_crlf_and_blank_lines_parse(self, tmp_path):
+        path = tmp_path / "p.part"
+        path.write_bytes(b"\r\n5 -1\r\n\r\n  0\t1 \r\n+2 -1\r\n\r\n")
+        p = load_partition(path)
+        assert p == Partition([5, 0, 2], [-1, 1, -1])
+        assert p.ids.dtype == np.int64 and p.signs.dtype == np.int8
+
+    @pytest.mark.parametrize("data, line", [
+        (b"n 4\n0 1\n\n2 \xc3\xa93\n", 4),
+        (b"n 4\n0 1\n1 2\xff\n2 3\n", 3),
+        (b"\n\nn 4\xc3\xa9\n0 1\n", 3),
+        (b"\xef\xbb\xbfn 4\n0 1\n", 1),
+    ], ids=["edge-line", "line-end", "header", "byte-order-mark"])
+    def test_non_ascii_byte_named(self, tmp_path, data, line):
+        path = tmp_path / "g.edges"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"line {line}: non-ASCII byte 0x"):
+            load_graph(path)
+
+    def test_non_ascii_partition_byte_named(self, tmp_path):
+        path = tmp_path / "p.part"
+        path.write_bytes(b"0 1\n\n1 -1\xc3\xa9\n2 1\n")
+        with pytest.raises(ValueError, match="line 3: non-ASCII byte 0xc3"):
+            load_partition(path)
+
+    @pytest.mark.parametrize("graph_bytes, part_bytes, line", [
+        (b"n 3\n0 1\n1 \xe2\x80\x892\n", b"0 1\n1 1\n2 -1\n", 3),
+        (b"n 3\n0 1\n1 2\n", b"0 1\n1 \xe2\x80\x891\n2 -1\n", 2),
+    ], ids=["graph", "partition"])
+    def test_non_ascii_byte_is_a_cli_error(self, tmp_path, capsys, graph_bytes, part_bytes, line):
+        graph, part = tmp_path / "g.edges", tmp_path / "p.part"
+        graph.write_bytes(graph_bytes)
+        part.write_bytes(part_bytes)
+        code = cli.main(["certify", str(graph), str(part), "--mu", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: line {line}: non-ASCII byte 0xe2")
         assert "Traceback" not in err
