@@ -182,9 +182,11 @@ def check_certificate(graph, partition, mu):
     spectrum of Z on the complement of g. NOT_CERTIFIED requires an
     explicit witness direction with negative Rayleigh quotient. Anything
     the iteration cannot separate from zero at the working margin is
-    INCONCLUSIVE. ``iterations`` counts Krylov steps; ``matvecs`` counts
-    every application of Z (the Zg check, the Krylov steps and the Ritz
-    checks).
+    INCONCLUSIVE, and so is a run that spends its step budget without a
+    decisive checkpoint; its ``lambda2_lower`` is the last checkpoint's
+    rq - res, which proves nothing. ``iterations`` counts Krylov steps;
+    ``matvecs`` counts every application of Z (the Zg check, the Krylov
+    steps and the Ritz checks).
     """
     op = ZOperator(graph, partition, mu)
     n = op.n
@@ -209,9 +211,12 @@ def check_certificate(graph, partition, mu):
         w /= np.linalg.norm(w)
         return report(NOT_CERTIFIED, 0.0, iterations=0, matvecs=1, witness=w, witness_value=0.0)
 
-    # Keep the Ritz pair with the best lower bound rq - res, unless one
-    # decides: a negative quotient refutes, a tight positive bound proves.
-    best, iterations, matvecs = None, 0, 0
+    # A checkpoint decides when its quotient is negative (refuted) or its
+    # positive bound rq - res is tight (proven). A run that ends undecided,
+    # its budget spent, proves nothing: a Ritz pair brackets only *some*
+    # eigenvalue, and even the last, lowest one seen can sit above the
+    # bottom of the spectrum. It reports INCONCLUSIVE with the last
+    # checkpoint's rq - res, never an earlier, larger one.
     checkpoints = _lanczos_bottom(
         op.matvec,
         n,
@@ -220,25 +225,21 @@ def check_certificate(graph, partition, mu):
         np.random.default_rng(0xC0FFEE),
         deflate=g_unit,
     )
+    verdict, last, witness = INCONCLUSIVE, 0.0, {}
+    iterations = matvecs = 0
     for iterations, matvecs, ritz in checkpoints:
         if ritz is None:
             continue
-        rq, res, _ = ritz
-        if rq < -margin or (rq - res > margin and res <= 0.05 * abs(rq) + margin):
-            best = ritz
+        rq, res, y = ritz
+        last = rq - res
+        if rq < -margin:
+            verdict, witness = NOT_CERTIFIED, {"witness": y, "witness_value": rq}
             break
-        if best is None or rq - res > best[0] - best[1]:
-            best = ritz
-    report = partial(report, iterations=iterations, matvecs=matvecs + 1)  # + the Zg check
-
-    if best is None:
-        return report(INCONCLUSIVE, 0.0)
-    rq, res, y = best
-    if rq - res > margin:
-        return report(CERTIFIED, rq - res)
-    if rq < -margin:
-        return report(NOT_CERTIFIED, rq - res, witness=y, witness_value=rq)
-    return report(INCONCLUSIVE, rq - res)
+        if last > margin and res <= 0.05 * abs(rq) + margin:
+            verdict = CERTIFIED
+            break
+    # + 1 for the Zg check
+    return report(verdict, last, iterations=iterations, matvecs=matvecs + 1, **witness)
 
 
 def exhaustive_unique_opt_check(graph, partition, mu):

@@ -455,25 +455,50 @@ def induced_subgraph(graph, vertices):
     return Graph.__new__(Graph)._install(verts, graph.adjacency[rows][:, rows])
 
 
-def _write_pairs(path, header, pairs):
-    """Write ``header``, then one ``a b`` line per row of the integer array ``pairs``."""
+def _write_pairs(path, header, chunks):
+    """Write ``header``, then one ``a b`` line per row of each integer (k, 2) array in ``chunks``."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(header)
-        for start in range(0, pairs.shape[0], _WRITE_ROWS):
-            chunk = pairs[start:start + _WRITE_ROWS]
+        for chunk in chunks:
             fh.write(("%d %d\n" * chunk.shape[0]) % tuple(chunk.ravel().tolist()))
+
+
+def _row_chunks(pairs):
+    """``pairs`` in slices of at most ``_WRITE_ROWS`` rows."""
+    return (pairs[start:start + _WRITE_ROWS] for start in range(0, pairs.shape[0], _WRITE_ROWS))
+
+
+def _upper_triangle_chunks(adj):
+    """The CSR's entries above the diagonal as (row, column) pairs, in row order.
+
+    Each chunk spans whole rows holding about ``2 * _WRITE_ROWS`` entries of
+    both triangles (a single longer row is a chunk of its own), so only the
+    chunk's row index and mask are built, never one per CSR entry.
+    """
+    indptr, indices = adj.indptr, adj.indices
+    n = adj.shape[0]
+    start = 0
+    while start < n:
+        stop = int(np.searchsorted(indptr, indptr[start] + 2 * _WRITE_ROWS, side="right")) - 1
+        stop = max(stop, start + 1)
+        cols = indices[indptr[start]:indptr[stop]]
+        rows = np.repeat(np.arange(start, stop), np.diff(indptr[start:stop + 1]))
+        upper = cols > rows
+        yield np.column_stack([rows[upper], cols[upper]])
+        start = stop
 
 
 def save_graph(graph, path):
     """Write edge-list format: header ``n <count>`` then one ``u v`` line per edge.
 
     Requires contiguous labels 0..n-1 (the on-disk format has no separate
-    vertex table).
+    vertex table). The lines are written from the CSR's upper triangle a
+    chunk of rows at a time, in ``edges`` order.
     """
     n = graph.num_vertices
     if not np.array_equal(graph.vertex_ids, np.arange(n)):
         raise ValueError("edge-list format requires vertex ids 0..n-1")
-    _write_pairs(path, f"n {n}\n", graph.edges)
+    _write_pairs(path, f"n {n}\n", _upper_triangle_chunks(graph.adjacency))
 
 
 def _read_rows(path, skip):
@@ -567,7 +592,7 @@ def load_graph(path):
 
 def save_partition(partition, path):
     """Write one ``vertex sign`` line per vertex, sorted by vertex id."""
-    _write_pairs(path, "", np.column_stack([partition.ids, partition.signs]))
+    _write_pairs(path, "", _row_chunks(np.column_stack([partition.ids, partition.signs])))
 
 
 def _partition_line_error(lines):

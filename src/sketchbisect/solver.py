@@ -8,6 +8,15 @@ coordinate maximizer, so the objective never decreases. At rank
 ceil(sqrt(2n)) + 1 and above, second-order critical points of the factored
 problem are global optima of the SDP.
 
+The sweeps run on an (n + 1, r) array E: V is its first n rows and the
+last row is the running sum of V's rows, re-summed from V at the start of
+every sweep and kept current by each update. Vertex i reads the rows
+idx_i = (neighbours of i, i, n) with weights w_i = (1, ..., 1, mu, -mu),
+so one gemv, w_i @ E[idx_i], gives the neighbour sum plus
+mu*v_i - mu*running, which is the neighbour sum minus mu times the other
+rows. The lists are built once per call, as views into one flat index
+array and one flat weight array.
+
 Before the first sweep the factors carry no structure, so a solve that
 stops at sweep 0 builds none: it reads its cut g off the leading
 eigenvector of the implicit A - mu*J, found by a short run of the
@@ -102,9 +111,14 @@ def solve_sdp(graph, mu, config=None, start=None):
     shape (n, rank) for this config, or ValueError is raised; a 0-sweep
     call on it rounds those factors as the last call did.
 
-    The row views of V and the neighbour index lists are built once per
-    call, so each vertex update is a gather, a row fold, one norm and two
-    in-place row updates.
+    The sweep works on an (n + 1, r) array whose last row is the running
+    sum of V's rows; a resumed start is copied in and its factors are
+    written back at the end. Each vertex's index list (its neighbours,
+    itself, the running-sum row) and weight list (ones, mu, -mu) are built
+    once per call, so a vertex update is one gather, one gemv giving the
+    neighbour sum minus mu times the other rows, one norm, and the
+    normalized row written in place with the running sum moved by the
+    difference.
     """
     if config is None:
         config = SolverConfig()
@@ -157,26 +171,29 @@ def solve_sdp(graph, mu, config=None, start=None):
         obj = start.objective
         history = list(start.sweep_objectives)
         done = start.sweeps_used
-    running = V.sum(axis=0)
     converged = False
     sweeps_used = done
     if config.max_sweeps:
-        # Views, not copies: writing a row writes V.
-        rows = list(V)
-        neighbors = np.split(adj.indices, adj.indptr[1:-1])
+        # Rows 0..n-1 of E are the swept factors, row n is their running
+        # sum. Views, not copies: writing a row writes E.
+        E = np.empty((n + 1, r))
+        E[:n] = V
+        live = E[:n]
+        rows = list(live)
+        running = E[n]
+        index_lists, weight_lists = _update_lists(adj, mu)
     for sweep in range(done + 1, done + config.max_sweeps + 1):
         sweeps_used = sweep
-        for row, nbr in zip(rows, neighbors):
-            c = np.add.reduce(V.take(nbr, 0), 0)
-            c -= mu * (running - row)
+        np.sum(live, axis=0, out=running)
+        for row, idx, w in zip(rows, index_lists, weight_lists):
+            c = w.dot(E.take(idx, 0))
             nc = math.sqrt(c.dot(c))
             if nc < _STALL_NORM:
                 continue
-            c /= nc
-            running += c - row
-            row[:] = c
-        running = V.sum(axis=0)
-        new_obj = objective(V)
+            running -= row
+            np.divide(c, nc, out=row)
+            running += row
+        new_obj = objective(live)
         if new_obj < obj - 1e-8 * (1.0 + abs(new_obj)):
             raise RuntimeError("coordinate ascent lost monotonicity")
         gain = new_obj - obj
@@ -185,6 +202,9 @@ def solve_sdp(graph, mu, config=None, start=None):
         if gain < config.objective_tolerance * (1.0 + abs(obj)):
             converged = True
             break
+    if config.max_sweeps:
+        # written back, so a resumed start is advanced in place
+        V[:] = live
 
     top_sv, top_vec = _top_singular(V)
     gap = 1.0 - top_sv * top_sv / n
@@ -197,6 +217,30 @@ def solve_sdp(graph, mu, config=None, start=None):
         converged=converged,
         sweep_objectives=history,
     )
+
+
+def _update_lists(adj, mu):
+    """Per-vertex index and weight lists of the sweep's gemv.
+
+    Row i of the (n + 1)-row factor array is read at (neighbours of i, i, n)
+    with weights (1, ..., 1, mu, -mu). Both lists are views into one flat
+    array each, with the two extra slots of every row placed vectorially;
+    they are cut by plain slicing, which costs a fraction of ``np.split``.
+    """
+    n = adj.shape[0]
+    self_slot = adj.indptr[1:] + 2 * np.arange(n)
+    neighbour = np.ones(adj.nnz + 2 * n, dtype=bool)
+    neighbour[self_slot] = neighbour[self_slot + 1] = False
+    flat_idx = np.empty(neighbour.size, dtype=np.intp)
+    flat_idx[neighbour] = adj.indices
+    flat_idx[self_slot] = np.arange(n)
+    flat_idx[self_slot + 1] = n
+    flat_w = np.ones(neighbour.size)
+    flat_w[self_slot] = mu
+    flat_w[self_slot + 1] = -mu
+    bounds = [0] + (self_slot + 2).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    return [flat_idx[a:b] for a, b in spans], [flat_w[a:b] for a, b in spans]
 
 
 def _spectral_vector(graph, mu, seed):

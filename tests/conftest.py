@@ -90,6 +90,14 @@ def random_test_graph(rng, n, p):
     return Graph(n, edges)
 
 
+def disjoint_union(*parts):
+    """The graphs side by side, each relabelled past the vertices before it."""
+    from sketchbisect import Graph
+
+    offsets = np.cumsum([0] + [g.num_vertices for g in parts])
+    return Graph(int(offsets[-1]), np.concatenate([g.edges + k for g, k in zip(parts, offsets)]))
+
+
 def reference_sample_sbm(params, seed):
     """Block-model sampler by enumeration of all n(n-1)/2 pairs at once.
 
@@ -137,11 +145,14 @@ def assert_same_graph(a, b):
 def reference_solve_sdp(graph, mu, config=None):
     """Mixing-method solver with the per-vertex sweep written out plainly.
 
-    Each vertex slices its neighbours out of the CSR arrays, gathers their
-    rows by fancy indexing, sums them with ``.sum(axis=0)`` and normalizes
-    with ``np.linalg.norm``. Initialization, stopping rule, monotonicity
-    guard and rounding are those of ``solve_sdp``, which must return
-    exactly this solution, float for float.
+    The factors sit in the first n rows of an (n + 1)-row array whose last
+    row is their running sum, re-summed at the start of every sweep. Each
+    vertex slices its neighbours out of the CSR arrays, gathers the rows of
+    the neighbours, itself and the running sum by fancy indexing, takes
+    ``np.dot`` with the weights (1, ..., 1, mu, -mu) and normalizes with
+    ``np.linalg.norm``. Initialization, stopping rule, monotonicity guard
+    and rounding are those of ``solve_sdp``, which must return exactly
+    this solution, float for float.
     """
     from sketchbisect import Partition, SolverConfig
     from sketchbisect.solver import _STALL_NORM, SdpSolution
@@ -169,22 +180,25 @@ def reference_solve_sdp(graph, mu, config=None):
 
     obj = objective(V)
     history = [obj]
-    running = V.sum(axis=0)
+    E = np.zeros((n + 1, r))
+    E[:n] = V
+    V = E[:n]
     converged = False
     sweeps_used = 0
     for sweep in range(1, config.max_sweeps + 1):
         sweeps_used = sweep
+        E[n] = V.sum(axis=0)
         for i in range(n):
-            row = V[i]
-            c = V[indices[indptr[i]:indptr[i + 1]]].sum(axis=0)
-            c -= mu * (running - row)
+            neighbours = indices[indptr[i]:indptr[i + 1]]
+            idx = np.concatenate([neighbours, [i, n]])
+            weights = np.concatenate([np.ones(neighbours.size), [mu, -mu]])
+            c = np.dot(weights, E[idx])
             nc = np.linalg.norm(c)
             if nc < _STALL_NORM:
                 continue
-            c /= nc
-            running += c - row
-            V[i] = c
-        running = V.sum(axis=0)
+            E[n] -= E[i]
+            E[i] = c / nc
+            E[n] += E[i]
         new_obj = objective(V)
         if new_obj < obj - 1e-8 * (1.0 + abs(new_obj)):
             raise RuntimeError("coordinate ascent lost monotonicity")

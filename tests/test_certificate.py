@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from sketchbisect import (
 import sketchbisect.certificate as certificate
 from sketchbisect.certificate import LANCZOS_BUDGET, POSITIVE_MARGIN_REL, ZOperator, _lanczos_bottom
 
-from conftest import dense_certificate, random_test_graph, recording_loop
+from conftest import dense_certificate, disjoint_union, random_test_graph, recording_loop
 
 
 def random_partition(rng, graph):
@@ -272,10 +274,10 @@ class TestLanczosLoop:
             assert res < 1e-12
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
 
-    def test_budget_exhausted_reports_largest_lower_bound(self, monkeypatch):
+    def test_budget_exhausted_reports_last_checkpoint(self, monkeypatch):
         # At a 10-step budget neither stop rule fires on this near-threshold
-        # cut. The report takes the checkpoint with the largest rq - res,
-        # which here is the first one, not the last.
+        # cut. The run proves nothing, and the report carries the last
+        # checkpoint's rq - res, not the first one's larger bound.
         graph, planted = sample_sbm(LogScaleParams(5, 1, 200).to_sbm_params(), 6)
         mu = estimate_mu(graph).mu
         checkpoints = recording_loop(monkeypatch, certificate)
@@ -288,10 +290,93 @@ class TestLanczosLoop:
             assert not (rq - res > margin and res <= 0.05 * abs(rq) + margin)
         bounds = [rq - res for _, _, (rq, res, _) in checkpoints]
         assert bounds[0] > bounds[1]
-        assert report.lambda2_lower == bounds[0]
+        assert report.lambda2_lower == bounds[1]
         assert report.verdict == INCONCLUSIVE
         # the Zg check, ten Krylov steps and two Ritz checks
         assert (report.iterations, report.matvecs) == (10, 13)
+
+
+def complement_bottom(graph, partition, mu):
+    """Smallest eigenvalue of dense Z restricted to the complement of g."""
+    op = ZOperator(graph, partition, mu)
+    n = op.n
+    start = np.column_stack([op.g / np.sqrt(n), np.random.default_rng(0).standard_normal((n, n - 1))])
+    basis = np.linalg.qr(start)[0][:, 1:]
+    return float(np.linalg.eigvalsh(basis.T @ op.dense() @ basis)[0])
+
+
+@functools.cache
+def soundness_corpus():
+    """(name, graph, cut, mu, dense lambda2) for n <= 600.
+
+    Each graph gets its planted, spectral (0-sweep), random, one-sided and
+    one-third cut. Two graphs are disconnected. The first is the instance
+    on which keeping the largest rq - res of a truncated run certified
+    1.204 against a true 0.308. On the third, even the last checkpoint of
+    a 10-step run brackets a higher eigenvalue (rq - res 1.973 against a
+    true 1.701), so certifying from it would be unsound as well.
+    """
+    rng = np.random.default_rng(5)
+    graphs = []
+    for alpha, n, seed in ((5, 200, 1), (4, 300, 2), (6, 400, 3), (8, 600, 4), (12, 200, 5),
+                           (20, 400, 6), (50, 300, 7), (7, 500, 8)):
+        graph, planted = sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
+        graphs.append((f"sbm alpha={alpha} n={n} seed={seed}", graph, planted.signs))
+    a, pa = sample_sbm(LogScaleParams(20, 1, 150).to_sbm_params(), 9)
+    b, pb = sample_sbm(LogScaleParams(20, 1, 100).to_sbm_params(), 10)
+    graphs.append(("disconnected sbm + sbm", disjoint_union(a, b), np.concatenate([pa.signs, pb.signs])))
+    c = random_test_graph(rng, 60, 0.2)
+    graphs.append(("disconnected sbm + G(60, 0.2)", disjoint_union(a, c),
+                   np.concatenate([pa.signs, np.ones(60, dtype=np.int8)])))
+    corpus = []
+    for name, graph, planted in graphs:
+        n = graph.num_vertices
+        mu = estimate_mu(graph).mu
+        cuts = {
+            "planted": Partition(graph.vertex_ids, planted),
+            "spectral": solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=1)).rounded_cut,
+            "random": random_partition(rng, graph),
+            "one-sided": Partition(graph.vertex_ids, np.ones(n, dtype=np.int8)),
+            "one-third": Partition(graph.vertex_ids, np.where(np.arange(n) < n // 3, 1, -1)),
+        }
+        for cut_name, cut in cuts.items():
+            corpus.append((f"{name}, {cut_name} cut", graph, cut, mu, complement_bottom(graph, cut, mu)))
+    return corpus
+
+
+class TestSoundness:
+    """No CERTIFIED report claims more than the dense spectrum, however short
+    the Lanczos budget."""
+
+    @pytest.mark.parametrize("budget,certified", [(10, 4), (20, 8), (300, 14)])
+    def test_certified_bound_below_dense_lambda2(self, monkeypatch, budget, certified):
+        monkeypatch.setattr(certificate, "LANCZOS_BUDGET", budget)
+        found = 0
+        for name, graph, cut, mu, lambda2 in soundness_corpus():
+            report = check_certificate(graph, cut, mu)
+            if report.verdict == CERTIFIED:
+                found += 1
+                assert report.lambda2_lower <= lambda2 + 1e-9 * report.scale, (name, report, lambda2)
+            elif report.verdict == NOT_CERTIFIED:
+                assert lambda2 < 0, (name, report, lambda2)
+        # the gate is not vacuous: the planted and spectral cuts of the
+        # strong-signal graphs certify
+        assert found >= certified
+
+    @pytest.mark.parametrize("budget", [10, 20])
+    def test_truncated_reproducer_not_certified(self, monkeypatch, budget):
+        name, graph, cut, mu, lambda2 = soundness_corpus()[0]
+        assert name == "sbm alpha=5 n=200 seed=1, planted cut"
+        assert lambda2 == pytest.approx(0.308, abs=1e-3)
+        checkpoints = recording_loop(monkeypatch, certificate)
+        monkeypatch.setattr(certificate, "LANCZOS_BUDGET", budget)
+        report = check_certificate(graph, cut, mu)
+        assert report.verdict == INCONCLUSIVE
+        assert report.iterations == budget
+        rq, res, _ = checkpoints[-1][2]
+        assert report.lambda2_lower == rq - res
+        # an earlier checkpoint bounds some higher eigenvalue only
+        assert max(r[0] - r[1] for _, _, r in checkpoints) > 1.2 > lambda2
 
 
 class TestExhaustiveCheck:

@@ -691,6 +691,24 @@ class TestEdgeListFiles:
         # neither the text nor a list of its lines is held (reading them peaked at 9.1x)
         assert peak <= 6 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
 
+    def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, monkeypatch):
+        g, _ = sample_sbm(LogScaleParams(50, 1, 4000).to_sbm_params(), seed=3)
+        path = tmp_path / "g.edges"
+        save_graph(g, path)
+        want = path.read_bytes()
+        monkeypatch.setattr(graphs, "_WRITE_ROWS", 1 << 12)
+        tracemalloc.start()
+        try:
+            save_graph(g, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes() == want
+        adj = g.adjacency
+        assert g.edge_count > 400_000
+        # no edge array and no row index per CSR entry (those alone are 1.3x)
+        assert peak <= (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes) / 4
+
     def test_save_partition_matches_one_line_per_vertex(self, tmp_path):
         path = tmp_path / "p.part"
         save_partition(Partition([7, 0, 3, 12], [-1, 1, 1, -1]), path)

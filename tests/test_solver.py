@@ -21,7 +21,13 @@ from sketchbisect import (
 
 import sketchbisect.solver as solver
 
-from conftest import dense_objective, random_test_graph, recording_loop, reference_solve_sdp
+from conftest import (
+    dense_objective,
+    disjoint_union,
+    random_test_graph,
+    recording_loop,
+    reference_solve_sdp,
+)
 
 
 class TestSolverConfig:
@@ -316,12 +322,6 @@ class TestSweepZero:
             assert resumed.rounded_cut == fresh.rounded_cut
 
 
-def _disjoint_union(*parts):
-    offsets = np.cumsum([0] + [g.num_vertices for g in parts])
-    edges = np.concatenate([g.edges + k for g, k in zip(parts, offsets)])
-    return Graph(int(offsets[-1]), edges)
-
-
 def _clique(k):
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
 
@@ -334,12 +334,12 @@ def _oracle_cases():
     for n1, n2, p, q, seed in ((30, 50, 0.5, 0.05, 11), (70, 40, 0.3, 0.02, 12),
                                (100, 20, 0.2, 0.05, 13), (45, 45, 0.25, 0.1, 14)):
         yield f"sbm {n1}+{n2}", sample_sbm(SbmParams(n1, n2, p, q), seed)[0]
-    yield "disconnected K8 + K5", _disjoint_union(_clique(8), _clique(5))
+    yield "disconnected K8 + K5", disjoint_union(_clique(8), _clique(5))
     for n1, p1, n2, p2 in ((40, 0.3, 25, 0.4), (60, 0.2, 30, 0.5), (50, 0.3, 50, 0.15),
                            (35, 0.4, 20, 0.3)):
         name = f"disconnected G({n1}, {p1}) + G({n2}, {p2})"
-        yield name, _disjoint_union(random_test_graph(rng, n1, p1), random_test_graph(rng, n2, p2))
-    yield "disconnected, three parts", _disjoint_union(
+        yield name, disjoint_union(random_test_graph(rng, n1, p1), random_test_graph(rng, n2, p2))
+    yield "disconnected, three parts", disjoint_union(
         _clique(6), random_test_graph(rng, 30, 0.3), random_test_graph(rng, 12, 0.5)
     )
 
