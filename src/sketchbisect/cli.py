@@ -22,13 +22,6 @@ def _auto_or_float(value):
         raise argparse.ArgumentTypeError(f"expected 'auto' or a number, got {value!r}")
 
 
-def _rank_arg(value):
-    try:
-        return "auto" if value == "auto" else int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a positive integer, got {value!r}")
-
-
 def _print_json(record):
     json.dump(record, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -37,12 +30,7 @@ def _print_json(record):
 def _cmd_solve(args):
     graph = load_graph(args.graph)
     mu = estimate_mu(graph).mu if args.mu == "auto" else args.mu
-    config = SolverConfig(
-        rank=args.rank,
-        max_sweeps=args.max_sweeps,
-        objective_tolerance=args.tol,
-        seed=args.seed,
-    )
+    config = SolverConfig(max_sweeps=args.max_sweeps, seed=args.seed)
     solution = solve_sdp(graph, mu, config)
     save_partition(solution.rounded_cut, args.out)
     _print_json(
@@ -152,8 +140,6 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--out", required=True, help="partition output file")
     p.add_argument("--mu", type=_auto_or_float, default="auto")
-    p.add_argument("--rank", type=_rank_arg, default="auto")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--max-sweeps", type=int, default=500,
                    help="sweep budget; 0 runs no sweep and writes the sign cut of "
                         "the leading eigenvector of A - mu*J")

@@ -157,9 +157,8 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
             cell.gamma_used = 1.0
             result = full_solve(graph, mu=mu, solver=spec.solver, seed=spawn_seed(seed, 1))
         else:
-            gamma = spec.gamma_policy if spec.gamma_policy != "auto" else "auto"
             cfg = SketchConfig(
-                gamma=gamma,
+                gamma=spec.gamma_policy,
                 seed=spawn_seed(seed, 1),
                 solver=spec.solver,
                 mu=mu,
@@ -167,7 +166,9 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
                 beta=beta,
             )
             cell.gamma_used = (
-                auto_gamma(alpha, beta) if gamma == "auto" else float(gamma)
+                auto_gamma(alpha, beta)
+                if spec.gamma_policy == "auto"
+                else float(spec.gamma_policy)
             )
             result = sketch_and_solve(graph, cfg)
 

@@ -313,11 +313,7 @@ class Partition:
 
     def restrict(self, vertices):
         v = np.unique(np.asarray(vertices, dtype=np.int64))
-        pos = np.searchsorted(self._ids, v)
-        ok = (pos < len(self)) & (self._ids[np.minimum(pos, max(len(self) - 1, 0))] == v) if len(self) else np.zeros(v.shape, bool)
-        if not np.all(ok):
-            raise KeyError("restriction outside partition domain")
-        return Partition(v, self._signs[pos])
+        return Partition(v, self._signs[_rows_of(self._ids, v)])
 
     def equals_up_to_flip(self, other):
         """True when both cuts agree exactly or after a global sign flip."""
@@ -525,32 +521,45 @@ def _open_lines(path):
     return open(path, "r", encoding="ascii", errors="surrogateescape")
 
 
-def _non_ascii_error(line, lineno):
-    """ValueError naming the first non-ASCII byte of a line from ``_open_lines``, if any."""
-    if line.isascii():
-        return None
-    byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
-    return ValueError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
+def _check_ascii(line, lineno):
+    """Raise ValueError naming the first non-ASCII byte of a line from ``_open_lines``."""
+    if not line.isascii():
+        byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+        raise ValueError(f"line {lineno}: non-ASCII byte 0x{byte:02x}")
 
 
-def _edge_line_error(lines, first_lineno, n):
-    """ValueError naming the first edge line that is not ``u v`` with 0 <= u != v < n."""
+def _token_pairs(lines, first_lineno, form, token_error=lambda tok: None):
+    """Yield (lineno, line, tokens) for each non-blank line of two integer tokens.
+
+    Raises ValueError naming the first line with a non-ASCII byte, without
+    exactly two tokens (``expected 'form'``), or with a token that is not an
+    integer or for which ``token_error`` returns a reason; tokens are
+    checked left to right.
+    """
     for lineno, line in enumerate(lines, start=first_lineno):
-        if error := _non_ascii_error(line, lineno):
-            return error
+        _check_ascii(line, lineno)
         parts = line.split()
         if not parts:
             continue
         if len(parts) != 2:
-            return ValueError(f"line {lineno}: expected 'u v', got {line.strip()!r}")
+            raise ValueError(f"line {lineno}: expected '{form}', got {line.strip()!r}")
         for tok in parts:
             if not _INT_TOKEN.fullmatch(tok):
-                return ValueError(f"line {lineno}: {tok!r} is not an integer")
-            if not 0 <= int(tok) < n:
-                return ValueError(f"line {lineno}: vertex id {tok} outside 0..{n - 1}")
-        if int(parts[0]) == int(parts[1]):
-            return ValueError(f"line {lineno}: self-loop {line.strip()!r}")
-    return None
+                raise ValueError(f"line {lineno}: {tok!r} is not an integer")
+            if reason := token_error(tok):
+                raise ValueError(f"line {lineno}: {reason}")
+        yield lineno, line, parts
+
+
+def _check_edge_lines(lines, first_lineno, n):
+    """Raise ValueError naming the first edge line that is not ``u v`` with 0 <= u != v < n."""
+
+    def outside(tok):
+        return None if 0 <= int(tok) < n else f"vertex id {tok} outside 0..{n - 1}"
+
+    for lineno, line, (u, v) in _token_pairs(lines, first_lineno, "u v", outside):
+        if int(u) == int(v):
+            raise ValueError(f"line {lineno}: self-loop {line.strip()!r}")
 
 
 def load_graph(path):
@@ -571,8 +580,7 @@ def load_graph(path):
                 break
         else:
             raise ValueError("missing 'n <count>' header")
-    if error := _non_ascii_error(line, head + 1):
-        raise error
+    _check_ascii(line, head + 1)
     parts = line.split()
     if len(parts) != 2 or parts[0] != "n" or not _INT_TOKEN.fullmatch(parts[1]):
         raise ValueError(
@@ -586,8 +594,8 @@ def load_graph(path):
     except (ValueError, KeyError):
         pass
     with _open_lines(path) as fh:
-        error = _edge_line_error(itertools.islice(fh, head + 1, None), head + 2, n)
-    raise error or ValueError("malformed edge list")
+        _check_edge_lines(itertools.islice(fh, head + 1, None), head + 2, n)
+    raise ValueError("malformed edge list")
 
 
 def save_partition(partition, path):
@@ -595,27 +603,16 @@ def save_partition(partition, path):
     _write_pairs(path, "", _row_chunks(np.column_stack([partition.ids, partition.signs])))
 
 
-def _partition_line_error(lines):
-    """ValueError naming the first line that is not ``vertex sign`` with a new vertex."""
+def _check_partition_lines(lines):
+    """Raise ValueError naming the first line that is not ``vertex sign`` with a new vertex."""
     first_line = {}
-    for lineno, line in enumerate(lines, start=1):
-        if error := _non_ascii_error(line, lineno):
-            return error
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) != 2:
-            return ValueError(f"line {lineno}: expected 'vertex sign', got {line.strip()!r}")
-        for tok in parts:
-            if not _INT_TOKEN.fullmatch(tok):
-                return ValueError(f"line {lineno}: {tok!r} is not an integer")
-        v, sign = int(parts[0]), int(parts[1])
-        if sign not in (1, -1):
-            return ValueError(f"line {lineno}: sign {parts[1]} is not +1 or -1")
+    for lineno, _, (v, sign) in _token_pairs(lines, 1, "vertex sign"):
+        if int(sign) not in (1, -1):
+            raise ValueError(f"line {lineno}: sign {sign} is not +1 or -1")
+        v = int(v)
         if v in first_line:
-            return ValueError(f"line {lineno}: vertex {v} repeats line {first_line[v]}")
+            raise ValueError(f"line {lineno}: vertex {v} repeats line {first_line[v]}")
         first_line[v] = lineno
-    return None
 
 
 def load_partition(path):
@@ -634,5 +631,5 @@ def load_partition(path):
     except ValueError:
         pass
     with _open_lines(path) as fh:
-        error = _partition_line_error(fh)
-    raise error or ValueError("malformed partition file")
+        _check_partition_lines(fh)
+    raise ValueError("malformed partition file")

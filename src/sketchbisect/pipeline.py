@@ -6,7 +6,6 @@ its certificate run on the induced subgraph of a Bernoulli vertex sample,
 so the expensive steps cost a gamma-fraction of the full problem.
 """
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -17,6 +16,7 @@ from .encoding import estimate_mu
 from .graphs import Partition, bernoulli_vertex_sample, induced_subgraph
 from .seeding import spawn_seed
 from .solver import SolverConfig, solve_sdp
+from .thresholds import conjectured_gamma_threshold
 
 TIE_FAIL = "FAIL"
 TIE_TO_FIRST = "TO_FIRST"
@@ -67,10 +67,9 @@ class PipelineResult:
 
 
 def auto_gamma(alpha, beta):
-    """Default sampling rate min(1, 4 / (sqrt(alpha) - sqrt(beta))^2)."""
-    if not alpha > beta > 0:
-        raise ValueError("need alpha > beta > 0")
-    return min(1.0, 4.0 / (math.sqrt(alpha) - math.sqrt(beta)) ** 2)
+    """Default sampling rate min(1, 4 / (sqrt(alpha) - sqrt(beta))^2), twice
+    the conjectured threshold."""
+    return min(1.0, 2.0 * conjectured_gamma_threshold(alpha, beta))
 
 
 def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):

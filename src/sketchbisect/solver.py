@@ -4,9 +4,9 @@ The program  max <A - mu*J, X>  s.t. diag(X) = 1, X PSD  is solved through
 the factorization X = V V^T with unit-norm rows. A sweep visits vertices in
 index order and replaces each row by the normalized sum of its neighbors'
 rows minus mu times the sum of all other rows, which is the exact
-coordinate maximizer, so the objective never decreases. At rank
-ceil(sqrt(2n)) + 1 and above, second-order critical points of the factored
-problem are global optima of the SDP.
+coordinate maximizer, so the objective never decreases. The rank is always
+min(n, ceil(sqrt(2n)) + 1): from ceil(sqrt(2n)) + 1 on, second-order
+critical points of the factored problem are global optima of the SDP.
 
 The sweeps run on an (n + 1, r) array E: V is its first n rows and the
 last row is the running sum of V's rows, re-summed from V at the start of
@@ -35,6 +35,10 @@ from .seeding import spawn_seed
 
 _STALL_NORM = 1e-13
 
+# A sweep whose objective gain is below this, relative to 1 + |objective|,
+# ends the solve as converged.
+_OBJECTIVE_TOL = 1e-9
+
 # Lanczos for the sweep-0 cut: step budget and relative Ritz residual at
 # which the leading pair counts as converged. When the budget runs out the
 # last Ritz vector is kept: it only proposes a cut, so an unconverged one
@@ -45,31 +49,25 @@ _LANCZOS_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Factor rank, sweep budget, stopping tolerance and seed of ``solve_sdp``.
+    """Sweep budget and seed of ``solve_sdp``.
 
     ``max_sweeps = 0`` runs no sweep: the solve returns the spectral cut
-    as a rank-one point (see ``solve_sdp``).
+    as a rank-one point (see ``solve_sdp``). The factor rank and the
+    stopping tolerance are fixed (``_factor_rank``, ``_OBJECTIVE_TOL``).
     """
 
-    rank: object = "auto"
     max_sweeps: int = 500
-    objective_tolerance: float = 1e-9
     seed: int = 0
 
     def __post_init__(self):
-        if self.rank != "auto":
-            if not isinstance(self.rank, int) or self.rank < 1:
-                raise ValueError("rank must be 'auto' or a positive integer")
         if self.max_sweeps < 0:
             raise ValueError("max_sweeps must be non-negative")
-        if self.objective_tolerance <= 0:
-            raise ValueError("objective_tolerance must be positive")
 
-    def resolve_rank(self, n):
-        """Factor rank: min(n, ceil(sqrt(2n)) + 1) when 'auto'."""
-        if self.rank == "auto":
-            return min(n, math.isqrt(2 * n - 1) + 2)
-        return min(self.rank, n)
+
+def _factor_rank(n):
+    """min(n, ceil(sqrt(2n)) + 1): the rank at which second-order critical
+    points of the factored problem are global SDP optima."""
+    return min(n, math.isqrt(2 * n - 1) + 2)
 
 
 @dataclass
@@ -89,7 +87,8 @@ def solve_sdp(graph, mu, config=None, start=None):
     Returns the factor matrix, the objective <A - mu*J, VV^T>, a rounded
     cut, and rank_one_gap = 1 - s1(V)^2 / n measuring how far X is from a
     rank-one (exactly two-sided) solution. Once V has had at least one
-    sweep the cut is read off the top singular vector of V.
+    sweep it has rank min(n, ceil(sqrt(2n)) + 1) and the cut is read off
+    its top singular vector.
 
     A solve that runs no sweep (``max_sweeps = 0`` on a fresh solve) draws
     no random start. Its cut g is the sign vector of the leading
@@ -101,19 +100,18 @@ def solve_sdp(graph, mu, config=None, start=None):
     ``converged`` is False.
 
     ``start`` resumes an earlier solution for the same graph and mu: up to
-    ``config.max_sweeps`` more sweeps run from ``start.factors``, which
-    are advanced in place, so ``start`` is consumed. ``sweeps_used`` and
-    ``sweep_objectives`` continue cumulatively. A start with
-    ``sweeps_used == 0`` carries no sweep state, so the call runs as a
-    fresh one and draws the seeded start from ``config.seed``. A solve
-    split into such calls therefore gives the uninterrupted solve bit for
-    bit, a 0-sweep first call included. A swept start must have factors of
-    shape (n, rank) for this config, or ValueError is raised; a 0-sweep
-    call on it rounds those factors as the last call did.
+    ``config.max_sweeps`` more sweeps run from a copy of ``start.factors``,
+    which are only read. ``sweeps_used`` and ``sweep_objectives`` continue
+    cumulatively. A start with ``sweeps_used == 0`` carries no sweep
+    state, so the call runs as a fresh one and draws the seeded start from
+    ``config.seed``. A solve split into such calls therefore gives the
+    uninterrupted solve bit for bit, a 0-sweep first call included. A
+    swept start from a graph of another size is rejected with ValueError.
 
     The sweep works on an (n + 1, r) array whose last row is the running
-    sum of V's rows; a resumed start is copied in and its factors are
-    written back at the end. Each vertex's index list (its neighbours,
+    sum of V's rows; a fresh solve draws its seeded start into the first n
+    rows, a resumed one copies its start there, and those rows are the
+    returned ``factors``. Each vertex's index list (its neighbours,
     itself, the running-sum row) and weight list (ones, mu, -mu) are built
     once per call, so a vertex update is one gather, one gemv giving the
     neighbour sum minus mu times the other rows, one norm, and the
@@ -128,7 +126,7 @@ def solve_sdp(graph, mu, config=None, start=None):
     if mu < 0:
         raise ValueError("mu must be non-negative")
     mu = float(mu)
-    r = config.resolve_rank(n)
+    r = _factor_rank(n)
     adj = graph.adjacency
 
     def objective(W):
@@ -152,9 +150,13 @@ def solve_sdp(graph, mu, config=None, start=None):
             sweep_objectives=[obj],
         )
 
+    # Rows 0..n-1 of E are the swept factors, row n is their running sum.
+    # Views, not copies: writing a row writes E.
+    E = np.empty((n + 1, r))
+    V = E[:n]
     if start is None:
         rng = np.random.default_rng(config.seed)
-        V = rng.standard_normal((n, r))
+        rng.standard_normal(out=V)
         norms = np.linalg.norm(V, axis=1)
         while np.any(norms < _STALL_NORM):
             V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
@@ -164,27 +166,21 @@ def solve_sdp(graph, mu, config=None, start=None):
         history = [obj]
         done = 0
     else:
-        V = start.factors
-        if V.shape != (n, r):
-            raise ValueError(f"start factors have shape {V.shape}, expected {(n, r)}")
+        if start.factors.shape != V.shape:
+            raise ValueError(f"start has factors of shape {start.factors.shape}, not {V.shape}")
+        V[:] = start.factors
         # the objective the last call ended with, of these very factors
         obj = start.objective
         history = list(start.sweep_objectives)
         done = start.sweeps_used
     converged = False
     sweeps_used = done
-    if config.max_sweeps:
-        # Rows 0..n-1 of E are the swept factors, row n is their running
-        # sum. Views, not copies: writing a row writes E.
-        E = np.empty((n + 1, r))
-        E[:n] = V
-        live = E[:n]
-        rows = list(live)
-        running = E[n]
-        index_lists, weight_lists = _update_lists(adj, mu)
+    rows = list(V)
+    running = E[n]
+    index_lists, weight_lists = _update_lists(adj, mu)
     for sweep in range(done + 1, done + config.max_sweeps + 1):
         sweeps_used = sweep
-        np.sum(live, axis=0, out=running)
+        np.sum(V, axis=0, out=running)
         for row, idx, w in zip(rows, index_lists, weight_lists):
             c = w.dot(E.take(idx, 0))
             nc = math.sqrt(c.dot(c))
@@ -193,18 +189,15 @@ def solve_sdp(graph, mu, config=None, start=None):
             running -= row
             np.divide(c, nc, out=row)
             running += row
-        new_obj = objective(live)
+        new_obj = objective(V)
         if new_obj < obj - 1e-8 * (1.0 + abs(new_obj)):
             raise RuntimeError("coordinate ascent lost monotonicity")
         gain = new_obj - obj
         obj = new_obj
         history.append(obj)
-        if gain < config.objective_tolerance * (1.0 + abs(obj)):
+        if gain < _OBJECTIVE_TOL * (1.0 + abs(obj)):
             converged = True
             break
-    if config.max_sweeps:
-        # written back, so a resumed start is advanced in place
-        V[:] = live
 
     top_sv, top_vec = _top_singular(V)
     gap = 1.0 - top_sv * top_sv / n

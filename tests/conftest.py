@@ -7,6 +7,8 @@ store: ``edges`` is read off the CSR adjacency, so a test of graph
 construction needs a reference built from its own input.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -150,9 +152,10 @@ def reference_solve_sdp(graph, mu, config=None):
     vertex slices its neighbours out of the CSR arrays, gathers the rows of
     the neighbours, itself and the running sum by fancy indexing, takes
     ``np.dot`` with the weights (1, ..., 1, mu, -mu) and normalizes with
-    ``np.linalg.norm``. Initialization, stopping rule, monotonicity guard
-    and rounding are those of ``solve_sdp``, which must return exactly
-    this solution, float for float.
+    ``np.linalg.norm``. The rank min(n, ceil(sqrt(2n)) + 1), the stopping
+    rule (gain below 1e-9 * (1 + |objective|)), initialization,
+    monotonicity guard and rounding are those of ``solve_sdp``, which must
+    return exactly this solution, float for float.
     """
     from sketchbisect import Partition, SolverConfig
     from sketchbisect.solver import _STALL_NORM, SdpSolution
@@ -161,7 +164,7 @@ def reference_solve_sdp(graph, mu, config=None):
         config = SolverConfig()
     n = graph.num_vertices
     mu = float(mu)
-    r = config.resolve_rank(n)
+    r = min(n, math.ceil(math.sqrt(2 * n)) + 1)
 
     rng = np.random.default_rng(config.seed)
     V = rng.standard_normal((n, r))
@@ -205,7 +208,7 @@ def reference_solve_sdp(graph, mu, config=None):
         gain = new_obj - obj
         obj = new_obj
         history.append(obj)
-        if gain < config.objective_tolerance * (1.0 + abs(obj)):
+        if gain < 1e-9 * (1.0 + abs(obj)):
             converged = True
             break
 

@@ -73,6 +73,17 @@ class TestSolveCommand:
         assert exc.value.code == 0
         assert "0 runs no sweep" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("flag, value", [("--rank", "3"), ("--tol", "1e-9")])
+    def test_rank_and_tolerance_are_not_options(
+        self, capsys, tmp_path, triangle_files, flag, value
+    ):
+        gpath, _, _, _ = triangle_files
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(gpath), "--out", str(tmp_path / "cut.txt"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "cut.txt").exists()
+
     def test_solve_auto_mu(self, capsys, tmp_path, triangle_files):
         gpath, _, _, _ = triangle_files
         out = tmp_path / "cut.txt"
@@ -107,8 +118,6 @@ class TestValueErrors:
         (["solve", "--mu", "abc"], "argument --mu: expected 'auto' or a number, got 'abc'"),
         (["sketch", "--gamma", "1/2"],
          "argument --gamma: expected 'auto' or a number, got '1/2'"),
-        (["solve", "--rank", "x"],
-         "argument --rank: expected 'auto' or a positive integer, got 'x'"),
     ])
     def test_bad_value_names_accepted_form(self, capsys, tmp_path, triangle_files, argv, expected):
         gpath, _, _, _ = triangle_files

@@ -252,6 +252,18 @@ class TestPartition:
         assert list(p.side_vertices(1)) == [0, 2]
         with pytest.raises(KeyError):
             p.restrict([9])
+        # empty domain: the empty restriction is empty, any vertex is unknown
+        empty = Partition([], [])
+        assert len(empty.restrict([])) == 0
+        with pytest.raises(KeyError):
+            empty.restrict([0])
+        # non-contiguous labels: unsorted, repeated input restricts by label
+        sparse = Partition.from_sides([10, 42], [7, 99])
+        assert sparse.restrict([99, 10, 99]) == Partition.from_sides([10], [99])
+        assert len(sparse.restrict([])) == 0
+        for outside in ([8], [0], [100], [-1]):
+            with pytest.raises(KeyError):
+                sparse.restrict(outside)
 
     def test_missing_vertex(self):
         with pytest.raises(KeyError):

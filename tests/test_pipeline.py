@@ -18,6 +18,7 @@ from sketchbisect import (
     auto_gamma,
     bernoulli_vertex_sample,
     check_certificate,
+    conjectured_gamma_threshold,
     estimate_mu,
     full_solve,
     recovered_planted,
@@ -131,6 +132,15 @@ class TestAutoGamma:
     def test_exact_integer_points(self):
         assert auto_gamma(25, 9) == 1.0
         assert auto_gamma(49, 9) == 0.25
+        # twice the conjectured threshold: doubling is exact, so 2 * (2 / d)
+        # and 4 / d are the same float
+        rng = np.random.default_rng(5)
+        betas = rng.uniform(0.01, 40.0, 2000)
+        alphas = betas + rng.uniform(1e-6, 200.0, 2000)
+        for alpha, beta in zip(alphas.tolist(), betas.tolist()):
+            want = min(1.0, 4.0 / (math.sqrt(alpha) - math.sqrt(beta)) ** 2)
+            assert auto_gamma(alpha, beta) == want
+            assert want == min(1.0, 2.0 * conjectured_gamma_threshold(alpha, beta))
 
     def test_high_precision_point(self):
         getcontext().prec = 50
@@ -141,12 +151,9 @@ class TestAutoGamma:
         assert auto_gamma(9, 1) == 1.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            auto_gamma(2, 2)
-        with pytest.raises(ValueError):
-            auto_gamma(1, 2)
-        with pytest.raises(ValueError):
-            auto_gamma(2, 0)
+        for alpha, beta in ((2, 2), (1, 2), (2, 0)):
+            with pytest.raises(ValueError, match=r"^need alpha > beta > 0$"):
+                auto_gamma(alpha, beta)
 
 
 class TestSketchConfig:

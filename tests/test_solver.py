@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -34,20 +35,18 @@ class TestSolverConfig:
     def test_auto_rank_formula(self):
         for n in range(1, 200):
             want = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-            assert SolverConfig().resolve_rank(n) == want
-
-    def test_explicit_rank_capped_at_n(self):
-        assert SolverConfig(rank=10).resolve_rank(4) == 4
-        assert SolverConfig(rank=3).resolve_rank(100) == 3
+            assert solver._factor_rank(n) == want
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(rank=0)
-        with pytest.raises(ValueError):
             SolverConfig(max_sweeps=-1)
         assert SolverConfig(max_sweeps=0).max_sweeps == 0
-        with pytest.raises(ValueError):
-            SolverConfig(objective_tolerance=0.0)
+        # the sweep budget and the seed are the only settings
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_sweeps", "seed"]
+        with pytest.raises(TypeError):
+            SolverConfig(rank=3)
+        with pytest.raises(TypeError):
+            SolverConfig(objective_tolerance=1e-9)
 
 
 class TestSolveSdp:
@@ -123,7 +122,7 @@ class TestSolveSdp:
 
     def test_nonconvergence_is_reported_not_raised(self, two_triangles):
         graph, _ = two_triangles
-        sol = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, objective_tolerance=1e-15))
+        sol = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1))
         assert sol.converged is False
         assert sol.sweeps_used == 1
 
@@ -182,11 +181,6 @@ class TestSweepOracle:
         for mu in (0.0, 0.5, 2.0):
             self.assert_same_trajectory(Graph(2, [(0, 1)]), mu, SolverConfig(seed=5))
 
-    def test_explicit_ranks(self, two_triangles):
-        graph, _ = two_triangles
-        for rank in (1, 2, 50):
-            self.assert_same_trajectory(graph, 0.5, SolverConfig(rank=rank, seed=8))
-
     def test_budget_limited_near_threshold(self):
         sol = self.assert_same_trajectory(*_sbm_case(4, 400, 2, 30))
         assert not sol.converged and sol.sweeps_used == 30
@@ -220,7 +214,7 @@ class TestSweepZero:
     )
 
     @pytest.mark.parametrize("name,graph,mu", CASES, ids=[c[0] for c in CASES])
-    def test_returns_seeded_start_and_full_cut(self, name, graph, mu):
+    def test_returns_rank_one_spectral_cut(self, name, graph, mu):
         """The solution is the rank-one point g g^T of the full spectral cut
         g; no seeded start is drawn."""
         sol = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=4))
@@ -251,7 +245,7 @@ class TestSweepZero:
         finally:
             tracemalloc.stop()
         assert sol.sweeps_used == 0
-        assert peak < n * config.resolve_rank(n) * 8
+        assert peak < n * solver._factor_rank(n) * 8
 
     def test_two_calls_same_cut(self):
         graph, _ = sample_sbm(LogScaleParams(6, 1, 300).to_sbm_params(), 5)
@@ -306,20 +300,17 @@ class TestSweepZero:
         assert idle.rounded_cut == swept.rounded_cut
         assert idle.rank_one_gap == swept.rank_one_gap
         # A 0-sweep start carries no state, so a swept call resumed from it
-        # is the fresh swept call, also at rank 1, where the start's column
-        # has the factors' shape.
-        for rank in ("auto", 1):
-            config = SolverConfig(rank=rank, seed=2)
-            zero = solve_sdp(graph, 0.5, replace(config, max_sweeps=0))
-            resumed = solve_sdp(graph, 0.5, config, start=zero)
-            fresh = solve_sdp(graph, 0.5, config)
-            assert resumed.sweeps_used == fresh.sweeps_used >= 1
-            assert resumed.factors.tobytes() == fresh.factors.tobytes()
-            assert resumed.sweep_objectives == fresh.sweep_objectives
-            assert resumed.objective == fresh.objective
-            assert resumed.rank_one_gap == fresh.rank_one_gap
-            assert resumed.converged == fresh.converged
-            assert resumed.rounded_cut == fresh.rounded_cut
+        # is the fresh swept call.
+        zero = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2))
+        resumed = solve_sdp(graph, 0.5, SolverConfig(seed=2), start=zero)
+        fresh = solve_sdp(graph, 0.5, SolverConfig(seed=2))
+        assert resumed.sweeps_used == fresh.sweeps_used >= 1
+        assert resumed.factors.tobytes() == fresh.factors.tobytes()
+        assert resumed.sweep_objectives == fresh.sweep_objectives
+        assert resumed.objective == fresh.objective
+        assert resumed.rank_one_gap == fresh.rank_one_gap
+        assert resumed.converged == fresh.converged
+        assert resumed.rounded_cut == fresh.rounded_cut
 
 
 def _clique(k):
@@ -371,23 +362,27 @@ class TestSpectralOracle:
 class TestResume:
     """``start=`` continues an earlier solve; the oracle above covers the bits."""
 
-    def test_start_is_advanced_in_place(self, two_triangles):
+    def test_start_is_read_not_consumed(self, two_triangles):
         graph, _ = two_triangles
         first = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2))
+        before = first.factors.tobytes()
         second = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2), start=first)
-        assert second.factors is first.factors
+        assert first.factors.tobytes() == before
+        assert first.sweeps_used == 1 and len(first.sweep_objectives) == 2
+        assert not np.shares_memory(second.factors, first.factors)
         assert second.sweeps_used == 2
         assert len(second.sweep_objectives) == 3
-        assert len(first.sweep_objectives) == 2
+        assert second.factors.tobytes() != first.factors.tobytes()
+        # resuming the same start twice gives the same second sweep
+        again = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2), start=first)
+        assert again.factors.tobytes() == second.factors.tobytes()
+        assert again.sweep_objectives == second.sweep_objectives
 
     def test_wrong_start_shape_rejected(self, two_triangles):
         graph, _ = two_triangles
-        sol = solve_sdp(graph, 0.5, SolverConfig(rank=2, max_sweeps=1))
+        other = solve_sdp(Graph(4, [(0, 1), (2, 3)]), 0.5, SolverConfig(max_sweeps=1))
         with pytest.raises(ValueError):
-            solve_sdp(graph, 0.5, SolverConfig(rank=3), start=sol)
-        other = solve_sdp(Graph(4, [(0, 1), (2, 3)]), 0.5, SolverConfig(rank=2, max_sweeps=1))
-        with pytest.raises(ValueError):
-            solve_sdp(graph, 0.5, SolverConfig(rank=2), start=other)
+            solve_sdp(graph, 0.5, SolverConfig(), start=other)
 
 
 class TestObjectiveValue:
