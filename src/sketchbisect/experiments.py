@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import LogScaleParams, sample_sbm, usable_cpus
+from .graphs import LogScaleParams, sample_sbm
 from .pipeline import SketchConfig, auto_gamma, full_solve, recovered_planted, sketch_and_solve
 from .seeding import spawn_seed
 from .solver import SolverConfig
@@ -191,11 +191,19 @@ def _run_cell_args(args):
     return _run_cell(*args)
 
 
+def usable_cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
 def _pin_worker(cpu_ids):
     """Pool initializer: bind this worker to one CPU of its own.
 
-    Inside the worker ``usable_cpus`` then reads 1, so ``sample_sbm`` draws
-    on one thread and workers never contend for a CPU.
+    Pinning is only about contention: two workers never share a CPU, so a
+    cell's time is its own.
     """
     os.sched_setaffinity(0, {cpu_ids.get()})
 
@@ -219,10 +227,9 @@ def run_grid(spec, jobs=1):
     Cells with beta >= alpha are marked SKIPPED. Failures inside a cell
     are recorded on the CellResult rather than raised. ``jobs`` > 1 runs
     cells in a process pool of at most as many workers as this process
-    may use CPUs, each pinned to a CPU of its own: further workers, or
-    sampler threads beside them, add no throughput, and the time a cell
-    spends descheduled would land in its ``runtime_ms``. Results are
-    identical to the serial run.
+    may use CPUs, each pinned to a CPU of its own: further workers add no
+    throughput, and the time a cell spends descheduled would land in its
+    ``runtime_ms``. Results are identical to the serial run.
     """
     tasks = [
         (spec, ai, bi, rep, method)

@@ -9,17 +9,13 @@ its CSR adjacency only; the edge list is derived from the CSR on demand.
 
 import itertools
 import math
-import os
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-# Pairs whose uniforms sample_sbm draws and tests at once (2 MiB of doubles).
-_PAIR_BLOCK = 1 << 18
 # Rows formatted per write by save_graph and save_partition.
 _WRITE_ROWS = 1 << 16
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
@@ -90,14 +86,6 @@ class LogScaleParams:
             p = min(p, 1.0)
             q = min(q, 1.0)
         return SbmParams(n1=n1, n2=n2, p=p, q=q)
-
-
-def usable_cpus():
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
 
 
 def _sorted_unique(values):
@@ -334,94 +322,87 @@ class Partition:
         return f"Partition(n={len(self)}, +{self.n_plus}/-{self.n_minus})"
 
 
-def _sample_rows(state, bounds, offsets, n1, p, q):
-    """Edges among the pairs of rows ``bounds[0]`` to ``bounds[-1] - 1``.
+def _pair_generators(seed):
+    """One generator per block pair (11, 12, 22), seeded by one draw from ``seed``'s."""
+    keys = np.random.default_rng(seed).integers(1 << 63, size=3)
+    return [np.random.default_rng(int(k)) for k in keys]
 
-    ``state`` is the PCG64 state at the first pair of the whole draw; it is
-    advanced to pair ``offsets[bounds[0]]`` and the row blocks between
-    consecutive ``bounds`` are drawn in turn into one reused buffer.
-    Returns one canonical ``(i, j)`` pair of arrays per block.
+
+def _success_positions(rng, rate, pairs):
+    """Increasing positions in 0..pairs-1 of the successes of ``pairs`` Bernoulli(rate) trials.
+
+    The gaps between successes are geometric (Batagelj and Brandes, PRE
+    2005), drawn in chunks sized to pass the last pair with high
+    probability. Variates past it are discarded, so the positions are those
+    of drawing the gaps one at a time. Rate 0 draws nothing, and rate 1
+    keeps every pair without drawing.
     """
-    bit_gen = np.random.PCG64(0)
-    bit_gen.state = state
-    bit_gen.advance(int(offsets[bounds[0]]))
-    rng = np.random.Generator(bit_gen)
-    buf = np.empty(int(np.diff(offsets[bounds]).max()))
-    rate_max = max(p, q)
-    blocks = []
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        u = buf[:offsets[r1] - offsets[r0]]
-        rng.random(out=u)
-        k = np.flatnonzero(u < rate_max)
-        u = u[k]
-        k += offsets[r0]
-        row_starts = np.searchsorted(k, offsets[r0:r1 + 1])
-        i = np.repeat(np.arange(r0, r1, dtype=np.int64), np.diff(row_starts))
-        j = k - offsets[i] + i + 1
-        keep = u < np.where((i < n1) == (j < n1), p, q)
-        blocks.append((i[keep], j[keep]))
-    return blocks
+    if rate == 0.0 or pairs == 0:
+        return np.empty(0, dtype=np.int64)
+    if rate == 1.0:
+        return np.arange(pairs, dtype=np.int64)
+    chunks = []
+    last = -1
+    while last < pairs:
+        expected = (pairs - 1 - last) * rate
+        pos = rng.geometric(rate, int(expected + 4.0 * math.sqrt(expected)) + 16)
+        np.minimum(pos, pairs + 1, out=pos)  # a gap this long passes the end; sums cannot overflow
+        pos[0] += last
+        np.cumsum(pos, out=pos)
+        chunks.append(pos)
+        last = int(pos[-1])
+    pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    return pos[:np.searchsorted(pos, pairs)]
+
+
+def _triangle_columns(pos, size):
+    """Map positions among the i < j pairs of ``size`` rows, in order, to columns j.
+
+    Returns the columns and the per-row counts; ``pos`` is overwritten.
+    """
+    r = np.arange(size + 1, dtype=np.int64)
+    offsets = r * (size - 1) - r * (r - 1) // 2  # where row i's pairs start
+    counts = np.diff(np.searchsorted(pos, offsets))
+    pos += np.repeat(r[1:] - offsets[:-1], counts)  # j = pos - offsets[i] + i + 1
+    return pos, counts
 
 
 def sample_sbm(params, seed):
     """Draw a graph from the block model plus its planted partition.
 
-    Pair indicators are drawn in one pass over the i < j pairs in
-    lexicographic order, so a given seed yields the same edge set on every
-    platform. The first block gets labels 0..n1-1 and side +1. ``seed`` is
-    anything ``np.random.default_rng`` accepts whose bit generator is PCG64;
-    another bit generator raises TypeError.
+    The first block gets labels 0..n1-1 and side +1. Only the edges are
+    drawn: within each block pair (inside block 1, across, inside block 2)
+    the gaps between successive edges in lexicographic pair order are
+    geometric, so time and memory are O(n + m), not O(n^2). Positions map
+    to (i, j) with integer arithmetic, and the rows come out canonical by
+    counting, with no sort.
 
-    The uniforms are drawn in blocks of whole rows of about
-    ``_PAIR_BLOCK`` pairs; drawing the stream in pieces yields the same
-    numbers as one draw over all pairs. Only the draws below max(p, q) are
-    mapped back to their (i, j) pair for the exact test, so memory is
-    O(_PAIR_BLOCK + m) rather than O(n^2).
-
-    The blocks are split into contiguous runs of about equal pair count,
-    one per usable CPU (``usable_cpus``), and the runs are drawn on threads.
-    ``Generator.random`` spends exactly one 64-bit PCG64 output per double,
-    so a copy of the seeded state advanced by ``PCG64.advance`` to a run's
-    first pair yields the very uniforms the one-pass draw gives that run.
-    The graph is therefore the same for any CPU count and thread timing.
+    Each block pair draws from its own generator, seeded by one
+    ``integers(2**63, size=3)`` draw of ``np.random.default_rng(seed)``.
+    ``seed`` is anything that function accepts, with any bit generator; a
+    caller's ``Generator`` is advanced by that one draw and by nothing else.
+    A seed gives the same graph on every rerun with the same numpy. For
+    rates below 1/3 numpy's ``Generator.geometric`` takes each gap through
+    libm ``log1p``, so another platform's libm may move an edge.
     """
-    bit_gen = np.random.default_rng(seed).bit_generator
-    if not isinstance(bit_gen, np.random.PCG64):
-        raise TypeError(
-            f"sample_sbm needs a PCG64 bit generator, got {type(bit_gen).__name__}"
-        )
-    state = bit_gen.state
-    n, n1, p, q = params.n, params.n1, params.p, params.q
-    r = np.arange(n + 1, dtype=np.int64)
-    # offsets[i]: number of pairs (i', j) with i' < i, i.e. where row i starts
-    offsets = r * (n - 1) - r * (r - 1) // 2
-    # a caller's generator ends where the one-pass draw would leave it
-    bit_gen.advance(int(offsets[n]))
-    bounds = [0]
-    while bounds[-1] < n - 1:
-        r0 = bounds[-1]
-        r1 = int(np.searchsorted(offsets, offsets[r0] + _PAIR_BLOCK, side="right")) - 1
-        bounds.append(max(r1, r0 + 1))  # a row longer than the block still goes whole
-    # One run per usable CPU, cut at the first block bound past each equal share of pairs.
-    num_blocks = len(bounds) - 1
-    workers = min(num_blocks, usable_cpus())
-    targets = offsets[n - 1] * np.arange(1, workers) // workers
-    cuts = np.unique(np.clip(np.searchsorted(offsets[bounds], targets), 1, num_blocks - 1))
-    splits = [0, *cuts.tolist(), num_blocks]
-    runs = [bounds[a:b + 1] for a, b in zip(splits[:-1], splits[1:])]
-
-    def draw(run):
-        return _sample_rows(state, run, offsets, n1, p, q)
-
-    if len(runs) == 1:
-        parts = [draw(runs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
-            parts = list(pool.map(draw, runs))
-    blocks = [block for part in parts for block in part]
-    lo = np.concatenate([i for i, _ in blocks])
-    hi = np.concatenate([j for _, j in blocks])
-    del parts, blocks  # the per-block rows are not held through the CSR build
+    n, n1, n2 = params.n, params.n1, params.n2
+    draw11, draw12, draw22 = _pair_generators(seed)
+    j11, c11 = _triangle_columns(_success_positions(draw11, params.p, n1 * (n1 - 1) // 2), n1)
+    j12 = _success_positions(draw12, params.q, n1 * n2)
+    c12 = np.diff(np.searchsorted(j12, np.arange(n1 + 1, dtype=np.int64) * n2))
+    np.remainder(j12, n2, out=j12)
+    j12 += n1
+    j22, c22 = _triangle_columns(_success_positions(draw22, params.p, n2 * (n2 - 1) // 2), n2)
+    j22 += n1
+    # Row i < n1 holds its j11 columns, then its j12 ones; rows past n1 only j22.
+    top = j11.size + j12.size
+    hi = np.empty(top + j22.size, dtype=np.int64)
+    from11 = np.repeat(np.tile([True, False], n1), np.column_stack([c11, c12]).ravel())
+    hi[:top][from11] = j11
+    hi[:top][~from11] = j12
+    hi[top:] = j22
+    del j11, j12, j22, from11  # the column arrays are not held through the CSR build
+    lo = np.repeat(np.arange(n, dtype=np.int64), np.concatenate([c11 + c12, c22]))
     graph = Graph._from_canonical(n, lo, hi)
     signs = np.ones(n, dtype=np.int8)
     signs[n1:] = -1

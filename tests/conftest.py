@@ -101,11 +101,50 @@ def disjoint_union(*parts):
 
 
 def reference_sample_sbm(params, seed):
-    """Block-model sampler by enumeration of all n(n-1)/2 pairs at once.
+    """Block-model sampler that draws each edge's geometric gap one at a time.
 
-    This is the straightforward O(n^2)-memory formulation: one uniform per
-    i < j pair in lexicographic order, kept when below the pair's rate.
-    ``sample_sbm`` must return exactly this graph and partition.
+    Each block pair (inside block 1, across, inside block 2) draws from its
+    own generator, seeded by one ``integers(2**63, size=3)`` draw of
+    ``np.random.default_rng(seed)``. Its pairs are walked row by row in
+    lexicographic order, skipping ``geometric(rate) - 1`` pairs before each
+    edge. ``sample_sbm`` must return exactly this graph and partition.
+    """
+    from sketchbisect import Graph, Partition
+
+    n1, n = params.n1, params.n
+    keys = np.random.default_rng(seed).integers(1 << 63, size=3)
+    block_pairs = (
+        (params.p, range(n1), lambda i: (i + 1, n1)),
+        (params.q, range(n1), lambda i: (n1, n)),
+        (params.p, range(n1, n), lambda i: (i + 1, n)),
+    )
+    edges = []
+    for key, (rate, rows, columns) in zip(keys, block_pairs):
+        if rate == 0.0:
+            continue
+        rng = np.random.default_rng(int(key))
+        skip = int(rng.geometric(rate)) - 1  # pairs passed over before the next edge
+        for i in rows:
+            start, stop = columns(i)
+            j = start + skip
+            while j < stop:
+                edges.append((i, j))
+                j += int(rng.geometric(rate))
+            skip = j - stop
+    signs = np.ones(n, dtype=np.int8)
+    signs[n1:] = -1
+    return Graph(n, edges), Partition(np.arange(n), signs)
+
+
+def pairwise_sample_sbm(params, seed):
+    """The block model drawn with one uniform per vertex pair.
+
+    This is the stream ``sample_sbm`` drew before it switched to geometric
+    skips: one ``rng.random`` uniform per i < j pair in lexicographic order,
+    kept when below the pair's rate, with ``rng = np.random.default_rng(seed)``.
+    Tests that pin one particular instance (a reproducer, or a precondition
+    on a gap or a sweep count) build their graphs with it, so that their
+    data stays what it was. It enumerates every pair: O(n^2) memory.
     """
     from sketchbisect import Graph, Partition
 

@@ -23,7 +23,13 @@ from sketchbisect import (
 import sketchbisect.certificate as certificate
 from sketchbisect.certificate import LANCZOS_BUDGET, POSITIVE_MARGIN_REL, ZOperator, _lanczos_bottom
 
-from conftest import dense_certificate, disjoint_union, random_test_graph, recording_loop
+from conftest import (
+    dense_certificate,
+    disjoint_union,
+    pairwise_sample_sbm,
+    random_test_graph,
+    recording_loop,
+)
 
 
 def random_partition(rng, graph):
@@ -278,7 +284,7 @@ class TestLanczosLoop:
         # At a 10-step budget neither stop rule fires on this near-threshold
         # cut. The run proves nothing, and the report carries the last
         # checkpoint's rq - res, not the first one's larger bound.
-        graph, planted = sample_sbm(LogScaleParams(5, 1, 200).to_sbm_params(), 6)
+        graph, planted = pairwise_sample_sbm(LogScaleParams(5, 1, 200).to_sbm_params(), 6)
         mu = estimate_mu(graph).mu
         checkpoints = recording_loop(monkeypatch, certificate)
         monkeypatch.setattr(certificate, "LANCZOS_BUDGET", 10)
@@ -320,10 +326,10 @@ def soundness_corpus():
     graphs = []
     for alpha, n, seed in ((5, 200, 1), (4, 300, 2), (6, 400, 3), (8, 600, 4), (12, 200, 5),
                            (20, 400, 6), (50, 300, 7), (7, 500, 8)):
-        graph, planted = sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
+        graph, planted = pairwise_sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
         graphs.append((f"sbm alpha={alpha} n={n} seed={seed}", graph, planted.signs))
-    a, pa = sample_sbm(LogScaleParams(20, 1, 150).to_sbm_params(), 9)
-    b, pb = sample_sbm(LogScaleParams(20, 1, 100).to_sbm_params(), 10)
+    a, pa = pairwise_sample_sbm(LogScaleParams(20, 1, 150).to_sbm_params(), 9)
+    b, pb = pairwise_sample_sbm(LogScaleParams(20, 1, 100).to_sbm_params(), 10)
     graphs.append(("disconnected sbm + sbm", disjoint_union(a, b), np.concatenate([pa.signs, pb.signs])))
     c = random_test_graph(rng, 60, 0.2)
     graphs.append(("disconnected sbm + G(60, 0.2)", disjoint_union(a, c),
@@ -377,6 +383,22 @@ class TestSoundness:
         assert report.lambda2_lower == rq - res
         # an earlier checkpoint bounds some higher eigenvalue only
         assert max(r[0] - r[1] for _, _, r in checkpoints) > 1.2 > lambda2
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the early-stop rule can bound an interior eigenvalue; an exact proof is ROADMAP item 2, Part B",
+    )
+    @pytest.mark.parametrize("alpha,n,seed", [(50, 300, 0), (30, 400, 27)])
+    def test_early_stop_bound_below_dense_lambda2(self, alpha, n, seed):
+        # Outside the corpus: after 5 Krylov steps the planted cut certifies
+        # lambda2_lower 129.08 against a dense 128.00 (alpha = 50), and 65.74
+        # against 62.31 (alpha = 30). The verdicts are right; the bounds are not.
+        graph, planted = pairwise_sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
+        mu = estimate_mu(graph).mu
+        report = check_certificate(graph, planted, mu)
+        assert report.verdict == CERTIFIED and report.iterations == 5
+        lambda2 = complement_bottom(graph, planted, mu)
+        assert report.lambda2_lower <= lambda2 + 1e-9 * report.scale, (report, lambda2)
 
 
 class TestExhaustiveCheck:

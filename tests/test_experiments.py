@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from sketchbisect import experiments, graphs
+from sketchbisect import experiments
 from sketchbisect.experiments import (
     CSV_HEADER,
     CellResult,
@@ -18,8 +18,8 @@ from sketchbisect.experiments import (
     parse_csv,
     parse_grid_config,
     run_grid,
+    usable_cpus,
 )
-from sketchbisect.graphs import usable_cpus
 from sketchbisect.seeding import spawn_seed
 
 
@@ -172,9 +172,8 @@ class TestRunGrid:
 
     @pytest.mark.skipif(usable_cpus() < 2, reason="needs two usable CPUs")
     def test_pool_workers_sample_on_one_cpu(self):
-        # n = 800 is two row blocks: the serial run samples on two threads,
-        # each pool worker on one, and the cells agree
-        assert 800 * 799 // 2 > graphs._PAIR_BLOCK
+        # each pool worker is pinned to one CPU of its own, and the cells
+        # agree with the serial run
         spec = GridSpec(alphas=(8, 50), betas=(1,), n=800, reps=1, base_seed=5)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -40,6 +40,12 @@ def edge_set(graph):
     return {(int(u), int(v)) for u, v in graph.edges}
 
 
+def block_pair_edges(graph, n1):
+    """Edge counts inside block 1, across the blocks, and inside block 2."""
+    u, v = graph.edges.T
+    return [int(np.sum(v < n1)), int(np.sum((u < n1) & (v >= n1))), int(np.sum(u >= n1))]
+
+
 class TestGraphBasics:
     def test_degrees_sum_to_twice_edges(self):
         g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)])
@@ -319,7 +325,7 @@ class TestSampleSbm:
 
 
 class TestSampleSbmOracle:
-    """The row-block sampler against enumeration of every pair at once."""
+    """The chunked geometric-skip sampler against drawing one gap at a time."""
 
     CASES = [
         SbmParams(7, 13, 0.5, 0.1),  # n1 != n2
@@ -349,43 +355,84 @@ class TestSampleSbmOracle:
             self.check(params, seed)
 
     def test_several_row_blocks(self):
-        # 1.2M pairs, more than four blocks at the module's block size
+        # 1.2M pairs in blocks of 700 and 900 rows; ~150k edges, each block
+        # pair's gaps drawn in one chunk
         params = LogScaleParams(50, 1, 1600).to_sbm_params(700, 900)
-        n = params.n
-        assert n * (n - 1) // 2 > 4 * graphs._PAIR_BLOCK
         self.check(params, seed=99)
 
-    @pytest.mark.parametrize("block", [1, 7, 50, 1000])
-    def test_block_size_never_matters(self, monkeypatch, block):
-        # blocks shorter than a row, ending mid-block and spanning many rows,
-        # split into runs of many blocks, of one block, and for more CPUs
-        # than there are blocks
-        monkeypatch.setattr(graphs, "_PAIR_BLOCK", block)
-        run_starts = []
-        draw = graphs._sample_rows
+    @pytest.mark.parametrize("params", CASES + [SbmParams(40, 33, 0.3, 0.05)], ids=repr)
+    def test_rows_reach_the_graph_canonical(self, monkeypatch, params):
+        # Graph._from_canonical trusts its rows: 0 <= lo < hi < n, keys increasing
+        rows = []
+        build = graphs.Graph._from_canonical.__func__
 
-        def spy(state, bounds, *args):
-            run_starts.append(int(bounds[0]))
-            return draw(state, bounds, *args)
+        def spy(cls, n, lo, hi):
+            rows.append((n, lo.copy(), hi.copy()))
+            return build(cls, n, lo, hi)
 
-        monkeypatch.setattr(graphs, "_sample_rows", spy)
-        for cpus in (1, 2, 3, 7):
-            monkeypatch.setattr(graphs, "usable_cpus", lambda: cpus)
-            for params in (SbmParams(40, 33, 0.3, 0.05), SbmParams(1, 60, 0.2, 0.7)):
-                run_starts.clear()
-                self.check(params, seed=block)
-                assert len(run_starts) == len(set(run_starts))
-                assert (len(run_starts) > 1) == (cpus > 1)
+        monkeypatch.setattr(graphs.Graph, "_from_canonical", classmethod(spy))
+        sample_sbm(params, seed=3)
+        [(n, lo, hi)] = rows
+        assert n == params.n and lo.dtype == hi.dtype == np.int64
+        assert np.all(0 <= lo) and np.all(lo < hi) and np.all(hi < n)
+        assert np.all(np.diff(lo * n + hi) > 0)
 
-    def test_one_block_starts_no_thread(self, monkeypatch):
-        def no_threads(*args, **kwargs):
-            raise AssertionError("a one-block sample started a thread pool")
+    def test_block_pair_edge_counts(self):
+        # each block pair's count has the binomial mean, p < q included
+        seeds = 600
+        for params in (SbmParams(12, 9, 0.3, 0.1), SbmParams(10, 14, 0.1, 0.4)):
+            n1, n2 = params.n1, params.n2
+            pairs = np.array([math.comb(n1, 2), n1 * n2, math.comb(n2, 2)])
+            rates = np.array([params.p, params.q, params.p])
+            counts = np.zeros((seeds, 3))
+            for s in range(seeds):
+                counts[s] = block_pair_edges(sample_sbm(params, s)[0], n1)
+            se = np.sqrt(pairs * rates * (1 - rates) / seeds)
+            assert np.all(np.abs(counts.mean(axis=0) - pairs * rates) <= 4 * se), (params, counts.mean(0))
 
-        monkeypatch.setattr(graphs, "ThreadPoolExecutor", no_threads)
-        monkeypatch.setattr(graphs, "usable_cpus", lambda: 4)
-        params = LogScaleParams(8, 1, 400).to_sbm_params()
-        assert params.n * (params.n - 1) // 2 <= graphs._PAIR_BLOCK
-        self.check(params, seed=5)
+    @staticmethod
+    def spy_generators(monkeypatch, chunk=None):
+        """Wrap each block pair's generator: count its variates, and cap each draw at ``chunk``."""
+        spies = []
+        pair_generators = graphs._pair_generators
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng, self.count, self.calls = rng, 0, 0
+                spies.append(self)
+
+            def geometric(self, rate, size):
+                size = size if chunk is None else min(size, chunk)
+                self.count += size
+                self.calls += 1
+                return self.rng.geometric(rate, size)
+
+        monkeypatch.setattr(graphs, "_pair_generators", lambda seed: [Spy(g) for g in pair_generators(seed)])
+        return spies
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_chunk_size_never_matters(self, monkeypatch, chunk):
+        # short draws continue from the last position; the edges do not move
+        spies = self.spy_generators(monkeypatch, chunk)
+        for params in self.CASES[:5] + [SbmParams(40, 33, 0.3, 0.05)]:
+            self.check(params, seed=chunk)
+        assert all(spy.calls > 1 for spy in spies[-3:])
+
+    def test_draws_are_linear_in_edges(self, monkeypatch):
+        # every variate comes from a block pair's generator, and there are
+        # about as many as edges, not one per vertex pair
+        spies = self.spy_generators(monkeypatch)
+        params = LogScaleParams(8, 1, 2000).to_sbm_params()
+        edges = block_pair_edges(sample_sbm(params, seed=4)[0], params.n1)
+        counts = [spy.count for spy in spies]
+        for count, m in zip(counts, edges):
+            assert m < count <= 1.1 * m + 100
+        assert sum(counts) < math.comb(params.n, 2) / 50
+        # rate 0 draws nothing and rate 1 keeps every pair without drawing
+        spies.clear()
+        g, _ = sample_sbm(SbmParams(6, 5, 1.0, 0.0), seed=4)
+        assert g.edge_count == math.comb(6, 2) + math.comb(5, 2)
+        assert [spy.count for spy in spies] == [0, 0, 0]
 
     def test_seed_forms(self):
         params = SbmParams(20, 25, 0.4, 0.1)
@@ -393,15 +440,20 @@ class TestSampleSbmOracle:
         assert_same_graph(g, Graph(params.n, g.edges))
         assert 0 < g.edge_count < math.comb(params.n, 2)
         by_int, _ = sample_sbm(params, 31)
-        by_sequence, _ = sample_sbm(params, np.random.SeedSequence(31))
-        assert_same_graph(by_sequence, by_int)
+        sequence = np.random.SeedSequence(31)
+        for _ in range(2):  # a SeedSequence is read, not spawned from
+            assert_same_graph(sample_sbm(params, sequence)[0], by_int)
+        # a caller's generator is advanced by one integers(2**63, size=3) draw
         gen = np.random.default_rng(31)
-        sample_sbm(params, gen)
+        assert_same_graph(sample_sbm(params, gen)[0], by_int)
         ref = np.random.default_rng(31)
-        ref.random(math.comb(params.n, 2))
-        assert gen.random() == ref.random()
-        with pytest.raises(TypeError, match="PCG64"):
-            sample_sbm(params, np.random.Generator(np.random.MT19937(31)))
+        ref.integers(1 << 63, size=3)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        # any bit generator works
+        for bit_gen in (np.random.MT19937, np.random.Philox, np.random.SFC64):
+            g, _ = sample_sbm(params, np.random.Generator(bit_gen(31)))
+            assert_same_graph(g, reference_sample_sbm(params, np.random.Generator(bit_gen(31)))[0])
+            assert g != by_int
 
     def test_memory_stays_linear(self):
         # the pair enumeration would need ~6.6 GB of temporaries at n = 20000;

@@ -31,6 +31,8 @@ from sketchbisect import (
 from sketchbisect import pipeline
 from sketchbisect.certificate import ZOperator
 
+from conftest import pairwise_sample_sbm
+
 
 def count_stage_calls(monkeypatch):
     """Log ``("solve", sweeps_used)`` and ``("certify", verdict)`` per pipeline call."""
@@ -348,7 +350,7 @@ class TestCertificateStopsSolve:
         assert result.full_partition.equals_up_to_flip(planted)
 
     def test_refuted_spectral_cut_falls_through_to_the_sweep(self, monkeypatch):
-        graph, planted = sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
+        graph, planted = pairwise_sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
         calls = count_stage_calls(monkeypatch)
         result = full_solve(graph, seed=1004)
         assert calls[:2] == [("solve", 0), ("certify", NOT_CERTIFIED)]
@@ -358,7 +360,7 @@ class TestCertificateStopsSolve:
         assert result.full_partition.equals_up_to_flip(planted)
 
     def test_zero_sweep_budget_checks_once(self, monkeypatch):
-        graph, _ = sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
+        graph, _ = pairwise_sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
         calls = count_stage_calls(monkeypatch)
         result = full_solve(graph, solver=SolverConfig(max_sweeps=0), seed=1004)
         assert calls == [("solve", 0), ("certify", NOT_CERTIFIED)]

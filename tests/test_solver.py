@@ -25,6 +25,7 @@ import sketchbisect.solver as solver
 from conftest import (
     dense_objective,
     disjoint_union,
+    pairwise_sample_sbm,
     random_test_graph,
     recording_loop,
     reference_solve_sdp,
@@ -321,10 +322,10 @@ def _oracle_cases():
     rng = np.random.default_rng(2024)
     for alpha, n, seed in ((3, 120, 1), (3, 240, 2), (5, 60, 3), (5, 240, 4), (8, 120, 5),
                            (8, 240, 6), (12, 120, 7), (12, 240, 8), (20, 240, 9), (50, 400, 10)):
-        yield f"sbm alpha={alpha} n={n}", sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)[0]
+        yield f"sbm alpha={alpha} n={n}", pairwise_sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)[0]
     for n1, n2, p, q, seed in ((30, 50, 0.5, 0.05, 11), (70, 40, 0.3, 0.02, 12),
                                (100, 20, 0.2, 0.05, 13), (45, 45, 0.25, 0.1, 14)):
-        yield f"sbm {n1}+{n2}", sample_sbm(SbmParams(n1, n2, p, q), seed)[0]
+        yield f"sbm {n1}+{n2}", pairwise_sample_sbm(SbmParams(n1, n2, p, q), seed)[0]
     yield "disconnected K8 + K5", disjoint_union(_clique(8), _clique(5))
     for n1, p1, n2, p2 in ((40, 0.3, 25, 0.4), (60, 0.2, 30, 0.5), (50, 0.3, 50, 0.15),
                            (35, 0.4, 20, 0.3)):
