@@ -4,7 +4,10 @@ Graphs are simple and undirected. Every vertex carries a stable integer
 label: induced subgraphs keep the labels of the parent graph, which lets
 a cut found on a sketch be compared against, or extended to, the full
 vertex set without any index translation. A graph stores its labels and
-its CSR adjacency only; the edge list is derived from the CSR on demand.
+the strict upper triangle of its adjacency as CSR (the canonical edge
+rows) only. The edge count, the edge list, induced subgraphs and vote
+margins are read off that triangle; the symmetric CSR adjacency and the
+degrees are built from it on first use and cached.
 """
 
 import itertools
@@ -115,28 +118,36 @@ def _rows_of(ids, vertices):
     return pos
 
 
-def _canonical_csr(n, lo, hi):
-    """Symmetric 0/1 CSR adjacency from canonical edge rows (lo < hi).
+def _upper_csr(n, counts, hi):
+    """CSR of the strict upper triangle from canonical edge rows.
 
-    Canonical rows are the upper triangle already in CSR order, so its
-    row pointer is a count of ``lo`` and its column indices are ``hi``;
-    scipy's linear transpose and sorted-row merge add the lower triangle.
-    Nothing is sorted.
+    Canonical rows (i < j, sorted) are the upper triangle already in CSR
+    order, so its row pointer is the running sum of the per-row edge
+    ``counts`` and its column indices are ``hi``. Nothing is sorted.
     """
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(lo, minlength=n), out=indptr[1:])
-    upper = sp.csr_matrix((np.ones(lo.shape[0]), hi, indptr), shape=(n, n))
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((np.ones(hi.shape[0]), hi, indptr), shape=(n, n))
+
+
+def _symmetric(upper):
+    """Symmetric 0/1 CSR adjacency from its strict upper triangle.
+
+    scipy's linear transpose and sorted-row merge add the lower triangle.
+    """
     return upper + upper.T
 
 
 class Graph:
     """Immutable simple undirected graph over labelled vertices.
 
-    ``vertex_ids`` is kept sorted ascending; adjacency rows follow that
-    order and neighbor lists are sorted. The CSR adjacency is the only edge
-    store: the edge count and the lexicographic (u < v) edge list are read
-    off it, so all derived quantities are deterministic functions of the
-    edge set.
+    ``vertex_ids`` is kept sorted ascending, and rows follow that order.
+    The only edge store is ``upper``, the strict upper triangle of the
+    adjacency as CSR: row i holds the sorted neighbours j > i. The edge
+    count and the lexicographic (u < v) edge list are read off it, so all
+    derived quantities are deterministic functions of the edge set. The
+    symmetric ``adjacency`` and the ``degrees`` are built from it on first
+    use and cached.
     """
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
@@ -174,24 +185,25 @@ class Graph:
         if np.any(key[1:] <= key[:-1]):
             lo, hi = np.divmod(_sorted_unique(key), n)
         del key
-        self._install(ids, _canonical_csr(n, lo, hi))
+        self._install(ids, _upper_csr(n, np.bincount(lo, minlength=n), hi))
 
     @classmethod
-    def _from_canonical(cls, n, lo, hi):
-        """Graph on labels 0..n-1 from canonical edge rows, unchecked.
+    def _from_canonical(cls, n, counts, hi):
+        """Graph on labels 0..n-1 from per-row edge counts and canonical columns, unchecked.
 
-        The rows must satisfy what ``__init__`` establishes: 0 <= lo < hi < n
-        and strictly increasing keys ``lo * n + hi``.
+        Row i holds the next ``counts[i]`` entries of ``hi``. The rows must
+        satisfy what ``__init__`` establishes: each row's columns increase
+        strictly and lie in i+1..n-1.
         """
-        return cls.__new__(cls)._install(np.arange(n, dtype=np.int64), _canonical_csr(n, lo, hi))
+        return cls.__new__(cls)._install(np.arange(n, dtype=np.int64), _upper_csr(n, counts, hi))
 
-    def _install(self, ids, adj):
-        """Store sorted labels and their symmetric CSR adjacency; returns self."""
+    def _install(self, ids, upper):
+        """Store sorted labels and the CSR upper triangle; returns self."""
         self._ids = ids
         self._ids.flags.writeable = False
-        self._adj = adj
-        self._degrees = np.diff(adj.indptr).astype(np.int64)
-        self._degrees.flags.writeable = False
+        self._upper = upper
+        self._adj = None
+        self._degrees = None
         return self
 
     @property
@@ -204,23 +216,31 @@ class Graph:
 
     @property
     def edge_count(self):
-        return self._adj.nnz // 2
+        return self._upper.nnz
 
     @property
     def edges(self):
-        """Label pairs u < v in lexicographic order, read off the CSR's upper triangle."""
-        rows = np.repeat(np.arange(self.num_vertices), self._degrees)
-        cols = self._adj.indices
-        upper = cols > rows
-        return self._ids[np.column_stack([rows[upper], cols[upper]])]
+        """Label pairs u < v in lexicographic order, read off the upper triangle."""
+        rows = np.repeat(np.arange(self.num_vertices), np.diff(self._upper.indptr))
+        return self._ids[np.column_stack([rows, self._upper.indices])]
+
+    @property
+    def upper(self):
+        """Strict upper triangle of the adjacency as 0/1 CSR; treat as read-only."""
+        return self._upper
 
     @property
     def adjacency(self):
-        """Symmetric 0/1 CSR adjacency; treat as read-only."""
+        """Symmetric 0/1 CSR adjacency, built on first use; treat as read-only."""
+        if self._adj is None:
+            self._adj = _symmetric(self._upper)
         return self._adj
 
     @property
     def degrees(self):
+        if self._degrees is None:
+            self._degrees = np.diff(self.adjacency.indptr).astype(np.int64)
+            self._degrees.flags.writeable = False
         return self._degrees
 
     def indices_of(self, vertices):
@@ -231,7 +251,7 @@ class Graph:
         if not isinstance(other, Graph):
             return NotImplemented
         return np.array_equal(self._ids, other._ids) and all(
-            np.array_equal(getattr(self._adj, k), getattr(other._adj, k)) for k in ("indptr", "indices")
+            np.array_equal(getattr(self._upper, k), getattr(other._upper, k)) for k in ("indptr", "indices")
         )
 
     def __repr__(self):
@@ -402,8 +422,7 @@ def sample_sbm(params, seed):
     hi[:top][~from11] = j12
     hi[top:] = j22
     del j11, j12, j22, from11  # the column arrays are not held through the CSR build
-    lo = np.repeat(np.arange(n, dtype=np.int64), np.concatenate([c11 + c12, c22]))
-    graph = Graph._from_canonical(n, lo, hi)
+    graph = Graph._from_canonical(n, np.concatenate([c11 + c12, c22]), hi)
     signs = np.ones(n, dtype=np.int8)
     signs[n1:] = -1
     return graph, Partition(np.arange(n), signs)
@@ -421,15 +440,17 @@ def bernoulli_vertex_sample(graph, gamma, seed):
 def induced_subgraph(graph, vertices):
     """Subgraph induced on the given labels, labels preserved.
 
-    Slices the kept rows, then the kept columns, out of the CSR adjacency:
-    O(n + sum of kept degrees), with no pass over the other edges. Keeping
-    every vertex returns ``graph`` itself (graphs are immutable).
+    Slices the kept rows, then the kept columns, out of the CSR upper
+    triangle: O(n + edges of the kept rows), with no pass over the other
+    edges and no symmetric CSR of ``graph``. The rows are sorted, so the
+    slice is the subgraph's upper triangle. Keeping every vertex returns
+    ``graph`` itself (graphs are immutable).
     """
     verts = _sorted_unique(np.asarray(vertices, dtype=np.int64).ravel())
     rows = graph.indices_of(verts)
     if verts.size == graph.num_vertices:
         return graph
-    return Graph.__new__(Graph)._install(verts, graph.adjacency[rows][:, rows])
+    return Graph.__new__(Graph)._install(verts, graph.upper[rows][:, rows])
 
 
 def _write_pairs(path, header, chunks):
@@ -445,23 +466,21 @@ def _row_chunks(pairs):
     return (pairs[start:start + _WRITE_ROWS] for start in range(0, pairs.shape[0], _WRITE_ROWS))
 
 
-def _upper_triangle_chunks(adj):
-    """The CSR's entries above the diagonal as (row, column) pairs, in row order.
+def _upper_triangle_chunks(upper):
+    """The CSR upper triangle's entries as (row, column) pairs, in row order.
 
-    Each chunk spans whole rows holding about ``2 * _WRITE_ROWS`` entries of
-    both triangles (a single longer row is a chunk of its own), so only the
-    chunk's row index and mask are built, never one per CSR entry.
+    Each chunk spans whole rows holding about ``_WRITE_ROWS`` entries (a
+    single longer row is a chunk of its own), so only the chunk's row index
+    is built, never one per edge.
     """
-    indptr, indices = adj.indptr, adj.indices
-    n = adj.shape[0]
+    indptr, indices = upper.indptr, upper.indices
+    n = upper.shape[0]
     start = 0
     while start < n:
-        stop = int(np.searchsorted(indptr, indptr[start] + 2 * _WRITE_ROWS, side="right")) - 1
+        stop = int(np.searchsorted(indptr, indptr[start] + _WRITE_ROWS, side="right")) - 1
         stop = max(stop, start + 1)
-        cols = indices[indptr[start]:indptr[stop]]
         rows = np.repeat(np.arange(start, stop), np.diff(indptr[start:stop + 1]))
-        upper = cols > rows
-        yield np.column_stack([rows[upper], cols[upper]])
+        yield np.column_stack([rows, indices[indptr[start]:indptr[stop]]])
         start = stop
 
 
@@ -469,13 +488,13 @@ def save_graph(graph, path):
     """Write edge-list format: header ``n <count>`` then one ``u v`` line per edge.
 
     Requires contiguous labels 0..n-1 (the on-disk format has no separate
-    vertex table). The lines are written from the CSR's upper triangle a
+    vertex table). The lines are written from the CSR upper triangle a
     chunk of rows at a time, in ``edges`` order.
     """
     n = graph.num_vertices
     if not np.array_equal(graph.vertex_ids, np.arange(n)):
         raise ValueError("edge-list format requires vertex ids 0..n-1")
-    _write_pairs(path, f"n {n}\n", _upper_triangle_chunks(graph.adjacency))
+    _write_pairs(path, f"n {n}\n", _upper_triangle_chunks(graph.upper))
 
 
 def _read_rows(path, skip):

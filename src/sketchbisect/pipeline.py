@@ -1,9 +1,12 @@
 """Sketch-and-solve driver: estimate density, subsample, solve, certify, vote.
 
-The full graph is only touched twice: once to estimate the density offset
-mu, and once to extend the sketch solution by majority vote. The SDP and
-its certificate run on the induced subgraph of a Bernoulli vertex sample,
-so the expensive steps cost a gamma-fraction of the full problem.
+The full graph is read three times, each time through its CSR upper
+triangle only: its edge count gives the density offset mu, its rows
+inside a Bernoulli vertex sample give the induced subgraph, and its
+products with the sketch's signs give the majority vote. The SDP and its
+certificate run on the induced subgraph, so the expensive steps, and the
+only symmetric CSR built when gamma < 1, cost a gamma-fraction of the
+full problem.
 """
 
 import time
@@ -82,7 +85,8 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     the all-ones cut that is optimal at small mu; then every vertex with a
     seed neighbour joins the other side and the rest are ties. Returns the
     partition over all assigned vertices plus the array of unassigned
-    labels.
+    labels. The margins are read off ``graph.upper``, so the vote builds no
+    symmetric CSR of the full graph.
     """
     plus = np.unique(np.asarray(list(side_plus), dtype=np.int64))
     minus = np.unique(np.asarray(list(side_minus), dtype=np.int64))
@@ -99,11 +103,13 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     in_seed[rows_minus] = True
     outside = np.flatnonzero(~in_seed)
 
-    # one product gives (edges to plus) - (edges to minus), exact in floats
+    # (edges to plus) - (edges to minus) from the upper triangle and its
+    # transpose: integer sums, so exact in floats and equal to A @ s
     seed_signs = np.zeros(n)
     seed_signs[rows_plus] = 1.0
     seed_signs[rows_minus] = -1.0
-    margin = (graph.adjacency @ seed_signs)[outside]
+    upper = graph.upper
+    margin = (upper @ seed_signs + upper.T @ seed_signs)[outside]
 
     signs = np.sign(margin).astype(np.int8)
     tied = signs == 0

@@ -3,7 +3,7 @@
 The dense constructions here rebuild matrices from ``graph.edges`` with
 plain numpy, so that the matrix-free solver and certificate paths are
 checked against a second route. They are not independent of the graph
-store: ``edges`` is read off the CSR adjacency, so a test of graph
+store: ``edges`` is read off the CSR upper triangle, so a test of graph
 construction needs a reference built from its own input.
 """
 
@@ -63,6 +63,21 @@ def recording_loop(monkeypatch, module):
 
     monkeypatch.setattr(module, "_lanczos_bottom", recording)
     return checkpoints
+
+
+def spy_symmetric_builds(monkeypatch):
+    """Record the vertex count of every symmetric CSR adjacency built from here on."""
+    from sketchbisect import graphs
+
+    built = []
+    symmetric = graphs._symmetric
+
+    def spy(upper):
+        built.append(upper.shape[0])
+        return symmetric(upper)
+
+    monkeypatch.setattr(graphs, "_symmetric", spy)
+    return built
 
 
 @pytest.fixture
@@ -174,12 +189,22 @@ def reference_adjacency(graph):
     return adj
 
 
+def reference_upper(graph):
+    """CSR of the upper triangle built from the edge list, one entry per edge."""
+    import scipy.sparse as sp
+
+    rows = graph.indices_of(graph.edges)
+    n = graph.num_vertices
+    return sp.csr_matrix((np.ones(rows.shape[0]), (rows[:, 0], rows[:, 1])), shape=(n, n))
+
+
 def assert_same_graph(a, b):
-    """Equal labels, edges, CSR arrays (values and dtypes) and degrees."""
+    """Equal labels, edges, CSR arrays of both stores (values and dtypes) and degrees."""
     assert a == b
-    for name in ("indptr", "indices", "data"):
-        x, y = getattr(a.adjacency, name), getattr(b.adjacency, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for store in ("upper", "adjacency"):
+        for name in ("indptr", "indices", "data"):
+            x, y = getattr(getattr(a, store), name), getattr(getattr(b, store), name)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (store, name)
     assert np.array_equal(a.degrees, b.degrees)
 
 

@@ -31,6 +31,8 @@ from conftest import (
     dense_adjacency,
     reference_adjacency,
     reference_sample_sbm,
+    reference_upper,
+    spy_symmetric_builds,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -148,7 +150,7 @@ class TestGraphConstruction:
                  (sampled.num_vertices, sampled.edges))
         for n, edges in cases:
             ref = Graph(n, edges)
-            g = Graph._from_canonical(n, ref.edges[:, 0], ref.edges[:, 1])
+            g = Graph._from_canonical(n, np.bincount(ref.edges[:, 0], minlength=n), ref.edges[:, 1])
             assert_same_graph(g, ref)
             assert np.array_equal(g.indices_of(ref.vertex_ids), ref.indices_of(ref.vertex_ids))
             with pytest.raises(KeyError):
@@ -175,18 +177,21 @@ class TestGraphConstruction:
 
 
 class TestCanonicalCsr:
-    """The upper-triangle CSR build gives scipy's COO -> CSR, array for array."""
+    """Every route to a graph gives scipy's COO -> CSR, array for array, for
+    both its stored upper triangle and its symmetric adjacency."""
 
     CASES = ("n0", "n1", "isolated", "star", "complete", "small-sbm", "alpha50-n2000")
+    SAMPLED = {
+        "complete": (SbmParams(4, 3, 1.0, 1.0), 0),
+        "small-sbm": (SbmParams(12, 9, 0.5, 0.2), 8),
+        "alpha50-n2000": (LogScaleParams(50, 1, 2000).to_sbm_params(), 5),
+    }
 
-    @staticmethod
-    def case(name):
+    @classmethod
+    def case(cls, name):
         """(n, canonical edge rows) of a named case."""
-        if name == "small-sbm":
-            g, _ = sample_sbm(SbmParams(12, 9, 0.5, 0.2), seed=8)
-            return g.num_vertices, g.edges
-        if name == "alpha50-n2000":
-            g, _ = sample_sbm(LogScaleParams(50, 1, 2000).to_sbm_params(), seed=5)
+        if name in ("small-sbm", "alpha50-n2000"):
+            g, _ = sample_sbm(*cls.SAMPLED[name])
             return g.num_vertices, g.edges
         n, edges = {
             "n0": (0, []),
@@ -197,28 +202,65 @@ class TestCanonicalCsr:
         }[name]
         return n, np.array(edges, dtype=np.int64).reshape(-1, 2)
 
+    @staticmethod
+    def embedded(n, canonical):
+        """The case induced out of a graph on labels 0..2n: vertex k is label
+        2k + 1, and every even label is joined to the labels beside it."""
+        odds = 2 * np.arange(n) + 1
+        extra = np.concatenate([np.column_stack([odds - 1, odds]), np.column_stack([odds + 1, odds])])
+        parent = Graph(2 * n + 1, np.concatenate([2 * canonical + 1, extra]))
+        return induced_subgraph(parent, odds)
+
     @pytest.mark.parametrize("name", CASES)
     def test_every_route_matches_the_coo_reference(self, tmp_path, name):
         n, canonical = self.case(name)
-        graph = Graph(n, canonical)
-        # the reference is built from graph.edges, so pin those to the input first
-        assert np.array_equal(graph.edges, canonical)
-        ref = reference_adjacency(graph)
         path = tmp_path / "g.edges"
         path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in canonical.tolist()))
-        lo, hi = canonical[:, 0].copy(), canonical[:, 1].copy()
         routes = {
-            "_canonical_csr": graphs._canonical_csr(n, lo, hi),
-            "Graph": graph.adjacency,
-            "_from_canonical": Graph._from_canonical(n, lo, hi).adjacency,
-            "load_graph": load_graph(path).adjacency,
+            "Graph": Graph(n, canonical),
+            "_from_canonical": Graph._from_canonical(
+                n, np.bincount(canonical[:, 0], minlength=n), canonical[:, 1].copy()),
+            "load_graph": load_graph(path),
+            "induced_subgraph": self.embedded(n, canonical),
         }
-        for route, adj in routes.items():
-            assert adj.shape == (n, n), route
-            assert adj.has_canonical_format, route
-            for field in ("indptr", "indices", "data"):
-                x, y = getattr(adj, field), getattr(ref, field)
-                assert x.dtype == y.dtype and np.array_equal(x, y), (route, field)
+        if name in self.SAMPLED:
+            routes["sample_sbm"] = sample_sbm(*self.SAMPLED[name])[0]
+        for route, graph in routes.items():
+            # the references are built from graph.edges, so pin those to the input first
+            assert np.array_equal(graph.indices_of(graph.edges), canonical), route
+            refs = {"upper": reference_upper(graph), "adjacency": reference_adjacency(graph)}
+            for store, ref in refs.items():
+                csr = getattr(graph, store)
+                assert csr.shape == (n, n), (route, store)
+                assert csr.has_canonical_format, (route, store)
+                for field in ("indptr", "indices", "data"):
+                    x, y = getattr(csr, field), getattr(ref, field)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), (route, store, field)
+
+
+class TestLazyAdjacency:
+    """A graph stores its upper triangle; the symmetric CSR is built on first use."""
+
+    def test_reading_the_edges_builds_no_symmetric_csr(self, monkeypatch, tmp_path):
+        built = spy_symmetric_builds(monkeypatch)
+        g, _ = sample_sbm(SbmParams(30, 25, 0.3, 0.1), seed=2)
+        path = tmp_path / "g.edges"
+        save_graph(g, path)
+        loaded = load_graph(path)
+        sub = induced_subgraph(loaded, np.arange(0, 55, 3))
+        assert loaded == g and Graph(55, g.edges) == g
+        assert g.edge_count == loaded.edge_count == g.edges.shape[0]
+        assert sub.edge_count == len([e for e in g.edges.tolist() if e[0] % 3 == e[1] % 3 == 0])
+        assert built == []
+
+    def test_adjacency_is_built_once_and_degrees_follow_it(self, monkeypatch):
+        built = spy_symmetric_builds(monkeypatch)
+        g, _ = sample_sbm(SbmParams(30, 25, 0.3, 0.1), seed=2)
+        assert g.adjacency is g.adjacency
+        assert np.array_equal(g.degrees, np.diff(g.adjacency.indptr))
+        assert g.degrees.dtype == np.int64 and not g.degrees.flags.writeable
+        assert g.degrees.sum() == 2 * g.edge_count
+        assert built == [55]
 
 
 class TestPartition:
@@ -362,19 +404,21 @@ class TestSampleSbmOracle:
 
     @pytest.mark.parametrize("params", CASES + [SbmParams(40, 33, 0.3, 0.05)], ids=repr)
     def test_rows_reach_the_graph_canonical(self, monkeypatch, params):
-        # Graph._from_canonical trusts its rows: 0 <= lo < hi < n, keys increasing
+        # Graph._from_canonical trusts its rows: row i's columns lie in i+1..n-1, keys increasing
         rows = []
         build = graphs.Graph._from_canonical.__func__
 
-        def spy(cls, n, lo, hi):
-            rows.append((n, lo.copy(), hi.copy()))
-            return build(cls, n, lo, hi)
+        def spy(cls, n, counts, hi):
+            rows.append((n, counts.copy(), hi.copy()))
+            return build(cls, n, counts, hi)
 
         monkeypatch.setattr(graphs.Graph, "_from_canonical", classmethod(spy))
         sample_sbm(params, seed=3)
-        [(n, lo, hi)] = rows
-        assert n == params.n and lo.dtype == hi.dtype == np.int64
-        assert np.all(0 <= lo) and np.all(lo < hi) and np.all(hi < n)
+        [(n, counts, hi)] = rows
+        assert n == params.n and counts.dtype == hi.dtype == np.int64
+        assert counts.shape == (n,) and np.all(counts >= 0) and counts.sum() == hi.size
+        lo = np.repeat(np.arange(n), counts)
+        assert np.all(lo < hi) and np.all(hi < n)
         assert np.all(np.diff(lo * n + hi) > 0)
 
     def test_block_pair_edge_counts(self):

@@ -1,3 +1,4 @@
+import json
 import math
 from decimal import Decimal, getcontext
 
@@ -18,11 +19,13 @@ from sketchbisect import (
     auto_gamma,
     bernoulli_vertex_sample,
     check_certificate,
+    cli,
     conjectured_gamma_threshold,
     estimate_mu,
     full_solve,
     recovered_planted,
     sample_sbm,
+    save_graph,
     sketch_and_solve,
     solve_sdp,
     spawn_seed,
@@ -31,7 +34,7 @@ from sketchbisect import (
 from sketchbisect import pipeline
 from sketchbisect.certificate import ZOperator
 
-from conftest import pairwise_sample_sbm
+from conftest import pairwise_sample_sbm, spy_symmetric_builds
 
 
 def count_stage_calls(monkeypatch):
@@ -114,6 +117,32 @@ class TestVoteExtend:
         part, unassigned = vote_extend(g, [0, 1], [2, 3])
         assert unassigned.size == 0
         assert part == Partition.from_sides([0, 1], [2, 3])
+
+    @pytest.mark.parametrize("labels", ["contiguous", "non-contiguous"])
+    def test_votes_follow_the_dense_margins(self, labels):
+        # every outside vertex takes the sign of its row of A @ s, read off a
+        # dense matrix built from the input pairs; a zero margin is a tie
+        rng = np.random.default_rng(41)
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            ids = np.arange(n) if labels == "contiguous" else 7 * np.arange(n) + 3
+            upper = np.triu(rng.random((n, n)) < 0.25, 1)
+            dense = (upper | upper.T).astype(float)
+            iu, ju = np.nonzero(upper)
+            g = Graph(n, ids[np.column_stack([ju, iu])], vertex_ids=rng.permutation(ids))
+            s = rng.choice([-1.0, 0.0, 1.0], size=n)
+            one_sided = ("both", "plus only", "minus only")[trial % 3]
+            if one_sided == "plus only":
+                s[s < 0] = 0.0
+            elif one_sided == "minus only":
+                s[s > 0] = 0.0
+            s[rng.integers(n)] = 1.0 if one_sided != "minus only" else -1.0
+            margin = dense @ s
+            part, unassigned = vote_extend(g, ids[s > 0], ids[s < 0])
+            voted = (s == 0) & (margin != 0)
+            kept = (s != 0) | voted
+            assert part == Partition(ids[kept], np.where(voted, np.sign(margin), s)[kept])
+            assert np.array_equal(unassigned, ids[(s == 0) & (margin == 0)])
 
     def test_recovers_planted_from_oracle_sketch(self):
         # scaled-down majority-vote experiment: strong signal, oracle seeds
@@ -403,6 +432,47 @@ class TestCertificateStopsSolve:
         assert a.sdp.sweeps_used == b.sdp.sweeps_used
         assert a.sdp.factors.tobytes() == b.sdp.factors.tobytes()
         assert a.full_partition == b.full_partition
+
+
+class TestFullGraphCsr:
+    """Below gamma = 1 the pipeline reads the full graph's upper triangle
+    only: the one symmetric CSR it builds is the sketch's."""
+
+    PARAMS = LogScaleParams(50, 1, 1000).to_sbm_params()
+
+    @pytest.mark.parametrize("alpha, gamma", [(50, "auto"), (6, 0.5)])
+    def test_sketch_builds_only_the_sketch_csr(self, monkeypatch, alpha, gamma):
+        graph, _ = sample_sbm(LogScaleParams(alpha, 1, 1000).to_sbm_params(), seed=9)
+        built = spy_symmetric_builds(monkeypatch)
+        config = SketchConfig(gamma=gamma, seed=9, alpha=alpha, beta=1,
+                              solver=SolverConfig(max_sweeps=4), tie_rule=TIE_RANDOM)
+        result = sketch_and_solve(graph, config)
+        assert 1 < result.sketch_vertices.size < graph.num_vertices
+        assert built == [result.sketch_vertices.size]
+
+    def test_cli_sketch_builds_only_the_sketch_csr(self, monkeypatch, tmp_path, capsys):
+        graph, _ = sample_sbm(self.PARAMS, seed=9)
+        path, cut = tmp_path / "g.edges", tmp_path / "cut"
+        save_graph(graph, path)
+        built = spy_symmetric_builds(monkeypatch)
+        argv = ["sketch", str(path), "--out", str(cut), "--alpha", "50", "--beta", "1", "--seed", "9"]
+        assert cli.main(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["certificate"] == CERTIFIED
+        assert built == [report["sketch_size"]] and report["sketch_size"] < graph.num_vertices
+        # the certificate of the voted cut covers the whole graph
+        built.clear()
+        assert cli.main(["certify", str(path), str(cut), "--mu", repr(report["mu"])]) == 0
+        assert built == [graph.num_vertices]
+
+    def test_full_solve_builds_the_csr_once_per_graph(self, monkeypatch):
+        graph, planted = sample_sbm(self.PARAMS, seed=9)
+        built = spy_symmetric_builds(monkeypatch)
+        for _ in range(2):
+            result = full_solve(graph, seed=9)
+            assert result.certificate.verdict == CERTIFIED
+            assert recovered_planted(planted, result)
+        assert built == [graph.num_vertices]
 
 
 class TestFullSolve:
