@@ -7,7 +7,6 @@ parallel schedules, or any subset of cells, produce identical numbers.
 
 import csv
 import math
-import multiprocessing
 import os
 import statistics
 import time
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import LogScaleParams, sample_sbm
-from .pipeline import SketchConfig, auto_gamma, full_solve, recovered_planted, sketch_and_solve
+from .pipeline import SketchConfig, auto_gamma, recovered_planted, sketch_and_solve
 from .seeding import spawn_seed
 from .solver import SolverConfig
 
@@ -47,6 +46,13 @@ SKIPPED = "SKIPPED"
 
 @dataclass(frozen=True)
 class GridSpec:
+    """Every (alpha, beta, rep, method) cell of one Monte Carlo grid.
+
+    A cell is one ``sketch_and_solve`` call, at gamma 1 for FULL_SDP and at
+    ``gamma_policy`` for SKETCH. The pipeline reads only
+    ``solver.max_sweeps``: the solver's seed is derived from the cell's seed.
+    """
+
     alphas: tuple
     betas: tuple
     n: int
@@ -154,23 +160,14 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
             mu = (params.p + params.q) / 2.0
 
         if method == METHOD_FULL_SDP:
-            cell.gamma_used = 1.0
-            result = full_solve(graph, mu=mu, solver=spec.solver, seed=spawn_seed(seed, 1))
+            gamma = 1.0
+        elif spec.gamma_policy == "auto":
+            gamma = auto_gamma(alpha, beta)
         else:
-            cfg = SketchConfig(
-                gamma=spec.gamma_policy,
-                seed=spawn_seed(seed, 1),
-                solver=spec.solver,
-                mu=mu,
-                alpha=alpha,
-                beta=beta,
-            )
-            cell.gamma_used = (
-                auto_gamma(alpha, beta)
-                if spec.gamma_policy == "auto"
-                else float(spec.gamma_policy)
-            )
-            result = sketch_and_solve(graph, cfg)
+            gamma = float(spec.gamma_policy)
+        cell.gamma_used = gamma
+        cfg = SketchConfig(gamma=gamma, seed=spawn_seed(seed, 1), solver=spec.solver, mu=mu)
+        result = sketch_and_solve(graph, cfg)
 
         cell.total_ms = (time.perf_counter() - t_total) * 1e3
         cell.mu_used = result.mu_used
@@ -187,10 +184,6 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
     return cell
 
 
-def _run_cell_args(args):
-    return _run_cell(*args)
-
-
 def usable_cpus():
     """Number of CPUs this process may run on."""
     try:
@@ -199,37 +192,15 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def _pin_worker(cpu_ids):
-    """Pool initializer: bind this worker to one CPU of its own.
-
-    Pinning is only about contention: two workers never share a CPU, so a
-    cell's time is its own.
-    """
-    os.sched_setaffinity(0, {cpu_ids.get()})
-
-
-def _worker_pool(workers):
-    """Process pool of ``workers`` cell workers, each pinned to its own CPU."""
-    if not hasattr(os, "sched_setaffinity"):  # not every platform has it
-        return ProcessPoolExecutor(max_workers=workers)
-    ctx = multiprocessing.get_context()
-    cpu_ids = ctx.SimpleQueue()
-    for cpu in sorted(os.sched_getaffinity(0))[:workers]:
-        cpu_ids.put(cpu)
-    return ProcessPoolExecutor(
-        max_workers=workers, mp_context=ctx, initializer=_pin_worker, initargs=(cpu_ids,)
-    )
-
-
 def run_grid(spec, jobs=1):
     """Run every (alpha, beta, rep, method) cell; order is canonical.
 
     Cells with beta >= alpha are marked SKIPPED. Failures inside a cell
     are recorded on the CellResult rather than raised. ``jobs`` > 1 runs
     cells in a process pool of at most as many workers as this process
-    may use CPUs, each pinned to a CPU of its own: further workers add no
-    throughput, and the time a cell spends descheduled would land in its
-    ``runtime_ms``. Results are identical to the serial run.
+    may use CPUs: further workers add no throughput, and the time a cell
+    spends waiting for a core would land in its ``runtime_ms``. Workers are
+    not pinned to CPUs. Results are identical to the serial run.
     """
     tasks = [
         (spec, ai, bi, rep, method)
@@ -240,9 +211,9 @@ def run_grid(spec, jobs=1):
     ]
     workers = min(jobs, usable_cpus())
     if workers <= 1:
-        return [_run_cell_args(t) for t in tasks]
-    with _worker_pool(workers) as pool:
-        return list(pool.map(_run_cell_args, tasks, chunksize=1))
+        return [_run_cell(*t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_run_cell, *zip(*tasks), chunksize=1))
 
 
 def _fmt_opt_float(x):

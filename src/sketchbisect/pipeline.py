@@ -34,7 +34,9 @@ class SketchConfig:
     needs the log-scale rates ``alpha`` and ``beta``; automatic mu is the
     observed edge density of the full graph. ``seed`` drives the vertex
     sample, the solver initialization, the fallback cut, and random tie
-    breaking, through independent derived streams.
+    breaking, through independent derived streams. The pipeline reads only
+    ``max_sweeps`` from ``solver``: the solver's seed is derived from
+    ``seed``, and ``solver.seed`` is ignored.
     """
 
     gamma: object = "auto"
@@ -103,13 +105,15 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     in_seed[rows_minus] = True
     outside = np.flatnonzero(~in_seed)
 
-    # (edges to plus) - (edges to minus) from the upper triangle and its
-    # transpose: integer sums, so exact in floats and equal to A @ s
+    # (edges to plus) - (edges to minus) from the upper triangle and the
+    # transpose of its seed rows, the only rows with a non-zero sign:
+    # integer sums, so exact in floats and equal to A @ s
     seed_signs = np.zeros(n)
     seed_signs[rows_plus] = 1.0
     seed_signs[rows_minus] = -1.0
+    seed_rows = np.flatnonzero(in_seed)
     upper = graph.upper
-    margin = (upper @ seed_signs + upper.T @ seed_signs)[outside]
+    margin = (upper @ seed_signs + upper[seed_rows].T @ seed_signs[seed_rows])[outside]
 
     signs = np.sign(margin).astype(np.int8)
     tied = signs == 0
@@ -147,9 +151,10 @@ def sketch_and_solve(graph, config=None):
     runs. The cut is accepted iff the last check is CERTIFIED; an instance
     that never certifies runs the full solve. On rejection the sketch is
     assigned by fair coin flips instead, and the result is flagged with
-    ``fell_back_random``. ``certificate`` is the last check's report.
-    ``timings["solve"]`` and ``timings["certify"]`` sum the solver and
-    certificate calls.
+    ``fell_back_random``. ``certificate`` is the last check's report. A
+    checkpoint cut equal to the cut checked last keeps that report instead
+    of being checked again: the check is deterministic. ``timings["solve"]``
+    and ``timings["certify"]`` sum the solver and certificate calls.
     """
     config = config or SketchConfig()
     timings = {}
@@ -222,18 +227,21 @@ def sketch_and_solve(graph, config=None):
 def _solve_until_certified(graph, mu, solver_cfg):
     """Solve in chunks of 0, 1, 1, 2, 4, ... sweeps; stop at the first CERTIFIED cut.
 
-    The cut is checked after every chunk, the 0-sweep spectral cut first.
-    Returns the solution, the last certificate report and the summed solve
-    and certify times.
+    The cut is checked after every chunk, the 0-sweep spectral cut first; a
+    cut equal to the one checked last keeps its report. Returns the
+    solution, the last certificate report and the summed solve and certify
+    times.
     """
     solve_s = certify_s = 0.0
-    sdp = None
+    sdp = checked = None
     chunk = 0
     while True:
         t0 = time.perf_counter()
         sdp = solve_sdp(graph, mu, replace(solver_cfg, max_sweeps=chunk), start=sdp)
         t1 = time.perf_counter()
-        cert = check_certificate(graph, sdp.rounded_cut, mu)
+        if sdp.rounded_cut != checked:
+            checked = sdp.rounded_cut
+            cert = check_certificate(graph, checked, mu)
         t2 = time.perf_counter()
         solve_s += t1 - t0
         certify_s += t2 - t1
@@ -246,7 +254,9 @@ def _solve_until_certified(graph, mu, solver_cfg):
 def full_solve(graph, mu="auto", solver=None, seed=0):
     """Solve on the whole vertex set (gamma = 1); same result shape as the sketch.
 
-    Every vertex is in the sketch, so no vertex is left to the vote.
+    Every vertex is in the sketch, so no vertex is left to the vote. As in
+    ``SketchConfig``, only ``solver.max_sweeps`` is read: the solver's seed
+    is derived from ``seed``.
     """
     config = SketchConfig(gamma=1.0, seed=seed, solver=solver or SolverConfig(), mu=mu)
     return sketch_and_solve(graph, config)

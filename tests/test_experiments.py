@@ -2,10 +2,21 @@ import math
 import re
 import statistics
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from sketchbisect import experiments
+from sketchbisect import (
+    LogScaleParams,
+    SketchConfig,
+    SolverConfig,
+    auto_gamma,
+    experiments,
+    full_solve,
+    recovered_planted,
+    sample_sbm,
+    sketch_and_solve,
+)
 from sketchbisect.experiments import (
     CSV_HEADER,
     CellResult,
@@ -18,7 +29,6 @@ from sketchbisect.experiments import (
     parse_csv,
     parse_grid_config,
     run_grid,
-    usable_cpus,
 )
 from sketchbisect.seeding import spawn_seed
 
@@ -39,6 +49,12 @@ def make_cell(alpha, beta, rep=0, method=METHOD_FULL_SDP, recovered=True, **kw):
         seed=kw.get("seed", 7),
         error=kw.get("error", ""),
     )
+
+
+def untimed(cell):
+    """Every CellResult field but the three timing fields."""
+    timing = ("runtime_ms", "stage_ms", "total_ms")
+    return {k: v for k, v in vars(cell).items() if k not in timing}
 
 
 def strip_runtime(csv_text):
@@ -159,36 +175,70 @@ class TestRunGrid:
             warnings.simplefilter("ignore")
             serial = run_grid(spec, jobs=1)
             parallel = run_grid(spec, jobs=2)
-        for s, p in zip(serial, parallel):
-            assert (s.alpha, s.beta, s.rep, s.method, s.seed) == (
-                p.alpha, p.beta, p.rep, p.method, p.seed
-            )
-            assert s.recovered == p.recovered
-            assert s.fell_back == p.fell_back
-            assert s.gamma_used == p.gamma_used
-            assert s.mu_used == p.mu_used
-            assert s.unassigned_count == p.unassigned_count
-            assert s.error == p.error
-
-    @pytest.mark.skipif(usable_cpus() < 2, reason="needs two usable CPUs")
-    def test_pool_workers_sample_on_one_cpu(self):
-        # each pool worker is pinned to one CPU of its own, and the cells
-        # agree with the serial run
-        spec = GridSpec(alphas=(8, 50), betas=(1,), n=800, reps=1, base_seed=5)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = run_grid(spec, jobs=1)
-            parallel = run_grid(spec, jobs=2)
-
-        def untimed(cell):
-            timing = ("runtime_ms", "stage_ms", "total_ms")
-            return {k: v for k, v in vars(cell).items() if k not in timing}
-
         assert [untimed(c) for c in parallel] == [untimed(c) for c in serial]
-        assert not any(c.error for c in serial)
-        with experiments._worker_pool(2) as pool:
-            futures = [pool.submit(usable_cpus) for _ in range(4)]
-            assert [f.result(timeout=60) for f in futures] == [1, 1, 1, 1]
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        pools = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+        spec = GridSpec(alphas=(6,), betas=(1,), n=20, reps=2)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+        parallel = run_grid(spec, jobs=8)
+        monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+        serial = run_grid(spec, jobs=8)
+        assert pools == [2]
+        assert [untimed(c) for c in parallel] == [untimed(c) for c in serial]
+
+    @pytest.mark.parametrize(
+        "method, gamma_policy, mu_policy, split",
+        [
+            (METHOD_FULL_SDP, "auto", "auto", None),
+            (METHOD_FULL_SDP, "auto", "half", None),
+            (METHOD_FULL_SDP, "auto", "oracle", (120, 80)),
+            (METHOD_SKETCH, "auto", "auto", None),
+            (METHOD_SKETCH, "auto", "oracle", None),
+            (METHOD_SKETCH, 0.6, "half", None),
+            (METHOD_SKETCH, 0.6, "auto", (120, 80)),
+        ],
+    )
+    def test_cell_is_the_direct_pipeline_call(self, method, gamma_policy, mu_policy, split):
+        # a FULL_SDP cell is full_solve, and a SKETCH cell is sketch_and_solve
+        # with its gamma policy, on the graph sampled from the cell's seed
+        n1, n2 = split or (None, None)
+        spec = GridSpec(
+            alphas=(6, 14), betas=(1,), n=200, reps=2, methods=(method,),
+            gamma_policy=gamma_policy, mu_policy=mu_policy, n1=n1, n2=n2,
+            base_seed=11, solver=SolverConfig(max_sweeps=8),
+        )
+        cells = run_grid(spec)
+        assert not any(c.error for c in cells)
+        for c in cells:
+            params = LogScaleParams(c.alpha, c.beta, spec.n).to_sbm_params(*spec.split)
+            graph, planted = sample_sbm(params, spawn_seed(c.seed, 0))
+            mu = {"auto": "auto", "half": 0.5, "oracle": (params.p + params.q) / 2.0}
+            if method == METHOD_FULL_SDP:
+                result = full_solve(
+                    graph, mu=mu[mu_policy], solver=spec.solver, seed=spawn_seed(c.seed, 1)
+                )
+            else:
+                cfg = SketchConfig(
+                    gamma=gamma_policy, seed=spawn_seed(c.seed, 1), solver=spec.solver,
+                    mu=mu[mu_policy], alpha=c.alpha, beta=c.beta,
+                )
+                result = sketch_and_solve(graph, cfg)
+            gamma = 1.0 if method == METHOD_FULL_SDP else (
+                auto_gamma(c.alpha, c.beta) if gamma_policy == "auto" else gamma_policy
+            )
+            assert c.gamma_used == gamma
+            assert c.mu_used == result.mu_used
+            assert c.fell_back == result.fell_back_random
+            assert c.unassigned_count == result.unassigned.size
+            assert c.recovered == recovered_planted(planted, result)
 
     def test_cell_failures_recorded_not_raised(self):
         # gamma so small the sketch usually loses a whole community: the

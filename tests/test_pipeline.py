@@ -363,11 +363,36 @@ class TestCertificateStopsSolve:
         graph, _ = sample_sbm(LogScaleParams(4, 1, 400).to_sbm_params(), seed=0)
         calls = count_stage_calls(monkeypatch)
         result = full_solve(graph, solver=SolverConfig(max_sweeps=30), seed=0)
-        checked_at = [calls[i - 1][1] for i, (kind, _) in enumerate(calls) if kind == "certify"]
-        assert checked_at == [0, 1, 2, 4, 8, 16, 30]
+        assert [v for kind, v in calls if kind == "solve"] == [0, 1, 2, 4, 8, 16, 30]
         assert {v for kind, v in calls if kind == "certify"} == {NOT_CERTIFIED}
         assert result.sdp.sweeps_used == 30 and not result.sdp.converged
         assert result.fell_back_random
+
+    def test_each_distinct_checkpoint_cut_checked_once(self, monkeypatch):
+        # the check is deterministic, so a checkpoint cut equal to the one
+        # checked last keeps that report
+        graph, _ = sample_sbm(LogScaleParams(4, 1, 400).to_sbm_params(), seed=0)
+        cuts, checked = [], []
+
+        def solve(*args, **kwargs):
+            sol = solve_sdp(*args, **kwargs)
+            cuts.append(sol.rounded_cut)
+            return sol
+
+        def certify(graph, partition, mu):
+            checked.append(partition)
+            return check_certificate(graph, partition, mu)
+
+        monkeypatch.setattr(pipeline, "solve_sdp", solve)
+        monkeypatch.setattr(pipeline, "check_certificate", certify)
+        result = full_solve(graph, solver=SolverConfig(max_sweeps=30), seed=0)
+        changes = [cut for i, cut in enumerate(cuts) if i == 0 or cut != cuts[i - 1]]
+        assert len(cuts) == 7 and checked == changes and len(checked) < len(cuts)
+        fresh = check_certificate(graph, result.sdp.rounded_cut, result.mu_used)
+        last = result.certificate
+        assert (last.verdict, last.lambda2_lower, last.matvecs) == (
+            fresh.verdict, fresh.lambda2_lower, fresh.matvecs
+        )
 
     def test_strong_signal_certifies_at_sweep_zero(self, monkeypatch):
         # the spectral cut is proven optimal before any sweep runs
