@@ -24,6 +24,8 @@ from functools import partial
 
 import numpy as np
 
+from .encoding import checked_mu
+
 CERTIFIED = "CERTIFIED"
 NOT_CERTIFIED = "NOT_CERTIFIED"
 INCONCLUSIVE = "INCONCLUSIVE"
@@ -52,15 +54,14 @@ class ZOperator:
     """Matrix-free certificate matrix for one (graph, cut, mu) triple."""
 
     def __init__(self, graph, partition, mu):
-        if mu < 0:
-            raise ValueError("mu must be non-negative")
+        mu = checked_mu(mu)
         n = graph.num_vertices
         g = partition.sign_vector(graph)
         adj = graph.adjacency
         n1 = int(np.count_nonzero(g > 0))
         n2 = n - n1
         self.n = n
-        self.mu = float(mu)
+        self.mu = mu
         self.g = g
         self._adj = adj
         # D_in - D_out = diag(g * (A g)): own-side minus other-side

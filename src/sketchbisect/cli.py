@@ -30,8 +30,7 @@ def _print_json(record):
 def _cmd_solve(args):
     graph = load_graph(args.graph)
     mu = estimate_mu(graph).mu if args.mu == "auto" else args.mu
-    config = SolverConfig(max_sweeps=args.max_sweeps, seed=args.seed)
-    solution = solve_sdp(graph, mu, config)
+    solution = solve_sdp(graph, mu, SolverConfig(max_sweeps=args.max_sweeps, seed=args.seed))
     save_partition(solution.rounded_cut, args.out)
     _print_json(
         {
@@ -155,9 +154,13 @@ def build_parser():
     p = sub.add_parser("sketch", help="sketch-and-solve pipeline")
     p.add_argument("graph")
     p.add_argument("--out", required=True, help="partition output file")
-    p.add_argument("--gamma", type=_auto_or_float, default="auto")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
+    p.add_argument("--gamma", type=_auto_or_float, default="auto",
+                   help="vertex sampling rate in (0, 1]; 'auto' (the default) "
+                        "needs --alpha and --beta")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="within-block rate, p = alpha*ln(n)/n; needed by --gamma auto")
+    p.add_argument("--beta", type=float, default=None,
+                   help="across-block rate, q = beta*ln(n)/n; needed by --gamma auto")
     p.add_argument("--mu", type=_auto_or_float, default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tie-rule", choices=["FAIL", "TO_FIRST", "RANDOM"], default="FAIL")

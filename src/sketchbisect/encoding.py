@@ -21,6 +21,13 @@ class MuEstimate:
     n: int
 
 
+def checked_mu(mu):
+    """``mu`` as a float; ValueError unless it is finite and non-negative."""
+    if not 0.0 <= float(mu) < math.inf:
+        raise ValueError("mu must be a finite non-negative number")
+    return float(mu)
+
+
 def estimate_mu(graph):
     """Estimate mu as the global edge density of the graph."""
     n = graph.num_vertices

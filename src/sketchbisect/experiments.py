@@ -49,8 +49,10 @@ class GridSpec:
     """Every (alpha, beta, rep, method) cell of one Monte Carlo grid.
 
     A cell is one ``sketch_and_solve`` call, at gamma 1 for FULL_SDP and at
-    ``gamma_policy`` for SKETCH. The pipeline reads only
-    ``solver.max_sweeps``: the solver's seed is derived from the cell's seed.
+    ``gamma_policy`` for SKETCH, with the sweep budget ``solver.max_sweeps``.
+    The solver's seed is derived from the cell's seed, so ``solver.seed`` is
+    not read; ``solver`` stays a ``SolverConfig`` because the benchmark's
+    grid workload builds it as one.
     """
 
     alphas: tuple
@@ -82,10 +84,8 @@ class GridSpec:
             raise ValueError("need at least one method")
         if self.mu_policy not in MU_POLICIES:
             raise ValueError(f"unknown mu policy {self.mu_policy!r}")
-        if self.gamma_policy != "auto":
-            g = float(self.gamma_policy)
-            if not 0.0 < g <= 1.0:
-                raise ValueError("fixed gamma must lie in (0, 1]")
+        if self.gamma_policy != "auto" and not 0.0 < float(self.gamma_policy) <= 1.0:
+            raise ValueError("fixed gamma must lie in (0, 1]")
         if (self.n1 is None) != (self.n2 is None):
             raise ValueError("n1 and n2 must be given together")
         if self.n1 is not None:
@@ -150,14 +150,8 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
         t_total = time.perf_counter()
         graph, planted = sample_sbm(params, spawn_seed(seed, 0))
 
-        if spec.mu_policy == "auto":
-            mu = "auto"
-        elif spec.mu_policy == "half":
-            mu = 0.5
-        elif spec.mu_policy == "gw":
-            mu = 1.0
-        else:
-            mu = (params.p + params.q) / 2.0
+        oracle = (params.p + params.q) / 2.0
+        mu = {"auto": "auto", "half": 0.5, "gw": 1.0, "oracle": oracle}[spec.mu_policy]
 
         if method == METHOD_FULL_SDP:
             gamma = 1.0
@@ -166,8 +160,8 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
         else:
             gamma = float(spec.gamma_policy)
         cell.gamma_used = gamma
-        cfg = SketchConfig(gamma=gamma, seed=spawn_seed(seed, 1), solver=spec.solver, mu=mu)
-        result = sketch_and_solve(graph, cfg)
+        result = sketch_and_solve(graph, SketchConfig(
+            gamma=gamma, seed=spawn_seed(seed, 1), max_sweeps=spec.solver.max_sweeps, mu=mu))
 
         cell.total_ms = (time.perf_counter() - t_total) * 1e3
         cell.mu_used = result.mu_used

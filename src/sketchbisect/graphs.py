@@ -145,7 +145,8 @@ class Graph:
     The only edge store is ``upper``, the strict upper triangle of the
     adjacency as CSR: row i holds the sorted neighbours j > i. The edge
     count and the lexicographic (u < v) edge list are read off it, so all
-    derived quantities are deterministic functions of the edge set. The
+    derived quantities are deterministic functions of the edge set. An
+    edge given more than once, in either orientation, counts once. The
     symmetric ``adjacency`` and the ``degrees`` are built from it on first
     use and cached.
     """
@@ -568,7 +569,8 @@ def load_graph(path):
     Blank lines and leading or trailing whitespace are ignored. A missing or
     malformed header, an edge line without exactly two integer tokens, an
     id outside 0..n-1, a self-loop or a non-ASCII byte raises ValueError
-    naming the line.
+    naming the line. An edge listed more than once, in either orientation,
+    counts once, as in ``Graph``.
 
     Only the lines up to the header are read here; numpy parses the body
     from the path and ``Graph`` checks it. The body is read again line by

@@ -10,12 +10,12 @@ full problem.
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificate import CERTIFIED, check_certificate
-from .encoding import estimate_mu
+from .encoding import checked_mu, estimate_mu
 from .graphs import Partition, bernoulli_vertex_sample, induced_subgraph
 from .seeding import spawn_seed
 from .solver import SolverConfig, solve_sdp
@@ -32,28 +32,28 @@ class SketchConfig:
 
     ``gamma`` and ``mu`` accept either a number or "auto". Automatic gamma
     needs the log-scale rates ``alpha`` and ``beta``; automatic mu is the
-    observed edge density of the full graph. ``seed`` drives the vertex
-    sample, the solver initialization, the fallback cut, and random tie
-    breaking, through independent derived streams. The pipeline reads only
-    ``max_sweeps`` from ``solver``: the solver's seed is derived from
-    ``seed``, and ``solver.seed`` is ignored.
+    observed edge density of the full graph; a given mu must be finite and
+    non-negative. ``max_sweeps`` is the solver's sweep budget, and 0 keeps
+    only the spectral cut. ``seed`` drives the vertex sample, the solver
+    initialization, the fallback cut, and random tie breaking, through
+    independent derived streams.
     """
 
     gamma: object = "auto"
     seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    max_sweeps: int = 500
     tie_rule: str = TIE_FAIL
     mu: object = "auto"
     alpha: object = None
     beta: object = None
 
     def __post_init__(self):
-        if self.gamma != "auto":
-            g = float(self.gamma)
-            if not 0.0 < g <= 1.0:
-                raise ValueError("gamma must lie in (0, 1]")
-        if self.mu != "auto" and float(self.mu) < 0:
-            raise ValueError("mu must be non-negative")
+        if self.gamma != "auto" and not 0.0 < float(self.gamma) <= 1.0:
+            raise ValueError("gamma must lie in (0, 1]")
+        if self.mu != "auto":
+            checked_mu(self.mu)
+        if self.max_sweeps < 0:
+            raise ValueError("max_sweeps must be non-negative")
         if self.tie_rule not in (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM):
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
 
@@ -160,10 +160,7 @@ def sketch_and_solve(graph, config=None):
     timings = {}
 
     t0 = time.perf_counter()
-    if config.mu == "auto":
-        mu_used = estimate_mu(graph).mu
-    else:
-        mu_used = float(config.mu)
+    mu_used = estimate_mu(graph).mu if config.mu == "auto" else float(config.mu)
     timings["estimate"] = time.perf_counter() - t0
 
     if config.gamma == "auto":
@@ -183,9 +180,8 @@ def sketch_and_solve(graph, config=None):
             "raise gamma or retry with another seed"
         )
 
-    solver_cfg = replace(config.solver, seed=spawn_seed(config.seed, 2))
     sdp, cert, timings["solve"], timings["certify"] = _solve_until_certified(
-        sub, mu_used, solver_cfg
+        sub, mu_used, config.max_sweeps, spawn_seed(config.seed, 2)
     )
 
     if cert.verdict == CERTIFIED:
@@ -224,11 +220,12 @@ def sketch_and_solve(graph, config=None):
     )
 
 
-def _solve_until_certified(graph, mu, solver_cfg):
+def _solve_until_certified(graph, mu, max_sweeps, seed):
     """Solve in chunks of 0, 1, 1, 2, 4, ... sweeps; stop at the first CERTIFIED cut.
 
-    The cut is checked after every chunk, the 0-sweep spectral cut first; a
-    cut equal to the one checked last keeps its report. Returns the
+    The chunks, each seeded with ``seed``, spend at most ``max_sweeps`` in
+    all. The cut is checked after every chunk, the 0-sweep spectral cut
+    first; a cut equal to the one checked last keeps its report. Returns the
     solution, the last certificate report and the summed solve and certify
     times.
     """
@@ -237,7 +234,7 @@ def _solve_until_certified(graph, mu, solver_cfg):
     chunk = 0
     while True:
         t0 = time.perf_counter()
-        sdp = solve_sdp(graph, mu, replace(solver_cfg, max_sweeps=chunk), start=sdp)
+        sdp = solve_sdp(graph, mu, SolverConfig(max_sweeps=chunk, seed=seed), start=sdp)
         t1 = time.perf_counter()
         if sdp.rounded_cut != checked:
             checked = sdp.rounded_cut
@@ -245,20 +242,19 @@ def _solve_until_certified(graph, mu, solver_cfg):
         t2 = time.perf_counter()
         solve_s += t1 - t0
         certify_s += t2 - t1
-        left = solver_cfg.max_sweeps - sdp.sweeps_used
+        left = max_sweeps - sdp.sweeps_used
         if cert.verdict == CERTIFIED or sdp.converged or left == 0:
             return sdp, cert, solve_s, certify_s
         chunk = min(max(sdp.sweeps_used, 1), left)
 
 
-def full_solve(graph, mu="auto", solver=None, seed=0):
+def full_solve(graph, mu="auto", max_sweeps=500, seed=0):
     """Solve on the whole vertex set (gamma = 1); same result shape as the sketch.
 
-    Every vertex is in the sketch, so no vertex is left to the vote. As in
-    ``SketchConfig``, only ``solver.max_sweeps`` is read: the solver's seed
-    is derived from ``seed``.
+    Every vertex is in the sketch, so no vertex is left to the vote.
+    ``mu``, ``max_sweeps`` and ``seed`` are those of ``SketchConfig``.
     """
-    config = SketchConfig(gamma=1.0, seed=seed, solver=solver or SolverConfig(), mu=mu)
+    config = SketchConfig(gamma=1.0, seed=seed, max_sweeps=max_sweeps, mu=mu)
     return sketch_and_solve(graph, config)
 
 

@@ -220,6 +220,10 @@ def reference_solve_sdp(graph, mu, config=None):
     rule (gain below 1e-9 * (1 + |objective|)), initialization,
     monotonicity guard and rounding are those of ``solve_sdp``, which must
     return exactly this solution, float for float.
+
+    Returns the solution and, on their own, the objectives of the seeded
+    start and after every sweep: entry k is the objective that
+    ``solve_sdp`` reports at a budget of k sweeps.
     """
     from sketchbisect import Partition, SolverConfig
     from sketchbisect.solver import _STALL_NORM, SdpSolution
@@ -281,12 +285,12 @@ def reference_solve_sdp(graph, mu, config=None):
     if signs[0] < 0:
         signs = -signs
     gap = 1.0 - (float(s[0]) * float(s[0])) / n
-    return SdpSolution(
+    solution = SdpSolution(
         factors=V,
         objective=obj,
         rounded_cut=Partition(graph.vertex_ids, signs),
         rank_one_gap=float(min(max(gap, 0.0), 1.0)),
         sweeps_used=sweeps_used,
         converged=converged,
-        sweep_objectives=history,
     )
+    return solution, history

@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -94,6 +95,18 @@ class TestZOperator:
 
 
 class TestCheckCertificate:
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0], ids=["nan", "inf", "-1"])
+    def test_mu_rejected_before_any_krylov_step(self, monkeypatch, two_triangles, mu):
+        def no_krylov(*args, **kwargs):
+            raise AssertionError("a Krylov step started")
+
+        monkeypatch.setattr(certificate, "_lanczos_bottom", no_krylov)
+        graph, planted = two_triangles
+        with pytest.raises(ValueError, match=r"^mu must be a finite non-negative number$"):
+            check_certificate(graph, planted, mu)
+        with pytest.raises(ValueError, match=r"^mu must be a finite non-negative number$"):
+            ZOperator(graph, planted, mu)
+
     def test_triangles_certified_lambda2_three(self, two_triangles):
         graph, planted = two_triangles
         report = check_certificate(graph, planted, 0.5)

@@ -130,6 +130,24 @@ class TestValueErrors:
         assert "invalid" not in stderr
 
 
+class TestMuChecked:
+    @pytest.mark.parametrize("mu", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["solve", "certify", "sketch"])
+    def test_bad_mu_fails_with_one_message(self, capsys, tmp_path, triangle_files, command, mu):
+        gpath, ppath, _, _ = triangle_files
+        out = tmp_path / "cut.txt"
+        argv = {
+            "solve": ["solve", gpath, "--out", out],
+            "certify": ["certify", gpath, ppath],
+            "sketch": ["sketch", gpath, "--out", out, "--gamma", "1"],
+        }[command]
+        code, stdout, stderr = run_cli(capsys, *argv, f"--mu={mu}")
+        assert code == 1
+        assert stdout == ""
+        assert stderr == "error: mu must be a finite non-negative number\n"
+        assert not out.exists()
+
+
 class TestCertifyCommand:
     def test_certified_report(self, capsys, triangle_files):
         gpath, ppath, _, _ = triangle_files
@@ -223,7 +241,17 @@ class TestSketchCommand:
         gpath, _, _, _ = triangle_files
         code, _, stderr = run_cli(capsys, "sketch", gpath, "--out", tmp_path / "c.txt")
         assert code == 1
-        assert "error:" in stderr
+        assert stderr == "error: automatic gamma needs alpha and beta\n"
+
+    def test_help_says_what_auto_gamma_needs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--gamma GAMMA vertex sampling rate in (0, 1]; 'auto' (the default) " \
+               "needs --alpha and --beta" in text
+        assert "--alpha ALPHA within-block rate, p = alpha*ln(n)/n; needed by --gamma auto" in text
+        assert "--beta BETA across-block rate, q = beta*ln(n)/n; needed by --gamma auto" in text
 
 
 class TestThresholdsCommand:

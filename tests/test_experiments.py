@@ -223,12 +223,14 @@ class TestRunGrid:
             mu = {"auto": "auto", "half": 0.5, "oracle": (params.p + params.q) / 2.0}
             if method == METHOD_FULL_SDP:
                 result = full_solve(
-                    graph, mu=mu[mu_policy], solver=spec.solver, seed=spawn_seed(c.seed, 1)
+                    graph, mu=mu[mu_policy], max_sweeps=spec.solver.max_sweeps,
+                    seed=spawn_seed(c.seed, 1),
                 )
             else:
                 cfg = SketchConfig(
-                    gamma=gamma_policy, seed=spawn_seed(c.seed, 1), solver=spec.solver,
-                    mu=mu[mu_policy], alpha=c.alpha, beta=c.beta,
+                    gamma=gamma_policy, seed=spawn_seed(c.seed, 1),
+                    max_sweeps=spec.solver.max_sweeps, mu=mu[mu_policy], alpha=c.alpha,
+                    beta=c.beta,
                 )
                 result = sketch_and_solve(graph, cfg)
             gamma = 1.0 if method == METHOD_FULL_SDP else (

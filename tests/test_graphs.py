@@ -712,6 +712,12 @@ class TestEdgeListFiles:
             path = self.write(tmp_path, f"\r\n \t\r\nn 40\r\n{body}")
             assert_same_graph(load_graph(path), Graph(40, canonical))
 
+    def test_repeated_edge_counts_once(self, tmp_path):
+        g = load_graph(self.write(tmp_path, "n 3\n0 1\n1 0\n0 1\n"))
+        assert g == Graph(3, [(0, 1)]) == Graph(3, [(0, 1), (1, 0)])
+        assert (g.num_vertices, g.edge_count) == (3, 1)
+        assert g.degrees.tolist() == [1, 1, 0]
+
     @pytest.mark.parametrize("text, line", [
         ("", None),
         ("\n \n", None),

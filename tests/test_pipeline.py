@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import json
 import math
 from decimal import Decimal, getcontext
@@ -199,6 +201,36 @@ class TestSketchConfig:
         with pytest.raises(ValueError):
             SketchConfig(tie_rule="COIN")
 
+    def test_max_sweeps_checked(self):
+        with pytest.raises(ValueError, match=r"^max_sweeps must be non-negative$"):
+            SketchConfig(max_sweeps=-1)
+        assert SketchConfig(max_sweeps=0).max_sweeps == 0
+        assert SketchConfig().max_sweeps == SolverConfig().max_sweeps == 500
+
+    def test_sweep_budget_is_the_only_solver_setting(self):
+        # the solver's seed is derived from ``seed``, so no solver config is taken
+        assert [f.name for f in dataclasses.fields(SketchConfig)] == [
+            "gamma", "seed", "max_sweeps", "tie_rule", "mu", "alpha", "beta"
+        ]
+        with pytest.raises(TypeError):
+            SketchConfig(solver=SolverConfig())
+        assert list(inspect.signature(full_solve).parameters) == [
+            "graph", "mu", "max_sweeps", "seed"
+        ]
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0], ids=["nan", "inf", "-1"])
+    def test_mu_must_be_finite_and_non_negative(self, monkeypatch, two_triangles, mu):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started")
+
+        monkeypatch.setattr(pipeline, "bernoulli_vertex_sample", no_work)
+        monkeypatch.setattr(pipeline, "solve_sdp", no_work)
+        message = r"^mu must be a finite non-negative number$"
+        with pytest.raises(ValueError, match=message):
+            SketchConfig(mu=mu)
+        with pytest.raises(ValueError, match=message):
+            full_solve(two_triangles[0], mu=mu)
+
     def test_auto_gamma_needs_rates(self, two_triangles):
         graph, _ = two_triangles
         with pytest.raises(ValueError):
@@ -362,7 +394,7 @@ class TestCertificateStopsSolve:
     def test_uncertified_instance_checked_on_doubling_schedule(self, monkeypatch):
         graph, _ = sample_sbm(LogScaleParams(4, 1, 400).to_sbm_params(), seed=0)
         calls = count_stage_calls(monkeypatch)
-        result = full_solve(graph, solver=SolverConfig(max_sweeps=30), seed=0)
+        result = full_solve(graph, max_sweeps=30, seed=0)
         assert [v for kind, v in calls if kind == "solve"] == [0, 1, 2, 4, 8, 16, 30]
         assert {v for kind, v in calls if kind == "certify"} == {NOT_CERTIFIED}
         assert result.sdp.sweeps_used == 30 and not result.sdp.converged
@@ -385,7 +417,7 @@ class TestCertificateStopsSolve:
 
         monkeypatch.setattr(pipeline, "solve_sdp", solve)
         monkeypatch.setattr(pipeline, "check_certificate", certify)
-        result = full_solve(graph, solver=SolverConfig(max_sweeps=30), seed=0)
+        result = full_solve(graph, max_sweeps=30, seed=0)
         changes = [cut for i, cut in enumerate(cuts) if i == 0 or cut != cuts[i - 1]]
         assert len(cuts) == 7 and checked == changes and len(checked) < len(cuts)
         fresh = check_certificate(graph, result.sdp.rounded_cut, result.mu_used)
@@ -416,7 +448,7 @@ class TestCertificateStopsSolve:
     def test_zero_sweep_budget_checks_once(self, monkeypatch):
         graph, _ = pairwise_sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
         calls = count_stage_calls(monkeypatch)
-        result = full_solve(graph, solver=SolverConfig(max_sweeps=0), seed=1004)
+        result = full_solve(graph, max_sweeps=0, seed=1004)
         assert calls == [("solve", 0), ("certify", NOT_CERTIFIED)]
         assert result.fell_back_random
 
@@ -470,7 +502,7 @@ class TestFullGraphCsr:
         graph, _ = sample_sbm(LogScaleParams(alpha, 1, 1000).to_sbm_params(), seed=9)
         built = spy_symmetric_builds(monkeypatch)
         config = SketchConfig(gamma=gamma, seed=9, alpha=alpha, beta=1,
-                              solver=SolverConfig(max_sweeps=4), tie_rule=TIE_RANDOM)
+                              max_sweeps=4, tie_rule=TIE_RANDOM)
         result = sketch_and_solve(graph, config)
         assert 1 < result.sketch_vertices.size < graph.num_vertices
         assert built == [result.sketch_vertices.size]

@@ -78,12 +78,13 @@ class TestSolveSdp:
         for _ in range(6):
             n = int(rng.integers(4, 40))
             g = random_test_graph(rng, n, 0.4)
-            sol = solve_sdp(g, 0.5, SolverConfig(seed=int(rng.integers(1 << 30))))
-            hist = np.asarray(sol.sweep_objectives)
-            gaps = np.diff(hist)
-            assert np.all(gaps >= -1e-8 * (1.0 + np.abs(hist[1:])))
-            norms = np.linalg.norm(sol.factors, axis=1)
-            assert np.max(np.abs(norms - 1.0)) <= 1e-12
+            config = SolverConfig(seed=int(rng.integers(1 << 30)))
+            chain = one_sweep_chain(g, 0.5, config)
+            objectives = np.array([sol.objective for sol in chain])
+            assert np.all(np.diff(objectives) >= -1e-8 * (1.0 + np.abs(objectives[1:])))
+            for sol in chain:
+                norms = np.linalg.norm(sol.factors, axis=1)
+                assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
     def test_objective_recomputable_from_factors(self):
         rng = np.random.default_rng(11)
@@ -133,6 +134,22 @@ class TestSolveSdp:
         with pytest.raises(ValueError):
             solve_sdp(Graph(3, []), -0.1)
 
+    @pytest.mark.parametrize("max_sweeps", [0, 5])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -1.0], ids=["nan", "inf", "-1"])
+    def test_mu_rejected_before_any_work(self, monkeypatch, two_triangles, mu, max_sweeps):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a Krylov step or a sweep started")
+
+        monkeypatch.setattr(solver, "_lanczos_bottom", no_work)
+        monkeypatch.setattr(solver, "_update_lists", no_work)
+        with pytest.raises(ValueError, match=r"^mu must be a finite non-negative number$"):
+            solve_sdp(two_triangles[0], mu, SolverConfig(max_sweeps=max_sweeps))
+
+    def test_solution_keeps_no_sweep_history(self):
+        assert [f.name for f in dataclasses.fields(solver.SdpSolution)] == [
+            "factors", "objective", "rounded_cut", "rank_one_gap", "sweeps_used", "converged"
+        ]
+
 
 def _sbm_case(alpha, n, seed, max_sweeps):
     graph, _ = sample_sbm(LogScaleParams(alpha, 1, n).to_sbm_params(), seed)
@@ -151,17 +168,33 @@ def chunked_solve(graph, mu, config):
         chunk = min(max(sol.sweeps_used, 1), left)
 
 
+def one_sweep_chain(graph, mu, config):
+    """The solutions after sweeps 1, 2, ..., each a 1-sweep call resuming the last."""
+    chain = [solve_sdp(graph, mu, replace(config, max_sweeps=1))]
+    while not chain[-1].converged and chain[-1].sweeps_used < config.max_sweeps:
+        chain.append(solve_sdp(graph, mu, replace(config, max_sweeps=1), start=chain[-1]))
+    return chain
+
+
 class TestSweepOracle:
     """``solve_sdp`` reproduces the plainly written sweep bit for bit, both
-    in one call and resumed in chunks of 0, 1, 1, 2, 4, ... sweeps."""
+    in one call and resumed in chunks of 0, 1, 1, 2, 4, ... sweeps; the
+    objective after each of its sweeps is ``solve_sdp``'s at that budget,
+    in one call and as a chain of 1-sweep calls."""
 
     @staticmethod
     def assert_same_trajectory(graph, mu, config):
-        want = reference_solve_sdp(graph, mu, config)
-        for got in (solve_sdp(graph, mu, config), chunked_solve(graph, mu, config)):
+        want, objectives = reference_solve_sdp(graph, mu, config)
+        budgets = range(1, want.sweeps_used + 1)
+        assert objectives[1:] == [
+            solve_sdp(graph, mu, replace(config, max_sweeps=k)).objective for k in budgets
+        ]
+        chain = one_sweep_chain(graph, mu, config)
+        assert objectives[1:] == [sol.objective for sol in chain]
+        assert [sol.sweeps_used for sol in chain] == list(budgets)
+        for got in (solve_sdp(graph, mu, config), chunked_solve(graph, mu, config), chain[-1]):
             assert got.factors.shape == want.factors.shape
             assert got.factors.tobytes() == want.factors.tobytes()
-            assert got.sweep_objectives == want.sweep_objectives
             assert got.objective == want.objective
             assert got.sweeps_used == want.sweeps_used
             assert got.converged == want.converged
@@ -228,7 +261,6 @@ class TestSweepZero:
         assert np.array_equal(sol.factors[:, 0], cut.sign_vector(graph))
         assert sol.objective == pytest.approx(objective_value(graph, mu, cut), rel=1e-12)
         assert isinstance(sol.rank_one_gap, float) and sol.rank_one_gap == 0.0
-        assert sol.sweep_objectives == [sol.objective]
         assert sol.sweeps_used == 0 and not sol.converged
 
     def test_draws_no_factor_matrix(self):
@@ -309,7 +341,6 @@ class TestSweepZero:
         fresh = solve_sdp(graph, 0.5, SolverConfig(seed=2))
         assert resumed.sweeps_used == fresh.sweeps_used >= 1
         assert resumed.factors.tobytes() == fresh.factors.tobytes()
-        assert resumed.sweep_objectives == fresh.sweep_objectives
         assert resumed.objective == fresh.objective
         assert resumed.rank_one_gap == fresh.rank_one_gap
         assert resumed.converged == fresh.converged
@@ -371,15 +402,14 @@ class TestResume:
         before = first.factors.tobytes()
         second = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2), start=first)
         assert first.factors.tobytes() == before
-        assert first.sweeps_used == 1 and len(first.sweep_objectives) == 2
+        assert first.sweeps_used == 1
         assert not np.shares_memory(second.factors, first.factors)
         assert second.sweeps_used == 2
-        assert len(second.sweep_objectives) == 3
         assert second.factors.tobytes() != first.factors.tobytes()
         # resuming the same start twice gives the same second sweep
         again = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2), start=first)
         assert again.factors.tobytes() == second.factors.tobytes()
-        assert again.sweep_objectives == second.sweep_objectives
+        assert again.objective == second.objective
 
     def test_wrong_start_shape_rejected(self, two_triangles):
         graph, _ = two_triangles
