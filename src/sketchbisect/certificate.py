@@ -51,22 +51,19 @@ class CertificateReport:
 
 
 class ZOperator:
-    """Matrix-free certificate matrix for one (graph, cut, mu) triple."""
+    """Matrix-free certificate matrix for one (graph, cut, mu) triple; A is ``graph.matvec``."""
 
     def __init__(self, graph, partition, mu):
         mu = checked_mu(mu)
         n = graph.num_vertices
         g = partition.sign_vector(graph)
-        adj = graph.adjacency
-        n1 = int(np.count_nonzero(g > 0))
-        n2 = n - n1
         self.n = n
         self.mu = mu
         self.g = g
-        self._adj = adj
+        self._graph = graph
         # D_in - D_out = diag(g * (A g)): own-side minus other-side
-        # neighbour counts, exact in floats
-        self._diag = g * (adj @ g) - mu * (n1 - n2) * g
+        # neighbour counts, and n1 - n2 = sum(g), both exact in floats
+        self._diag = g * graph.matvec(g) - mu * g.sum() * g
         degrees = graph.degrees.astype(np.float64)
         # max row 1-norm: |Z_ii| + sum_j |Z_ij|; off-diagonals are -(1-mu)
         # on edges and mu on non-edges
@@ -78,12 +75,10 @@ class ZOperator:
         self.scale = float(row_norms.max()) if n else 0.0
 
     def matvec(self, x):
-        return self._diag * x - self._adj @ x + self.mu * x.sum()
+        return self._diag * x - self._graph.matvec(x) + self.mu * x.sum()
 
     def dense(self):
-        z = np.diag(self._diag + self.mu) - self._adj.toarray()
-        z += self.mu * (np.ones((self.n, self.n)) - np.eye(self.n))
-        return z
+        return np.diag(self._diag) - self._graph.matvec(np.eye(self.n)) + self.mu
 
 
 def _project_out(x, g_unit):

@@ -5,9 +5,9 @@ label: induced subgraphs keep the labels of the parent graph, which lets
 a cut found on a sketch be compared against, or extended to, the full
 vertex set without any index translation. A graph stores its labels and
 the strict upper triangle of its adjacency as CSR (the canonical edge
-rows) only. The edge count, the edge list, induced subgraphs and vote
-margins are read off that triangle; the symmetric CSR adjacency and the
-degrees are built from it on first use and cached.
+rows) only. The edge count, the edge list, the degrees, induced
+subgraphs, vote margins and every adjacency product ``Graph.matvec`` are
+read off that triangle; no symmetric CSR of a graph is built here.
 """
 
 import itertools
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+
+from .thresholds import _check_finite
 
 # Rows formatted per write by save_graph and save_partition.
 _WRITE_ROWS = 1 << 16
@@ -51,7 +53,7 @@ class LogScaleParams:
     """Edge rates on the logarithmic scale: p = alpha*ln(n)/n, q = beta*ln(n)/n.
 
     This is the scaling regime where exact recovery of the planted cut has a
-    sharp threshold, so experiment grids are expressed in (alpha, beta).
+    sharp threshold, so experiment grids are expressed in finite, positive (alpha, beta).
     """
 
     alpha: float
@@ -61,6 +63,7 @@ class LogScaleParams:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be at least 2")
+        _check_finite(self.alpha, self.beta)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
 
@@ -130,14 +133,6 @@ def _upper_csr(n, counts, hi):
     return sp.csr_matrix((np.ones(hi.shape[0]), hi, indptr), shape=(n, n))
 
 
-def _symmetric(upper):
-    """Symmetric 0/1 CSR adjacency from its strict upper triangle.
-
-    scipy's linear transpose and sorted-row merge add the lower triangle.
-    """
-    return upper + upper.T
-
-
 class Graph:
     """Immutable simple undirected graph over labelled vertices.
 
@@ -147,8 +142,7 @@ class Graph:
     count and the lexicographic (u < v) edge list are read off it, so all
     derived quantities are deterministic functions of the edge set. An
     edge given more than once, in either orientation, counts once. The
-    symmetric ``adjacency`` and the ``degrees`` are built from it on first
-    use and cached.
+    adjacency A = U + U^T is never stored; ``matvec`` and ``degrees`` read U.
     """
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
@@ -203,8 +197,9 @@ class Graph:
         self._ids = ids
         self._ids.flags.writeable = False
         self._upper = upper
-        self._adj = None
-        self._degrees = None
+        # U.T as a CSC view of U's own arrays, made once: at n = 400 scipy's
+        # .T costs twice the product it would precede
+        self._lower = upper.T
         return self
 
     @property
@@ -231,18 +226,15 @@ class Graph:
         return self._upper
 
     @property
-    def adjacency(self):
-        """Symmetric 0/1 CSR adjacency, built on first use; treat as read-only."""
-        if self._adj is None:
-            self._adj = _symmetric(self._upper)
-        return self._adj
-
-    @property
     def degrees(self):
-        if self._degrees is None:
-            self._degrees = np.diff(self.adjacency.indptr).astype(np.int64)
-            self._degrees.flags.writeable = False
-        return self._degrees
+        """int64 degrees, counted afresh: U's row counts plus U.T @ 1, its column counts."""
+        counts = self._lower @ np.ones(self.num_vertices)
+        counts += np.diff(self._upper.indptr)
+        return counts.astype(np.int64)
+
+    def matvec(self, x):
+        """A @ x = U @ x + U.T @ x for a length-n vector or an (n, k) block."""
+        return self._upper @ x + self._lower @ x
 
     def indices_of(self, vertices):
         """Map vertex labels to adjacency row indices (vectorized)."""

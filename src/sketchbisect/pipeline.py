@@ -4,9 +4,9 @@ The full graph is read three times, each time through its CSR upper
 triangle only: its edge count gives the density offset mu, its rows
 inside a Bernoulli vertex sample give the induced subgraph, and its
 products with the sketch's signs give the majority vote. The SDP and its
-certificate run on the induced subgraph, so the expensive steps, and the
-only symmetric CSR built when gamma < 1, cost a gamma-fraction of the
-full problem.
+certificate run on the induced subgraph, so the expensive steps cost a
+gamma-fraction of the full problem. The only symmetric CSR built is a
+swept solve's, of the graph it solves, so a sweep-0 certificate builds none.
 """
 
 import time

@@ -120,6 +120,9 @@ def solve_sdp(graph, mu, config=None, start=None):
     neighbour sum minus mu times the other rows, one norm, and the
     normalized row written in place with the running sum moved by the
     difference.
+
+    The lists and the per-sweep objective read a symmetric CSR of the
+    graph, built once per swept call: the package's only one.
     """
     config = config or SolverConfig()
     n = graph.num_vertices
@@ -127,26 +130,27 @@ def solve_sdp(graph, mu, config=None, start=None):
         raise ValueError("need at least two vertices")
     mu = checked_mu(mu)
     r = _factor_rank(n)
-    adj = graph.adjacency
-
-    def objective(W):
-        s = W.sum(axis=0)
-        return float((W * (adj @ W)).sum() - mu * (s @ s))
 
     if start is not None and start.sweeps_used == 0:
         # a 0-sweep solution holds no sweep state; resume as a fresh call
         start = None
     if start is None and not config.max_sweeps:
         signs = _sign_cut(_spectral_vector(graph, mu, config.seed))
-        g = signs.astype(np.float64)[:, None]
+        cut = Partition(graph.vertex_ids, signs)
         return SdpSolution(
-            factors=g,
-            objective=objective(g),
-            rounded_cut=Partition(graph.vertex_ids, signs),
+            factors=signs.astype(np.float64)[:, None],
+            objective=objective_value(graph, mu, cut),
+            rounded_cut=cut,
             rank_one_gap=0.0,
             sweeps_used=0,
             converged=False,
         )
+
+    adj = _symmetric(graph.upper)
+
+    def objective(W):
+        s = W.sum(axis=0)
+        return float((W * (adj @ W)).sum() - mu * (s @ s))
 
     # Rows 0..n-1 of E are the swept factors, row n is their running sum.
     # Views, not copies: writing a row writes E.
@@ -206,6 +210,11 @@ def solve_sdp(graph, mu, config=None, start=None):
     )
 
 
+def _symmetric(upper):
+    """Symmetric 0/1 CSR adjacency: scipy's transpose and sorted-row merge of ``upper``."""
+    return upper + upper.T
+
+
 def _update_lists(adj, mu):
     """Per-vertex index and weight lists of the sweep's gemv.
 
@@ -233,11 +242,10 @@ def _update_lists(adj, mu):
 def _spectral_vector(graph, mu, seed):
     """Ritz vector for the top of A - mu*J, from the certificate's Lanczos loop."""
     n = graph.num_vertices
-    adj = graph.adjacency
     # The top of A - mu*J is the bottom of mu*J - A; mu*n plus the largest
     # degree bounds its row sums.
     checkpoints = _lanczos_bottom(
-        lambda x: mu * x.sum() - adj @ x,
+        lambda x: mu * x.sum() - graph.matvec(x),
         n,
         min(n, _LANCZOS_STEPS),
         mu * n + float(graph.degrees.max()),
@@ -265,7 +273,7 @@ def _top_singular(V):
 def objective_value(graph, mu, partition):
     """Objective of the rank-one point g g^T: g^T A g - mu (sum g)^2."""
     g = partition.sign_vector(graph)
-    return float(g @ (graph.adjacency @ g) - mu * g.sum() ** 2)
+    return float(g @ graph.matvec(g) - mu * g.sum() ** 2)
 
 
 def brute_force_max(graph, mu, balanced_only=False):
@@ -285,11 +293,6 @@ def brute_force_max(graph, mu, balanced_only=False):
         raise ValueError("balanced enumeration needs even n")
     mu = float(mu)
 
-    e = graph.edges
-    if e.size:
-        uc = graph.indices_of(e[:, 0])
-        vc = graph.indices_of(e[:, 1])
-
     total = 1 << (n - 1)
     chunk = 1 << 16
     shifts = np.arange(n - 2, -1, -1, dtype=np.uint64)
@@ -307,8 +310,7 @@ def brute_force_max(graph, mu, balanced_only=False):
             if signs.size == 0:
                 continue
         sf = signs.astype(np.float64)
-        quad = 2.0 * (sf[:, uc] * sf[:, vc]).sum(axis=1) if e.size else np.zeros(sf.shape[0])
-        vals = quad - mu * sf.sum(axis=1) ** 2
+        vals = (sf * graph.matvec(sf.T).T).sum(axis=1) - mu * sf.sum(axis=1) ** 2
         j = int(np.argmax(vals))
         if vals[j] > best_val:
             best_val = float(vals[j])

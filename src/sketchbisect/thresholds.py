@@ -1,6 +1,7 @@
 """Closed-form recovery thresholds and success bounds for the bisection SDP.
 
-All rates are on the logarithmic scale p = alpha*ln(n)/n, q = beta*ln(n)/n.
+All rates are on the logarithmic scale p = alpha*ln(n)/n, q = beta*ln(n)/n,
+and must be finite: an infinite or NaN alpha or beta raises ValueError.
 Exact recovery of a balanced planted cut is possible iff
 sqrt(alpha) - sqrt(beta) >= sqrt(2); below that line no estimator succeeds
 with high probability. The sketching rates compare against that line:
@@ -35,13 +36,20 @@ BOUNDARY = "BOUNDARY"
 _BOUNDARY_TOL = 1e-12
 
 
+def _check_finite(alpha, beta):
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}")
+
+
 def _check_rates(alpha, beta):
+    _check_finite(alpha, beta)
     if not alpha > beta > 0:
         raise ValueError("need alpha > beta > 0")
 
 
 def recovery_phase(alpha, beta):
     """Phase of (alpha, beta): RECOVERABLE, IMPOSSIBLE, or BOUNDARY."""
+    _check_finite(alpha, beta)
     if not alpha >= beta > 0:
         raise ValueError("need alpha >= beta > 0")
     margin = math.sqrt(alpha) - math.sqrt(beta) - math.sqrt(2.0)

@@ -1,10 +1,11 @@
 """Shared test helpers.
 
-The dense constructions here rebuild matrices from ``graph.edges`` with
-plain numpy, so that the matrix-free solver and certificate paths are
-checked against a second route. They are not independent of the graph
-store: ``edges`` is read off the CSR upper triangle, so a test of graph
-construction needs a reference built from its own input.
+The dense constructions here start from ``dense_adjacency``, the one
+dense oracle of A: the graph's upper triangle made dense and added to its
+transpose with plain numpy, so that ``Graph.matvec`` and the matrix-free
+solver and certificate paths are checked against a second route. It is
+not independent of the graph store, so a test of graph construction needs
+a reference built from its own input.
 """
 
 import math
@@ -14,13 +15,9 @@ import pytest
 
 
 def dense_adjacency(graph):
-    n = graph.num_vertices
-    ids = {int(v): i for i, v in enumerate(graph.vertex_ids)}
-    a = np.zeros((n, n))
-    for u, v in graph.edges:
-        i, j = ids[int(u)], ids[int(v)]
-        a[i, j] = a[j, i] = 1.0
-    return a
+    """A = U + U^T as a dense float array, rows in ``vertex_ids`` order."""
+    u = graph.upper.toarray()
+    return u + u.T
 
 
 def dense_objective(graph, mu):
@@ -66,17 +63,20 @@ def recording_loop(monkeypatch, module):
 
 
 def spy_symmetric_builds(monkeypatch):
-    """Record the vertex count of every symmetric CSR adjacency built from here on."""
-    from sketchbisect import graphs
+    """Record the vertex count of every symmetric CSR adjacency built from here on.
+
+    The swept solve is the one place that builds one.
+    """
+    from sketchbisect import solver
 
     built = []
-    symmetric = graphs._symmetric
+    symmetric = solver._symmetric
 
     def spy(upper):
         built.append(upper.shape[0])
         return symmetric(upper)
 
-    monkeypatch.setattr(graphs, "_symmetric", spy)
+    monkeypatch.setattr(solver, "_symmetric", spy)
     return built
 
 
@@ -176,7 +176,10 @@ def pairwise_sample_sbm(params, seed):
 
 
 def reference_adjacency(graph):
-    """Symmetric CSR built from both edge orientations, then row-sorted."""
+    """Symmetric CSR built from both edge orientations, then row-sorted.
+
+    The swept solve's neighbour lists must read exactly this CSR.
+    """
     import scipy.sparse as sp
 
     rows = graph.indices_of(graph.edges)
@@ -199,12 +202,11 @@ def reference_upper(graph):
 
 
 def assert_same_graph(a, b):
-    """Equal labels, edges, CSR arrays of both stores (values and dtypes) and degrees."""
+    """Equal labels, edges, upper-triangle CSR arrays (values and dtypes) and degrees."""
     assert a == b
-    for store in ("upper", "adjacency"):
-        for name in ("indptr", "indices", "data"):
-            x, y = getattr(getattr(a, store), name), getattr(getattr(b, store), name)
-            assert x.dtype == y.dtype and np.array_equal(x, y), (store, name)
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a.upper, name), getattr(b.upper, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert np.array_equal(a.degrees, b.degrees)
 
 
@@ -242,7 +244,7 @@ def reference_solve_sdp(graph, mu, config=None):
         norms = np.linalg.norm(V, axis=1)
     V /= norms[:, None]
 
-    adj = graph.adjacency
+    adj = reference_adjacency(graph)
     indptr, indices = adj.indptr, adj.indices
 
     def objective(W):

@@ -25,6 +25,7 @@ import sketchbisect.certificate as certificate
 from sketchbisect.certificate import LANCZOS_BUDGET, POSITIVE_MARGIN_REL, ZOperator, _lanczos_bottom
 
 from conftest import (
+    dense_adjacency,
     dense_certificate,
     disjoint_union,
     pairwise_sample_sbm,
@@ -45,7 +46,7 @@ class TestZOperator:
         op = ZOperator(graph, planted, 0.5)
         # inside each triangle every vertex has 2 own-side, 0 cross edges,
         # so Z = 2I - A + 0.5 J
-        a = graph.adjacency.toarray()
+        a = dense_adjacency(graph)
         want = 2.0 * np.eye(6) - a + 0.5 * np.ones((6, 6))
         assert np.allclose(op.dense(), want, atol=1e-12)
         g = planted.sign_vector(graph)
@@ -54,7 +55,7 @@ class TestZOperator:
     def test_k22_has_negative_direction(self, k22_cross):
         graph, planted = k22_cross
         op = ZOperator(graph, planted, 0.5)
-        a = graph.adjacency.toarray()
+        a = dense_adjacency(graph)
         want = -2.0 * np.eye(4) - a + 0.5 * np.ones((4, 4))
         assert np.allclose(op.dense(), want, atol=1e-12)
         w = np.array([1.0, -1.0, 0.0, 0.0])
@@ -281,9 +282,9 @@ class TestLanczosLoop:
         # a Krylov run spans two dimensions and breaks down; only restarts
         # in the unexplored complement reach all nine steps
         edges = [(i + k, j + k) for k in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))]
-        adj = Graph(9, edges).adjacency
+        graph = Graph(9, edges)
         checkpoints = list(
-            _lanczos_bottom(lambda x: -(adj @ x), 9, 9, 2.0, np.random.default_rng(1))
+            _lanczos_bottom(lambda x: -graph.matvec(x), 9, 9, 2.0, np.random.default_rng(1))
         )
         steps = [k for k, _, _ in checkpoints]
         assert steps[0] == 2 and steps[-1] == 9

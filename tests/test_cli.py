@@ -254,6 +254,22 @@ class TestSketchCommand:
         assert "--beta BETA across-block rate, q = beta*ln(n)/n; needed by --gamma auto" in text
 
 
+class TestRatesChecked:
+    @pytest.mark.parametrize("alpha, beta", [("inf", "1"), ("-inf", "1"), ("nan", "1"),
+                                             ("50", "inf"), ("50", "nan")])
+    @pytest.mark.parametrize("command", ["thresholds", "sketch"])
+    def test_non_finite_rate_fails_with_one_message(self, capsys, tmp_path, triangle_files,
+                                                    command, alpha, beta):
+        out = tmp_path / "cut.txt"
+        argv = ["thresholds"] if command == "thresholds" else ["sketch", triangle_files[0], "--out", out]
+        code, stdout, stderr = run_cli(capsys, *argv, f"--alpha={alpha}", f"--beta={beta}")
+        assert code == 1
+        assert stdout == ""  # no JSON, so no NaN in it
+        assert stderr == (f"error: alpha and beta must be finite, "
+                          f"got alpha={float(alpha)!r}, beta={float(beta)!r}\n")
+        assert not out.exists()
+
+
 class TestThresholdsCommand:
     def test_point_report(self, capsys):
         code, stdout, _ = run_cli(capsys, "thresholds", "--alpha", "50", "--beta", "1")

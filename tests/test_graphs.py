@@ -24,6 +24,7 @@ from sketchbisect import (
     sample_sbm,
     save_graph,
     save_partition,
+    solver,
 )
 
 from conftest import (
@@ -67,12 +68,13 @@ class TestGraphBasics:
 
     def test_neighbors_sorted(self):
         g = Graph(5, [(2, 4), (2, 0), (2, 3), (2, 1)])
-        adj = g.adjacency
-        assert list(adj.indices[adj.indptr[2]:adj.indptr[3]]) == [0, 1, 3, 4]
+        up = g.upper
+        assert list(up.indices[up.indptr[2]:up.indptr[3]]) == [3, 4]
+        assert list(up.indices[up.indptr[0]:up.indptr[1]]) == [2]
 
     def test_has_edge(self):
         g = Graph(4, [(0, 1), (2, 3)])
-        dense = g.adjacency.toarray()
+        dense = dense_adjacency(g)
         assert dense[0, 1] == dense[1, 0] == 1
         assert dense[0, 2] == 0 and dense[1, 1] == 0
         assert edge_set(g) == {(0, 1), (2, 3)}
@@ -88,7 +90,9 @@ class TestGraphBasics:
             dense = np.zeros((n, n))
             for i, j in edges:
                 dense[i, j] = dense[j, i] = 1.0
-            assert np.array_equal(g.adjacency.toarray(), dense)
+            assert np.array_equal(dense_adjacency(g), dense)
+            assert np.array_equal(g.matvec(np.eye(n)), dense)
+            assert np.array_equal(g.degrees, dense.sum(axis=1))
 
     def test_equality(self):
         a = Graph(3, [(0, 1)])
@@ -127,10 +131,7 @@ class TestGraphConstruction:
             canonical, variants = self.canonical_and_variants(rng, n, 0.4, ids)
             ref = Graph(n, canonical, vertex_ids=vertex_ids)
             assert np.array_equal(ref.edges, canonical)
-            adj = reference_adjacency(ref)
-            assert np.array_equal(ref.adjacency.indptr, adj.indptr)
-            assert np.array_equal(ref.adjacency.indices, adj.indices)
-            assert np.array_equal(ref.adjacency.toarray(), dense_adjacency(ref))
+            assert np.array_equal(dense_adjacency(ref), reference_adjacency(ref).toarray())
             for edges in variants:
                 assert_same_graph(Graph(n, edges, vertex_ids=vertex_ids), ref)
                 assert_same_graph(Graph(n, edges.tolist(), vertex_ids=vertex_ids), ref)
@@ -140,7 +141,7 @@ class TestGraphConstruction:
             g = Graph(4, edges, vertex_ids=[9, 2, 5, 7])
             assert g.edge_count == 0 and g.edges.shape == (0, 2)
             assert g.edges.dtype == np.int64
-            assert g.adjacency.nnz == 0 and list(g.degrees) == [0, 0, 0, 0]
+            assert g.upper.nnz == 0 and list(g.degrees) == [0, 0, 0, 0]
         assert Graph(0).num_vertices == 0
         assert Graph(0).edges.shape == (0, 2) and Graph(0).edges.dtype == np.int64
 
@@ -178,9 +179,10 @@ class TestGraphConstruction:
 
 class TestCanonicalCsr:
     """Every route to a graph gives scipy's COO -> CSR, array for array, for
-    both its stored upper triangle and its symmetric adjacency."""
+    its stored upper triangle and for the symmetric CSR a swept solve builds
+    from it; its products and degrees are those of the dense adjacency."""
 
-    CASES = ("n0", "n1", "isolated", "star", "complete", "small-sbm", "alpha50-n2000")
+    CASES = ("n0", "n1", "edgeless", "isolated", "star", "complete", "small-sbm", "alpha50-n2000")
     SAMPLED = {
         "complete": (SbmParams(4, 3, 1.0, 1.0), 0),
         "small-sbm": (SbmParams(12, 9, 0.5, 0.2), 8),
@@ -196,6 +198,7 @@ class TestCanonicalCsr:
         n, edges = {
             "n0": (0, []),
             "n1": (1, []),
+            "edgeless": (6, []),
             "isolated": (9, [(1, 4), (4, 6)]),
             "star": (12, [(0, k) for k in range(1, 9)]),
             "complete": (7, [(i, j) for i in range(7) for j in range(i + 1, 7)]),
@@ -216,8 +219,10 @@ class TestCanonicalCsr:
         n, canonical = self.case(name)
         path = tmp_path / "g.edges"
         path.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in canonical.tolist()))
+        labels = 3 * np.arange(n) + 5
         routes = {
             "Graph": Graph(n, canonical),
+            "non-contiguous": Graph(n, labels[canonical], vertex_ids=labels[::-1]),
             "_from_canonical": Graph._from_canonical(
                 n, np.bincount(canonical[:, 0], minlength=n), canonical[:, 1].copy()),
             "load_graph": load_graph(path),
@@ -228,18 +233,28 @@ class TestCanonicalCsr:
         for route, graph in routes.items():
             # the references are built from graph.edges, so pin those to the input first
             assert np.array_equal(graph.indices_of(graph.edges), canonical), route
-            refs = {"upper": reference_upper(graph), "adjacency": reference_adjacency(graph)}
-            for store, ref in refs.items():
-                csr = getattr(graph, store)
+            stores = {
+                "upper": (graph.upper, reference_upper(graph)),
+                "symmetric": (solver._symmetric(graph.upper), reference_adjacency(graph)),
+            }
+            for store, (csr, ref) in stores.items():
                 assert csr.shape == (n, n), (route, store)
                 assert csr.has_canonical_format, (route, store)
                 for field in ("indptr", "indices", "data"):
                     x, y = getattr(csr, field), getattr(ref, field)
                     assert x.dtype == y.dtype and np.array_equal(x, y), (route, store, field)
+            # integer-valued input: every product is exact, so equality is exact
+            dense = dense_adjacency(graph)
+            x = np.arange(n) % 7 - 3.0
+            block = np.column_stack([x, x[::-1], np.ones(n)])
+            assert np.array_equal(graph.matvec(x), dense @ x), route
+            assert np.array_equal(graph.matvec(block), dense @ block), route
+            assert graph.degrees.dtype == np.int64, route
+            assert np.array_equal(graph.degrees, dense.sum(axis=1)), route
 
 
-class TestLazyAdjacency:
-    """A graph stores its upper triangle; the symmetric CSR is built on first use."""
+class TestOneStore:
+    """A graph stores its upper triangle and nothing else; A is applied from it."""
 
     def test_reading_the_edges_builds_no_symmetric_csr(self, monkeypatch, tmp_path):
         built = spy_symmetric_builds(monkeypatch)
@@ -251,16 +266,30 @@ class TestLazyAdjacency:
         assert loaded == g and Graph(55, g.edges) == g
         assert g.edge_count == loaded.edge_count == g.edges.shape[0]
         assert sub.edge_count == len([e for e in g.edges.tolist() if e[0] % 3 == e[1] % 3 == 0])
-        assert built == []
-
-    def test_adjacency_is_built_once_and_degrees_follow_it(self, monkeypatch):
-        built = spy_symmetric_builds(monkeypatch)
-        g, _ = sample_sbm(SbmParams(30, 25, 0.3, 0.1), seed=2)
-        assert g.adjacency is g.adjacency
-        assert np.array_equal(g.degrees, np.diff(g.adjacency.indptr))
-        assert g.degrees.dtype == np.int64 and not g.degrees.flags.writeable
         assert g.degrees.sum() == 2 * g.edge_count
-        assert built == [55]
+        g.matvec(np.ones((55, 2)))
+        assert built == []
+        assert not hasattr(g, "adjacency") and not hasattr(graphs, "_symmetric")
+        # the one store and a transposed view of its own arrays
+        assert set(vars(g)) == {"_ids", "_upper", "_lower"}
+        for name in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(g._lower, name), getattr(g.upper, name))
+
+    def test_degrees_are_counted_afresh_in_linear_memory(self):
+        g, _ = sample_sbm(LogScaleParams(50, 1, 2000).to_sbm_params(), seed=2)
+        n = g.num_vertices
+        tracemalloc.start()
+        try:
+            degrees = g.degrees
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.degrees is not degrees  # no cache
+        assert np.array_equal(degrees, dense_adjacency(g).sum(axis=1))
+        assert degrees.sum() == 2 * g.edge_count
+        # a few length-n arrays; one integer per edge alone would be 8 * m
+        assert g.edge_count > 100_000
+        assert peak <= 4 * 8 * n + 4096
 
 
 class TestPartition:
@@ -387,9 +416,7 @@ class TestSampleSbmOracle:
         ref, ref_planted = reference_sample_sbm(params, seed)
         assert_same_graph(g, ref)
         assert planted == ref_planted
-        adj = reference_adjacency(g)
-        assert np.array_equal(g.adjacency.indptr, adj.indptr)
-        assert np.array_equal(g.adjacency.indices, adj.indices)
+        assert np.array_equal(dense_adjacency(g), reference_adjacency(g).toarray())
 
     @pytest.mark.parametrize("params", CASES, ids=repr)
     def test_small_cases(self, params):
@@ -584,7 +611,7 @@ class TestInducedSubgraph:
                 )
                 sub = induced_subgraph(graph, rng.permutation(verts))
                 assert_same_graph(sub, expected)
-                assert np.array_equal(sub.adjacency.toarray(), dense_adjacency(sub))
+                assert np.array_equal(sub.matvec(np.eye(sub.num_vertices)), dense_adjacency(sub))
 
     def test_labels_survive_nesting(self):
         g, _ = sample_sbm(SbmParams(10, 10, 0.6, 0.2), seed=5)
@@ -625,6 +652,13 @@ class TestLogScaleParams:
             LogScaleParams(0, 2, 400)
         with pytest.raises(ValueError):
             LogScaleParams(10, 2, 400).to_sbm_params(100, 200)
+
+    @pytest.mark.parametrize("alpha, beta", [(math.inf, 2), (math.nan, 2), (10, math.inf), (10, math.nan)])
+    def test_non_finite_rates_rejected(self, alpha, beta):
+        want = f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}"
+        with pytest.raises(ValueError) as exc:
+            LogScaleParams(alpha, beta, 400)
+        assert str(exc.value) == want
 
     def test_unbalanced_split(self):
         params = LogScaleParams(10, 2, 300).to_sbm_params(100, 200)
@@ -800,7 +834,7 @@ class TestEdgeListFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        adj = loaded.adjacency
+        adj = reference_adjacency(loaded)  # the yardstick: a symmetric CSR of the graph
         assert loaded.edge_count > 400_000
         # neither the text nor a list of its lines is held (reading them peaked at 9.1x)
         assert peak <= 6 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
@@ -818,7 +852,7 @@ class TestEdgeListFiles:
         finally:
             tracemalloc.stop()
         assert path.read_bytes() == want
-        adj = g.adjacency
+        adj = reference_adjacency(g)  # the yardstick: a symmetric CSR of the graph
         assert g.edge_count > 400_000
         # no edge array and no row index per CSR entry (those alone are 1.3x)
         assert peak <= (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes) / 4

@@ -187,6 +187,10 @@ class TestAutoGamma:
         for alpha, beta in ((2, 2), (1, 2), (2, 0)):
             with pytest.raises(ValueError, match=r"^need alpha > beta > 0$"):
                 auto_gamma(alpha, beta)
+        # an infinite alpha would give gamma = 0 and an empty sketch
+        for alpha, beta in ((math.inf, 1), (math.nan, 1), (50, math.inf)):
+            with pytest.raises(ValueError, match=r"^alpha and beta must be finite"):
+                auto_gamma(alpha, beta)
 
 
 class TestSketchConfig:
@@ -492,8 +496,9 @@ class TestCertificateStopsSolve:
 
 
 class TestFullGraphCsr:
-    """Below gamma = 1 the pipeline reads the full graph's upper triangle
-    only: the one symmetric CSR it builds is the sketch's."""
+    """No symmetric CSR of the full graph is built. The certificate and the
+    sweep-0 cut read a graph's upper triangle through ``Graph.matvec``; only
+    a swept solve builds a symmetric CSR, of the graph it solves."""
 
     PARAMS = LogScaleParams(50, 1, 1000).to_sbm_params()
 
@@ -505,9 +510,16 @@ class TestFullGraphCsr:
                               max_sweeps=4, tie_rule=TIE_RANDOM)
         result = sketch_and_solve(graph, config)
         assert 1 < result.sketch_vertices.size < graph.num_vertices
-        assert built == [result.sketch_vertices.size]
+        if alpha == 50:
+            # certified at sweep 0: nothing swept, nothing built
+            assert result.sdp.sweeps_used == 0 and result.certificate.verdict == CERTIFIED
+            assert built == []
+        else:
+            # one build per swept chunk, each of the sketch
+            assert result.sdp.sweeps_used > 0
+            assert built and set(built) == {result.sketch_vertices.size}
 
-    def test_cli_sketch_builds_only_the_sketch_csr(self, monkeypatch, tmp_path, capsys):
+    def test_cli_sketch_and_certify_build_no_symmetric_csr(self, monkeypatch, tmp_path, capsys):
         graph, _ = sample_sbm(self.PARAMS, seed=9)
         path, cut = tmp_path / "g.edges", tmp_path / "cut"
         save_graph(graph, path)
@@ -515,21 +527,20 @@ class TestFullGraphCsr:
         argv = ["sketch", str(path), "--out", str(cut), "--alpha", "50", "--beta", "1", "--seed", "9"]
         assert cli.main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["certificate"] == CERTIFIED
-        assert built == [report["sketch_size"]] and report["sketch_size"] < graph.num_vertices
+        assert report["certificate"] == CERTIFIED and report["sweeps_used"] == 0
+        assert report["sketch_size"] < graph.num_vertices
         # the certificate of the voted cut covers the whole graph
-        built.clear()
         assert cli.main(["certify", str(path), str(cut), "--mu", repr(report["mu"])]) == 0
-        assert built == [graph.num_vertices]
+        assert json.loads(capsys.readouterr().out)["verdict"] == CERTIFIED
+        assert built == []
 
-    def test_full_solve_builds_the_csr_once_per_graph(self, monkeypatch):
+    def test_full_solve_builds_no_symmetric_csr(self, monkeypatch):
         graph, planted = sample_sbm(self.PARAMS, seed=9)
         built = spy_symmetric_builds(monkeypatch)
-        for _ in range(2):
-            result = full_solve(graph, seed=9)
-            assert result.certificate.verdict == CERTIFIED
-            assert recovered_planted(planted, result)
-        assert built == [graph.num_vertices]
+        result = full_solve(graph, seed=9)
+        assert result.certificate.verdict == CERTIFIED and result.sdp.sweeps_used == 0
+        assert recovered_planted(planted, result)
+        assert built == []
 
 
 class TestFullSolve:

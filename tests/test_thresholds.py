@@ -46,6 +46,34 @@ class TestRecoveryPhase:
             recovery_phase(2, 0)
 
 
+NON_FINITE = [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (50.0, math.inf), (50.0, math.nan)]
+
+
+class TestNonFiniteRates:
+    """An infinite or NaN rate is one ValueError, never a NaN or a wrong phase."""
+
+    CHECKS = {
+        "recovery_phase": recovery_phase,
+        "vote_gamma_threshold": vote_gamma_threshold,
+        "sketch_gamma_threshold": sketch_gamma_threshold,
+        "conjectured_gamma_threshold": conjectured_gamma_threshold,
+        "unbalanced_recovery_condition": lambda a, b: unbalanced_recovery_condition(a, b, 0.0),
+        "threshold_report": threshold_report,
+    }
+
+    @pytest.mark.parametrize("alpha, beta", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_rejected_with_one_message(self, name, alpha, beta):
+        want = f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}"
+        with pytest.raises(ValueError) as exc:
+            self.CHECKS[name](alpha, beta)
+        assert str(exc.value) == want
+
+    def test_large_finite_rates_still_accepted(self):
+        assert recovery_phase(1e300, 1.0) == RECOVERABLE
+        assert conjectured_gamma_threshold(1e300, 1.0) > 0.0
+
+
 class TestGammaThresholds:
     def test_vote_rational_points(self):
         assert vote_gamma_threshold(50, 1) == pytest.approx(
