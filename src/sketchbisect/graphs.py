@@ -121,16 +121,61 @@ def _rows_of(ids, vertices):
     return pos
 
 
+def _whole_numbers(values, name):
+    """``values`` as an integer array; integer input keeps its own width.
+
+    Floats, booleans and Python objects must hold whole numbers within
+    int64 and become int64; anything else raises ValueError naming ``name``.
+    """
+    a = np.asarray(values)
+    if a.dtype.kind in "iu":
+        return a
+    whole = False
+    if a.dtype.kind in "bfO":
+        with np.errstate(invalid="ignore"):
+            try:
+                ints = a.astype(np.int64)
+                whole = bool(np.all(ints == a))
+            except (TypeError, ValueError, OverflowError):
+                pass
+    if not whole:
+        raise ValueError(f"{name} must be whole numbers within int64")
+    return ints
+
+
+def _index_dtype(n, m=0):
+    """The CSR index width scipy picks for n vertices and m entries: int32 while both fit."""
+    return np.int32 if max(n, m) <= np.iinfo(np.int32).max else np.int64
+
+
 def _upper_csr(n, counts, hi):
     """CSR of the strict upper triangle from canonical edge rows.
 
     Canonical rows (i < j, sorted) are the upper triangle already in CSR
     order, so its row pointer is the running sum of the per-row edge
-    ``counts`` and its column indices are ``hi``. Nothing is sorted.
+    ``counts`` and its column indices are ``hi``. Nothing is sorted. The
+    index width is ``_index_dtype(n, m)``; a contiguous ``hi`` of that
+    width becomes the CSR's own column array, anything else is copied.
     """
-    indptr = np.zeros(n + 1, dtype=np.int64)
+    idx = _index_dtype(n, hi.shape[0])
+    indptr = np.zeros(n + 1, dtype=idx)
     np.cumsum(counts, out=indptr[1:])
+    hi = np.ascontiguousarray(hi, dtype=idx)
     return sp.csr_matrix((np.ones(hi.shape[0]), hi, indptr), shape=(n, n))
+
+
+def _is_canonical(lo, hi, n):
+    """True when the rows (lo, hi) are distinct pairs 0 <= lo < hi < n in lexicographic order.
+
+    Only comparisons are made, so any integer width is checked as it is.
+    """
+    if lo.size == 0:
+        return True
+    if lo.min() < 0 or hi.max() >= n or not np.all(lo < hi):
+        return False
+    rises = lo[1:] > lo[:-1]  # each row after the one before it
+    rises |= (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1])
+    return bool(np.all(rises))
 
 
 class Graph:
@@ -143,6 +188,8 @@ class Graph:
     derived quantities are deterministic functions of the edge set. An
     edge given more than once, in either orientation, counts once. The
     adjacency A = U + U^T is never stored; ``matvec`` and ``degrees`` read U.
+    Labels and edge entries must be whole numbers; integer arrays of any
+    width are read as they are.
     """
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
@@ -152,18 +199,24 @@ class Graph:
         if vertex_ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:
-            ids = np.asarray(vertex_ids, dtype=np.int64).copy()
+            ids = _whole_numbers(vertex_ids, "vertex_ids").astype(np.int64)
             if ids.shape != (n,):
                 raise ValueError("vertex_ids must have length num_vertices")
             ids.sort()
             if n and np.any(np.diff(ids) == 0):
                 raise ValueError("duplicate vertex ids")
 
-        e = np.asarray(edges, dtype=np.int64)
+        e = _whole_numbers(edges, "edges")
         if e.size == 0:
             e = np.empty((0, 2), dtype=np.int64)
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
+        if vertex_ids is None and _is_canonical(e[:, 0], e[:, 1], n):
+            # The rows are the CSR already: they are counted and their
+            # columns copied, in the caller's width; no key, no sort.
+            counts = np.bincount(e[:, 0].astype(np.intp, copy=False), minlength=n)
+            self._install(ids, _upper_csr(n, counts, e[:, 1].copy()))
+            return
         a = _rows_of(ids, e[:, 0])
         b = _rows_of(ids, e[:, 1])
         if np.any(a == b):
@@ -173,12 +226,11 @@ class Graph:
         hi = np.maximum(a, b)
         lo = np.minimum(a, b, out=a)
         del a, b
-        # One int64 key per edge orders rows lexicographically; canonical
-        # input (strictly increasing keys) skips the sort.
+        # One int64 key per edge orders the rows lexicographically and
+        # merges repeated edges.
         key = lo * n
         key += hi
-        if np.any(key[1:] <= key[:-1]):
-            lo, hi = np.divmod(_sorted_unique(key), n)
+        lo, hi = np.divmod(_sorted_unique(key), n)
         del key
         self._install(ids, _upper_csr(n, np.bincount(lo, minlength=n), hi))
 
@@ -188,7 +240,8 @@ class Graph:
 
         Row i holds the next ``counts[i]`` entries of ``hi``. The rows must
         satisfy what ``__init__`` establishes: each row's columns increase
-        strictly and lie in i+1..n-1.
+        strictly and lie in i+1..n-1. A contiguous ``hi`` in the index width
+        becomes the graph's own column array.
         """
         return cls.__new__(cls)._install(np.arange(n, dtype=np.int64), _upper_csr(n, counts, hi))
 
@@ -201,6 +254,13 @@ class Graph:
         # .T costs twice the product it would precede
         self._lower = upper.T
         return self
+
+    def __getstate__(self):
+        # _lower is a view of _upper's arrays: pickling it would store them twice
+        return {"_ids": self._ids, "_upper": self._upper}
+
+    def __setstate__(self, state):
+        self._install(state["_ids"], state["_upper"])
 
     @property
     def num_vertices(self):
@@ -368,16 +428,16 @@ def _success_positions(rng, rate, pairs):
     return pos[:np.searchsorted(pos, pairs)]
 
 
-def _triangle_columns(pos, size):
+def _triangle_columns(pos, size, dtype):
     """Map positions among the i < j pairs of ``size`` rows, in order, to columns j.
 
-    Returns the columns and the per-row counts; ``pos`` is overwritten.
+    Returns the columns as ``dtype`` and the per-row counts; ``pos`` is overwritten.
     """
     r = np.arange(size + 1, dtype=np.int64)
     offsets = r * (size - 1) - r * (r - 1) // 2  # where row i's pairs start
     counts = np.diff(np.searchsorted(pos, offsets))
     pos += np.repeat(r[1:] - offsets[:-1], counts)  # j = pos - offsets[i] + i + 1
-    return pos, counts
+    return pos.astype(dtype), counts
 
 
 def sample_sbm(params, seed):
@@ -388,7 +448,10 @@ def sample_sbm(params, seed):
     the gaps between successive edges in lexicographic pair order are
     geometric, so time and memory are O(n + m), not O(n^2). Positions map
     to (i, j) with integer arithmetic, and the rows come out canonical by
-    counting, with no sort.
+    counting, with no sort. Each block pair's positions are int64 (there
+    are up to n^2/4), and its columns are stored in the CSR's index width
+    at once, so the only per-edge arrays alive at the CSR build are the
+    columns and the CSR's own.
 
     Each block pair draws from its own generator, seeded by one
     ``integers(2**63, size=3)`` draw of ``np.random.default_rng(seed)``.
@@ -399,17 +462,20 @@ def sample_sbm(params, seed):
     libm ``log1p``, so another platform's libm may move an edge.
     """
     n, n1, n2 = params.n, params.n1, params.n2
+    col = _index_dtype(n)
     draw11, draw12, draw22 = _pair_generators(seed)
-    j11, c11 = _triangle_columns(_success_positions(draw11, params.p, n1 * (n1 - 1) // 2), n1)
-    j12 = _success_positions(draw12, params.q, n1 * n2)
-    c12 = np.diff(np.searchsorted(j12, np.arange(n1 + 1, dtype=np.int64) * n2))
-    np.remainder(j12, n2, out=j12)
-    j12 += n1
-    j22, c22 = _triangle_columns(_success_positions(draw22, params.p, n2 * (n2 - 1) // 2), n2)
+    j11, c11 = _triangle_columns(_success_positions(draw11, params.p, n1 * (n1 - 1) // 2), n1, col)
+    pos = _success_positions(draw12, params.q, n1 * n2)
+    c12 = np.diff(np.searchsorted(pos, np.arange(n1 + 1, dtype=np.int64) * n2))
+    np.remainder(pos, n2, out=pos)
+    pos += n1
+    j12 = pos.astype(col)
+    del pos
+    j22, c22 = _triangle_columns(_success_positions(draw22, params.p, n2 * (n2 - 1) // 2), n2, col)
     j22 += n1
     # Row i < n1 holds its j11 columns, then its j12 ones; rows past n1 only j22.
     top = j11.size + j12.size
-    hi = np.empty(top + j22.size, dtype=np.int64)
+    hi = np.empty(top + j22.size, dtype=col)
     from11 = np.repeat(np.tile([True, False], n1), np.column_stack([c11, c12]).ravel())
     hi[:top][from11] = j11
     hi[:top][~from11] = j12
@@ -490,13 +556,14 @@ def save_graph(graph, path):
     _write_pairs(path, f"n {n}\n", _upper_triangle_chunks(graph.upper))
 
 
-def _read_rows(path, skip):
-    """int64 rows of the whitespace-separated integers after the first ``skip`` lines.
+def _read_rows(path, skip, dtype):
+    """``dtype`` rows of the whitespace-separated integers after the first ``skip`` lines.
 
     numpy opens the file and parses it in chunks in C, so neither the text
     nor its lines are held. Blank lines are skipped; a file without rows
-    gives shape (0, 2). Any line numpy cannot parse, a non-ASCII byte
-    included, raises ValueError without naming the line.
+    gives shape (0, 2). Any line numpy cannot parse, a non-ASCII byte or
+    an integer outside ``dtype`` included, raises ValueError without
+    naming the line.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # a file without rows is valid
@@ -504,7 +571,7 @@ def _read_rows(path, skip):
         # through a float and only warn; as an error it is a bad token as well.
         warnings.simplefilter("error", DeprecationWarning)
         rows = np.loadtxt(
-            path, dtype=np.int64, comments=None, ndmin=2, skiprows=skip, encoding="ascii"
+            path, dtype=dtype, comments=None, ndmin=2, skiprows=skip, encoding="ascii"
         )
     return rows if rows.size else rows.reshape(0, 2)
 
@@ -565,8 +632,10 @@ def load_graph(path):
     counts once, as in ``Graph``.
 
     Only the lines up to the header are read here; numpy parses the body
-    from the path and ``Graph`` checks it. The body is read again line by
-    line only when either fails, to name the first bad line.
+    from the path in the CSR's index width for n vertices (int32 while n
+    fits), and ``Graph`` checks it. An id too wide for that width is
+    outside 0..n-1 too. The body is read again line by line only when
+    either fails, to name the first bad line.
     """
     with _open_lines(path) as fh:
         for head, line in enumerate(fh):
@@ -584,7 +653,7 @@ def load_graph(path):
     if n < 0:
         raise ValueError(f"line {head + 1}: vertex count must be non-negative")
     try:
-        return Graph(n, _read_rows(path, head + 1))
+        return Graph(n, _read_rows(path, head + 1, _index_dtype(n)))
     except (ValueError, KeyError):
         pass
     with _open_lines(path) as fh:
@@ -619,7 +688,7 @@ def load_partition(path):
     by line only when that fails, to name the first bad line.
     """
     try:
-        rows = _read_rows(path, 0)
+        rows = _read_rows(path, 0, np.int64)
         if rows.shape[1] == 2:  # Partition checks the signs and repeats
             return Partition(rows[:, 0], rows[:, 1])
     except ValueError:

@@ -1,5 +1,7 @@
+import copy
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sketchbisect import (
     Graph,
@@ -176,6 +179,34 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(4, [0, 1])
 
+    @pytest.mark.parametrize("edges, vertex_ids", [
+        ([(0.5, 1.9)], None),
+        (np.array([[0, 1], [1, 2.5]]), None),
+        ([(0, float("nan"))], None),
+        ([(0, float("inf"))], None),
+        ([(0, 2**70)], None),
+        ([(0, 1e20)], None),
+        (np.array([["0", "1"]]), None),
+        ([(0, 1)], [0, 1, 2.25]),
+        ([(0, 1)], np.array([0.0, 1.0, float("nan")])),
+    ])
+    def test_non_integer_ids_raise(self, edges, vertex_ids):
+        # they used to be truncated: (0.5, 1.9) built the edge (0, 1)
+        with pytest.raises(ValueError, match="whole numbers within int64"):
+            Graph(3, edges, vertex_ids=vertex_ids)
+
+    def test_integers_of_any_width_and_whole_floats_build_the_same_graph(self):
+        ref = Graph(4, [(0, 1), (1, 3), (2, 3)])
+        canonical = np.array([(0, 1), (1, 3), (2, 3)])
+        for edges in (canonical[::-1], canonical):
+            for dtype in (np.int8, np.uint16, np.int32, np.uint64, np.int64, np.float32, np.float64):
+                assert_same_graph(Graph(4, edges.astype(dtype)), ref)
+            assert_same_graph(Graph(4, edges.astype(object)), ref)
+            assert_same_graph(Graph(4, edges.astype(float).tolist()), ref)
+        relabelled = Graph(4, [(10, 11), (11, 13), (12, 13)], vertex_ids=[10, 11, 12, 13])
+        assert Graph(4, canonical + 10.0, vertex_ids=np.arange(10.0, 14.0)) == relabelled
+        assert Graph(4, canonical + 10, vertex_ids=np.arange(10, 14, dtype=np.uint8)) == relabelled
+
 
 class TestCanonicalCsr:
     """Every route to a graph gives scipy's COO -> CSR, array for array, for
@@ -253,6 +284,58 @@ class TestCanonicalCsr:
             assert np.array_equal(graph.degrees, dense.sum(axis=1)), route
 
 
+class TestIndexWidth:
+    """Every route builds the CSR in scipy's index width (int32 while n and m
+    fit) from its first per-edge array; the result is the CSR of the int64
+    route, in which scipy copied int64 index arrays down."""
+
+    @staticmethod
+    def int64_route(graph):
+        """The upper triangle through int64 row pointer and columns, as scipy downcasts them."""
+        rows = graph.indices_of(graph.edges).astype(np.int64)
+        n = graph.num_vertices
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[:, 0], minlength=n), out=indptr[1:])
+        return sp.csr_matrix((np.ones(rows.shape[0]), rows[:, 1].copy(), indptr), shape=(n, n))
+
+    def test_every_route_is_int32(self, tmp_path):
+        sampled, _ = sample_sbm(LogScaleParams(50, 1, 2000).to_sbm_params(), seed=4)
+        path = tmp_path / "g.edges"
+        save_graph(sampled, path)
+        n = sampled.num_vertices
+        routes = {
+            "sample_sbm": sampled,
+            "load_graph": load_graph(path),
+            "Graph": Graph(n, sampled.edges),
+            "Graph-int32": Graph(n, sampled.edges.astype(np.int32)),
+            "induced_subgraph": induced_subgraph(sampled, np.arange(0, n, 3)),
+        }
+        for route, graph in routes.items():
+            up, ref = graph.upper, self.int64_route(graph)
+            assert graph.edge_count > 10_000, route
+            assert up.indptr.dtype == up.indices.dtype == np.int32, route
+            assert up.data.dtype == np.float64, route
+            for field in ("indptr", "indices", "data"):
+                x, y = getattr(up, field), getattr(ref, field)
+                assert x.dtype == y.dtype and np.array_equal(x, y), (route, field)
+            assert up.indices.flags.c_contiguous, route
+        # the canonical branch copies the columns: the caller's array stays the caller's
+        edges = np.array([[0, 1]], dtype=np.int32)
+        g = Graph(2, edges)
+        edges[0, 1] = 0
+        assert g.upper.indices.tolist() == [1]
+
+    def test_width_follows_n_and_m(self):
+        assert graphs._index_dtype(0, 0) == np.int32
+        assert graphs._index_dtype(2**31 - 1, 2**31 - 1) == np.int32
+        assert graphs._index_dtype(2**31, 0) == np.int64
+        assert graphs._index_dtype(5, 2**31) == np.int64
+        # columns of another width are converted to it
+        upper = graphs._upper_csr(3, np.array([1, 1, 0]), np.array([2, 2], dtype=np.uint64))
+        assert upper.indices.dtype == upper.indptr.dtype == np.int32
+        assert upper.indices.tolist() == [2, 2] and upper.indptr.tolist() == [0, 1, 2, 2]
+
+
 class TestOneStore:
     """A graph stores its upper triangle and nothing else; A is applied from it."""
 
@@ -274,6 +357,24 @@ class TestOneStore:
         assert set(vars(g)) == {"_ids", "_upper", "_lower"}
         for name in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(g._lower, name), getattr(g.upper, name))
+
+    @pytest.mark.parametrize("dup", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy],
+                             ids=["pickle", "deepcopy", "copy"])
+    def test_copies_keep_one_store(self, dup):
+        g, _ = sample_sbm(LogScaleParams(50, 1, 2000).to_sbm_params(), seed=2)
+        sub = induced_subgraph(g, np.arange(1, 2000, 2))
+        for graph in (g, sub, Graph(0), Graph(3, [(7, 3)], vertex_ids=[7, 3, 5])):
+            twin = dup(graph)
+            assert_same_graph(twin, graph)
+            assert set(vars(twin)) == {"_ids", "_upper", "_lower"}
+            assert not twin.vertex_ids.flags.writeable
+            for name in ("data", "indices", "indptr"):
+                array = getattr(twin.upper, name)
+                assert array.size == 0 or np.shares_memory(getattr(twin._lower, name), array)
+            assert np.array_equal(twin.matvec(np.ones(graph.num_vertices)), graph.degrees)
+        # the pickle holds the CSR once (it held it twice, through the transposed view)
+        csr = sum(getattr(g.upper, name).nbytes for name in ("data", "indices", "indptr"))
+        assert len(pickle.dumps(g)) < 1.2 * csr
 
     def test_degrees_are_counted_afresh_in_linear_memory(self):
         g, _ = sample_sbm(LogScaleParams(50, 1, 2000).to_sbm_params(), seed=2)
@@ -442,11 +543,24 @@ class TestSampleSbmOracle:
         monkeypatch.setattr(graphs.Graph, "_from_canonical", classmethod(spy))
         sample_sbm(params, seed=3)
         [(n, counts, hi)] = rows
-        assert n == params.n and counts.dtype == hi.dtype == np.int64
+        assert n == params.n and counts.dtype == np.int64 and hi.dtype == np.int32
         assert counts.shape == (n,) and np.all(counts >= 0) and counts.sum() == hi.size
         lo = np.repeat(np.arange(n), counts)
         assert np.all(lo < hi) and np.all(hi < n)
         assert np.all(np.diff(lo * n + hi) > 0)
+
+    def test_sampler_memory_is_the_csr_and_little_more(self):
+        params = LogScaleParams(50, 1, 6000).to_sbm_params()
+        tracemalloc.start()
+        try:
+            g, _ = sample_sbm(params, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 600_000
+        # the CSR alone is 12 bytes per edge (int32 columns, float64 data);
+        # int64 columns and scipy's int32 copy of them peaked at 20.6
+        assert peak <= 14 * g.edge_count
 
     def test_block_pair_edge_counts(self):
         # each block pair's count has the binomial mean, p < q included
@@ -815,6 +929,20 @@ class TestEdgeListFiles:
         with pytest.raises(ValueError, match="line 3:"):
             load_graph(path)
 
+    @pytest.mark.parametrize("big", [2**31 - 1, 2**31, 2**32])
+    def test_id_past_int32_is_named(self, tmp_path, big):
+        # the body is parsed as int32 for n = 3: an id too wide for that is out of range
+        path = self.write(tmp_path, f"n 3\n0 1\n1 {big}\n")
+        with pytest.raises(ValueError, match=f"line 3: vertex id {big} outside 0..2"):
+            load_graph(path)
+
+    def test_partition_labels_past_int32_load(self, tmp_path):
+        path = tmp_path / "p.part"
+        path.write_text(f"0 1\n{2**40} -1\n{2**31} 1\n")
+        p = load_partition(path)
+        assert p == Partition([0, 2**40, 2**31], [1, -1, 1])
+        assert p.ids.dtype == np.int64 and p.ids.tolist() == [0, 2**31, 2**40]
+
     def test_out_of_range_id_is_a_cli_error(self, tmp_path, capsys):
         path = self.write(tmp_path, "n 3\n0 1\n1 5\n")
         code = cli.main(["solve", str(path), "--out", str(tmp_path / "cut")])
@@ -834,10 +962,10 @@ class TestEdgeListFiles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        adj = reference_adjacency(loaded)  # the yardstick: a symmetric CSR of the graph
         assert loaded.edge_count > 400_000
-        # neither the text nor a list of its lines is held (reading them peaked at 9.1x)
-        assert peak <= 6 * (adj.indptr.nbytes + adj.indices.nbytes + adj.data.nbytes)
+        # int32 rows (8 bytes per edge), their columns' copy and the CSR's data:
+        # about 20; int64 rows and key arrays peaked at 44, the text and its lines far above
+        assert peak <= 24 * loaded.edge_count
 
     def test_writer_memory_is_bounded_by_the_chunk(self, tmp_path, monkeypatch):
         g, _ = sample_sbm(LogScaleParams(50, 1, 4000).to_sbm_params(), seed=3)
