@@ -14,6 +14,7 @@ import itertools
 import math
 import re
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +106,16 @@ def _sorted_unique(values):
 
 
 def _rows_of(ids, vertices):
-    """Positions of labels in the sorted label array ``ids``; KeyError if absent."""
-    v = np.asarray(vertices, dtype=np.int64)
+    """Positions of labels in the sorted label array ``ids``; KeyError if absent.
+
+    The labels must be whole numbers within int64 (``_whole_numbers``).
+    """
+    v = _whole_numbers(vertices, "vertex ids")
     n = ids.shape[0]
     # sorted distinct labels spanning 0..n-1 are exactly arange(n)
     if n == 0 or (ids[0] == 0 and ids[-1] == n - 1):
         ok = (v >= 0) & (v < n)
-        pos = v.copy()
+        pos = v.astype(np.int64)
     else:
         pos = np.searchsorted(ids, v)
         ok = (pos < n) & (ids[np.minimum(pos, n - 1)] == v)
@@ -122,16 +126,17 @@ def _rows_of(ids, vertices):
 
 
 def _whole_numbers(values, name):
-    """``values`` as an integer array; integer input keeps its own width.
+    """``values`` as an integer array; integers narrower than uint64 keep their width.
 
-    Floats, booleans and Python objects must hold whole numbers within
-    int64 and become int64; anything else raises ValueError naming ``name``.
+    uint64, floats, booleans and Python objects must hold whole numbers
+    within int64 and become int64; anything else raises ValueError naming
+    ``name``.
     """
     a = np.asarray(values)
-    if a.dtype.kind in "iu":
+    if a.dtype.kind == "i" or (a.dtype.kind == "u" and a.dtype.itemsize < 8):
         return a
     whole = False
-    if a.dtype.kind in "bfO":
+    if a.dtype.kind in "ubfO":
         with np.errstate(invalid="ignore"):
             try:
                 ints = a.astype(np.int64)
@@ -141,6 +146,18 @@ def _whole_numbers(values, name):
     if not whole:
         raise ValueError(f"{name} must be whole numbers within int64")
     return ints
+
+
+def _distinct_labels(values, name):
+    """Sorted distinct int64 labels from an array, a sequence or any other iterable.
+
+    The labels must be whole numbers (``_whole_numbers``, ValueError naming
+    ``name``); an iterable that is not a sequence, such as a set or a
+    generator, is read into a list first, and a single label is one label.
+    """
+    if isinstance(values, Iterable) and not isinstance(values, (np.ndarray, Sequence)):
+        values = list(values)
+    return _sorted_unique(_whole_numbers(values, name).astype(np.int64, copy=False).ravel())
 
 
 def _index_dtype(n, m=0):
@@ -188,8 +205,8 @@ class Graph:
     derived quantities are deterministic functions of the edge set. An
     edge given more than once, in either orientation, counts once. The
     adjacency A = U + U^T is never stored; ``matvec`` and ``degrees`` read U.
-    Labels and edge entries must be whole numbers; integer arrays of any
-    width are read as they are.
+    Labels and edge entries must be whole numbers within int64; integer
+    arrays narrower than uint64 are read as they are.
     """
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
@@ -315,8 +332,8 @@ class Partition:
     """Assignment of each vertex in its domain to side +1 or -1."""
 
     def __init__(self, ids, signs):
-        ids = np.asarray(ids, dtype=np.int64).copy()
-        signs = np.asarray(signs, dtype=np.int64)
+        ids = _whole_numbers(ids, "ids").astype(np.int64)
+        signs = _whole_numbers(signs, "signs")
         if ids.shape != signs.shape or ids.ndim != 1:
             raise ValueError("ids and signs must be matching 1-d arrays")
         if signs.size and not np.all(np.abs(signs) == 1):
@@ -373,7 +390,7 @@ class Partition:
         return self._signs.astype(np.float64)
 
     def restrict(self, vertices):
-        v = np.unique(np.asarray(vertices, dtype=np.int64))
+        v = _distinct_labels(vertices, "vertices")
         return Partition(v, self._signs[_rows_of(self._ids, v)])
 
     def equals_up_to_flip(self, other):
@@ -407,19 +424,39 @@ def _success_positions(rng, rate, pairs):
     The gaps between successes are geometric (Batagelj and Brandes, PRE
     2005), drawn in chunks sized to pass the last pair with high
     probability. Variates past it are discarded, so the positions are those
-    of drawing the gaps one at a time. Rate 0 draws nothing, and rate 1
+    of drawing the gaps one at a time. Below rate 1/3 a gap is
+    ``ceil(E / -log1p(-rate))`` of a standard exponential E, computed over
+    whole chunks with one ``log1p`` per call: numpy's ``Generator.geometric``
+    takes that inversion branch there, variate by variate, so both read
+    the same variates from the generator and give the same gaps. From 1/3
+    up ``geometric`` itself draws them. Rate 0 draws nothing, and rate 1
     keeps every pair without drawing.
     """
     if rate == 0.0 or pairs == 0:
         return np.empty(0, dtype=np.int64)
     if rate == 1.0:
         return np.arange(pairs, dtype=np.int64)
+    # libm's log1p, as numpy's C sampler calls it; np.log1p may use its own SIMD code
+    scale = -math.log1p(-rate) if rate < 1.0 / 3.0 else None
     chunks = []
     last = -1
     while last < pairs:
         expected = (pairs - 1 - last) * rate
-        pos = rng.geometric(rate, int(expected + 4.0 * math.sqrt(expected)) + 16)
-        np.minimum(pos, pairs + 1, out=pos)  # a gap this long passes the end; sums cannot overflow
+        size = int(expected + 4.0 * math.sqrt(expected)) + 16
+        # A gap clipped to pairs + 1 still passes the end, and the sums cannot
+        # overflow. A float gap is clipped before its cast to int64, which is
+        # defined only below 2**63; geometric returns INT64_MAX past that.
+        if scale is None:
+            pos = rng.geometric(rate, size)
+            np.minimum(pos, pairs + 1, out=pos)
+        else:
+            gap = rng.standard_exponential(size)
+            with np.errstate(over="ignore"):  # a tiny rate's gap may be infinite
+                gap /= scale
+            np.ceil(gap, out=gap)
+            np.minimum(gap, pairs + 1, out=gap)
+            pos = gap.astype(np.int64)
+            del gap
         pos[0] += last
         np.cumsum(pos, out=pos)
         chunks.append(pos)
@@ -457,9 +494,11 @@ def sample_sbm(params, seed):
     ``integers(2**63, size=3)`` draw of ``np.random.default_rng(seed)``.
     ``seed`` is anything that function accepts, with any bit generator; a
     caller's ``Generator`` is advanced by that one draw and by nothing else.
-    A seed gives the same graph on every rerun with the same numpy. For
-    rates below 1/3 numpy's ``Generator.geometric`` takes each gap through
-    libm ``log1p``, so another platform's libm may move an edge.
+    A seed gives the same graph on every rerun with the same numpy. Below
+    rate 1/3 the gaps are ``ceil(E / -log1p(-rate))`` of standard
+    exponentials E, the variates numpy's ``Generator.geometric`` would
+    draw, with one libm ``log1p`` per block pair; another platform's libm
+    may round that one value differently and move edges.
     """
     n, n1, n2 = params.n, params.n1, params.n2
     col = _index_dtype(n)
@@ -505,7 +544,7 @@ def induced_subgraph(graph, vertices):
     slice is the subgraph's upper triangle. Keeping every vertex returns
     ``graph`` itself (graphs are immutable).
     """
-    verts = _sorted_unique(np.asarray(vertices, dtype=np.int64).ravel())
+    verts = _distinct_labels(vertices, "vertices")
     rows = graph.indices_of(verts)
     if verts.size == graph.num_vertices:
         return graph

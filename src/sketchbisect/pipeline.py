@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import CERTIFIED, check_certificate
 from .encoding import checked_mu, estimate_mu
-from .graphs import Partition, bernoulli_vertex_sample, induced_subgraph
+from .graphs import Partition, _distinct_labels, bernoulli_vertex_sample, induced_subgraph
 from .seeding import spawn_seed
 from .solver import SolverConfig, solve_sdp
 from .thresholds import conjectured_gamma_threshold
@@ -85,16 +85,18 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     the +1 side, RANDOM flips a fair coin per tied vertex (in ascending
     vertex order, driven by ``seed``). One seed side may be empty, as for
     the all-ones cut that is optimal at small mu; then every vertex with a
-    seed neighbour joins the other side and the rest are ties. Returns the
-    partition over all assigned vertices plus the array of unassigned
-    labels. The margins are read off ``graph.upper``, so the vote builds no
-    symmetric CSR of the full graph.
+    seed neighbour joins the other side and the rest are ties. Each side
+    is an array or any iterable of whole-number labels (ValueError
+    otherwise); repeats count once. Returns the partition over all
+    assigned vertices plus the array of unassigned labels. The margins
+    are read off ``graph.upper``, so the vote builds no symmetric CSR of
+    the full graph.
     """
-    plus = np.unique(np.asarray(list(side_plus), dtype=np.int64))
-    minus = np.unique(np.asarray(list(side_minus), dtype=np.int64))
+    plus = _distinct_labels(side_plus, "seed labels")
+    minus = _distinct_labels(side_minus, "seed labels")
     if plus.size == 0 and minus.size == 0:
         raise ValueError("seed sides must not both be empty")
-    if np.intersect1d(plus, minus).size:
+    if np.intersect1d(plus, minus, assume_unique=True).size:
         raise ValueError("seed sides must be disjoint")
     rows_plus = graph.indices_of(plus)
     rows_minus = graph.indices_of(minus)

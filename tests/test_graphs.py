@@ -189,11 +189,24 @@ class TestGraphConstruction:
         (np.array([["0", "1"]]), None),
         ([(0, 1)], [0, 1, 2.25]),
         ([(0, 1)], np.array([0.0, 1.0, float("nan")])),
+        (np.array([[0, 2**64 - 1]], dtype=np.uint64), None),
+        ([(0, 1)], np.array([0, 1, 2**63], dtype=np.uint64)),
     ])
     def test_non_integer_ids_raise(self, edges, vertex_ids):
         # they used to be truncated: (0.5, 1.9) built the edge (0, 1)
         with pytest.raises(ValueError, match="whole numbers within int64"):
             Graph(3, edges, vertex_ids=vertex_ids)
+
+    def test_indices_of_rejects_non_integer_labels(self):
+        # [0.5, 2.9] used to map to rows 0 and 2
+        for g in (Graph(4, [(0, 1)]), Graph(3, [(10, 12)], vertex_ids=[10, 11, 12])):
+            with pytest.raises(ValueError, match="whole numbers"):
+                g.indices_of([0.5, 2.9])
+            with pytest.raises(ValueError, match="whole numbers"):
+                g.indices_of(np.array([10.0, float("nan")]))
+        assert np.array_equal(Graph(4, []).indices_of([3.0, 1.0]), [3, 1])
+        relabelled = Graph(3, [], vertex_ids=[10, 11, 12])
+        assert np.array_equal(relabelled.indices_of(np.array([12, 10], dtype=np.uint8)), [2, 0])
 
     def test_integers_of_any_width_and_whole_floats_build_the_same_graph(self):
         ref = Graph(4, [(0, 1), (1, 3), (2, 3)])
@@ -409,6 +422,16 @@ class TestPartition:
         with pytest.raises(ValueError):
             Partition([0, 0], [1, 1])
 
+    def test_non_integer_ids_and_signs_raise(self):
+        # Partition([0.5, 1.5], [1, -1]) used to hold the ids [0, 1], and a sign of 1.5 read as 1
+        with pytest.raises(ValueError, match="ids must be whole numbers"):
+            Partition([0.5, 1.5], [1, -1])
+        with pytest.raises(ValueError, match="ids must be whole numbers"):
+            Partition(np.array([2**63], dtype=np.uint64), [1])  # used to wrap to -2**63
+        with pytest.raises(ValueError, match="signs must be whole numbers"):
+            Partition([0, 1], [1.5, -1])
+        assert Partition([1.0, 0.0], [-1.0, 1.0]) == Partition.from_sides([0], [1])
+
     def test_sign_vector_alignment(self):
         g = Graph(3, [(0, 1)])
         p = Partition([0, 1, 2], [1, -1, 1])
@@ -438,6 +461,8 @@ class TestPartition:
         # non-contiguous labels: unsorted, repeated input restricts by label
         sparse = Partition.from_sides([10, 42], [7, 99])
         assert sparse.restrict([99, 10, 99]) == Partition.from_sides([10], [99])
+        assert sparse.restrict(v for v in (99, 10)) == sparse.restrict({10, 99})
+        assert sparse.restrict(np.int64(42)) == sparse.restrict(42) == Partition.from_sides([42], [])
         assert len(sparse.restrict([])) == 0
         for outside in ([8], [0], [100], [-1]):
             with pytest.raises(KeyError):
@@ -446,6 +471,13 @@ class TestPartition:
     def test_missing_vertex(self):
         with pytest.raises(KeyError):
             Partition([0], [1]).sign_of(4)
+
+    def test_restrict_rejects_non_integer_labels(self):
+        # [0.2, 2.9] used to restrict to the vertices 0 and 2
+        p = Partition.from_sides([0, 2], [1, 3])
+        with pytest.raises(ValueError, match="vertices must be whole numbers"):
+            p.restrict([0.2, 2.9])
+        assert p.restrict([2.0, 0.0]) == Partition.from_sides([0, 2], [])
 
 
 class TestSampleSbm:
@@ -586,11 +618,18 @@ class TestSampleSbmOracle:
                 self.rng, self.count, self.calls = rng, 0, 0
                 spies.append(self)
 
-            def geometric(self, rate, size):
+            def draw(self, method, *args, size):
                 size = size if chunk is None else min(size, chunk)
                 self.count += size
                 self.calls += 1
-                return self.rng.geometric(rate, size)
+                return getattr(self.rng, method)(*args, size)
+
+            # gaps below rate 1/3 come from standard exponentials, the rest from geometric
+            def geometric(self, rate, size):
+                return self.draw("geometric", rate, size=size)
+
+            def standard_exponential(self, size):
+                return self.draw("standard_exponential", size=size)
 
         monkeypatch.setattr(graphs, "_pair_generators", lambda seed: [Spy(g) for g in pair_generators(seed)])
         return spies
@@ -602,6 +641,40 @@ class TestSampleSbmOracle:
         for params in self.CASES[:5] + [SbmParams(40, 33, 0.3, 0.05)]:
             self.check(params, seed=chunk)
         assert all(spy.calls > 1 for spy in spies[-3:])
+
+    # numpy's geometric inverts an exponential below rate 1/3 and searches from 1/3 up
+    @pytest.mark.parametrize("rate", [1 / 3, float(np.nextafter(1 / 3, 0)), float(np.nextafter(1 / 3, 1)), 0.34])
+    def test_rates_at_the_geometric_branch(self, rate):
+        for params in (SbmParams(30, 25, rate, 0.1), SbmParams(25, 30, 0.6, rate)):
+            for seed in (0, 5):
+                self.check(params, seed)
+
+    @pytest.mark.parametrize("bit_gen", [np.random.MT19937, np.random.Philox, np.random.SFC64],
+                             ids=lambda b: b.__name__)
+    def test_capped_inversion_draws_with_any_bit_generator(self, monkeypatch, bit_gen):
+        # the seed's generator draws the three block pair keys; each pair's
+        # exponentials, three at a time here, continue from the last edge
+        spies = self.spy_generators(monkeypatch, chunk=3)
+        params = SbmParams(25, 20, 0.2, 0.05)
+        g, planted = sample_sbm(params, np.random.Generator(bit_gen(17)))
+        ref, ref_planted = reference_sample_sbm(params, np.random.Generator(bit_gen(17)))
+        assert_same_graph(g, ref)
+        assert planted == ref_planted
+        assert all(spy.calls > 1 for spy in spies)
+
+    @pytest.mark.parametrize("params", [
+        SbmParams(2000, 2000, 1e-7, 1e-7),  # gaps of ~1e7 against 2e6 and 4e6 pairs
+        SbmParams(300, 200, 1e-300, 5e-324),  # gaps far past 2**63, or infinite, as floats
+    ], ids=repr)
+    def test_gaps_past_the_last_pair(self, params):
+        edges = 0
+        for seed in range(6):
+            g, planted = sample_sbm(params, seed)
+            ref, ref_planted = reference_sample_sbm(params, seed)
+            assert_same_graph(g, ref)
+            assert planted == ref_planted
+            edges += g.edge_count
+        assert edges <= 10  # nearly every first gap passes the last pair
 
     def test_draws_are_linear_in_edges(self, monkeypatch):
         # every variate comes from a block pair's generator, and there are
@@ -733,6 +806,17 @@ class TestInducedSubgraph:
         sub2 = induced_subgraph(sub, [5, 11, 19])
         assert list(sub2.vertex_ids) == [5, 11, 19]
         assert edge_set(sub2) <= edge_set(g)
+
+    def test_non_integer_labels_raise(self):
+        # [0.5, 1.9, 2.2] used to induce the subgraph on 0, 1 and 2
+        path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="vertices must be whole numbers"):
+            induced_subgraph(path, [0.5, 1.9, 2.2])
+        with pytest.raises(ValueError, match="vertices must be whole numbers"):
+            induced_subgraph(path, ["1", "2"])
+        assert edge_set(induced_subgraph(path, np.array([2.0, 3.0, 0.0]))) == {(2, 3)}
+        assert induced_subgraph(path, (v for v in (3, 2, 0))) == induced_subgraph(path, [0, 2, 3])
+        assert induced_subgraph(path, 2) == induced_subgraph(path, [2.0])
 
     def test_edge_count_monotone(self):
         rng = np.random.default_rng(11)

@@ -104,6 +104,27 @@ class TestVoteExtend:
         with pytest.raises(ValueError):
             vote_extend(g, [0, 1], [1, 2])
 
+    def test_non_integer_seed_labels_raise(self):
+        # vote_extend(g, [0.2], [2.9]) used to vote with the seeds 0 and 2
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match="seed labels must be whole numbers"):
+            vote_extend(g, [0.2], [2.9])
+        with pytest.raises(ValueError, match="seed labels must be whole numbers"):
+            vote_extend(g, [0], np.array([3.0, float("nan")]))
+
+    def test_seed_sides_from_any_iterable(self):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        expected = vote_extend(g, [0], [3])
+        for plus, minus in (
+            (np.array([0, 0]), np.array([3], dtype=np.uint8)),
+            ((0,), range(3, 4)),
+            ({0}, iter([3, 3])),
+            ([0.0], [3.0]),
+            ({0: "a"}.keys(), (v for v in [3])),
+        ):
+            part, unassigned = vote_extend(g, plus, minus)
+            assert part == expected[0] and np.array_equal(unassigned, expected[1])
+
     def test_one_empty_side(self):
         # 2 and 3 see only the non-empty side; 4 sees no seed at all
         g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3)])
