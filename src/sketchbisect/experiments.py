@@ -7,6 +7,7 @@ parallel schedules, or any subset of cells, produce identical numbers.
 
 import csv
 import math
+import numbers
 import os
 import statistics
 import time
@@ -75,6 +76,10 @@ class GridSpec:
         )
         if not self.alphas or not self.betas:
             raise ValueError("grid must be non-empty")
+        split = ("n1", "n2") if self.n1 is not None or self.n2 is not None else ()
+        for name in ("n", "reps", "base_seed") + split:
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.reps < 1:
             raise ValueError("reps must be positive")
         for m in self.methods:

@@ -18,7 +18,7 @@ from .certificate import CERTIFIED, check_certificate
 from .encoding import checked_mu, estimate_mu
 from .graphs import Partition, _distinct_labels, bernoulli_vertex_sample, induced_subgraph
 from .seeding import spawn_seed
-from .solver import SolverConfig, solve_sdp
+from .solver import SolverConfig, _sweep_checkpoints, checked_sweeps, solve_sdp
 from .thresholds import conjectured_gamma_threshold
 
 TIE_FAIL = "FAIL"
@@ -52,8 +52,7 @@ class SketchConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.mu != "auto":
             checked_mu(self.mu)
-        if self.max_sweeps < 0:
-            raise ValueError("max_sweeps must be non-negative")
+        checked_sweeps(self.max_sweeps)
         if self.tie_rule not in (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM):
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
 
@@ -144,19 +143,19 @@ def sketch_and_solve(graph, config=None):
     """Run the full pipeline on ``graph`` and report every intermediate.
 
     The certificate is the only acceptance rule, and the solver's stopping
-    rule: the sweep is resumed in doubling chunks, and the rounded cut is
-    checked after cumulative sweeps 0, 1, 2, 4, 8, ... and at the last
-    sweep (converged or out of budget). Sweep 0 is the spectral cut that
-    ``solve_sdp`` returns before any sweep. The solve stops at the first
-    CERTIFIED cut, which is then proven the unique SDP optimum however it
-    was found, so more signal means fewer sweeps: at alpha = 50 no sweep
-    runs. The cut is accepted iff the last check is CERTIFIED; an instance
-    that never certifies runs the full solve. On rejection the sketch is
-    assigned by fair coin flips instead, and the result is flagged with
-    ``fell_back_random``. ``certificate`` is the last check's report. A
-    checkpoint cut equal to the cut checked last keeps that report instead
-    of being checked again: the check is deterministic. ``timings["solve"]``
-    and ``timings["certify"]`` sum the solver and certificate calls.
+    rule: the rounded cut is checked after sweeps 0, 1, 2, 4, 8, ... of one
+    uninterrupted solve and at its last sweep (converged or out of budget).
+    Sweep 0 is the spectral cut that ``solve_sdp`` returns before any sweep.
+    The solve stops at the first CERTIFIED cut, which is then proven the
+    unique SDP optimum however it was found, so more signal means fewer
+    sweeps: at alpha = 50 no sweep runs. The cut is accepted iff the last
+    check is CERTIFIED; an instance that never certifies runs the full
+    solve. On rejection the sketch is assigned by fair coin flips instead,
+    and the result is flagged with ``fell_back_random``. ``certificate`` is
+    the last check's report. A checkpoint cut equal to the cut checked last
+    keeps that report instead of being checked again: the check is
+    deterministic. ``timings["solve"]`` sums the spectral cut and the
+    sweeps, ``timings["certify"]`` the certificate calls.
     """
     config = config or SketchConfig()
     timings = {}
@@ -223,20 +222,22 @@ def sketch_and_solve(graph, config=None):
 
 
 def _solve_until_certified(graph, mu, max_sweeps, seed):
-    """Solve in chunks of 0, 1, 1, 2, 4, ... sweeps; stop at the first CERTIFIED cut.
+    """Check the spectral cut, then the sweep checkpoints; stop at the first CERTIFIED cut.
 
-    The chunks, each seeded with ``seed``, spend at most ``max_sweeps`` in
-    all. The cut is checked after every chunk, the 0-sweep spectral cut
-    first; a cut equal to the one checked last keeps its report. Returns the
-    solution, the last certificate report and the summed solve and certify
-    times.
+    The spectral cut is ``solve_sdp``'s at a budget of 0. If it is refuted
+    and ``max_sweeps`` is positive, one swept solve of at most
+    ``max_sweeps`` sweeps, seeded with ``seed``, runs only as far as
+    needed: each checkpoint ``_sweep_checkpoints`` yields is checked in
+    turn, and a cut equal to the one checked last keeps its report. Returns
+    the solution, the last certificate report and the summed solve and
+    certify times; advancing the sweeps counts as solve time.
     """
+    checkpoints = _sweep_checkpoints(graph, mu, SolverConfig(max_sweeps=max_sweeps, seed=seed))
     solve_s = certify_s = 0.0
-    sdp = checked = None
-    chunk = 0
+    checked = None
+    t0 = time.perf_counter()
+    sdp = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=seed))
     while True:
-        t0 = time.perf_counter()
-        sdp = solve_sdp(graph, mu, SolverConfig(max_sweeps=chunk, seed=seed), start=sdp)
         t1 = time.perf_counter()
         if sdp.rounded_cut != checked:
             checked = sdp.rounded_cut
@@ -244,10 +245,10 @@ def _solve_until_certified(graph, mu, max_sweeps, seed):
         t2 = time.perf_counter()
         solve_s += t1 - t0
         certify_s += t2 - t1
-        left = max_sweeps - sdp.sweeps_used
-        if cert.verdict == CERTIFIED or sdp.converged or left == 0:
+        if cert.verdict == CERTIFIED or sdp.converged or sdp.sweeps_used == max_sweeps:
             return sdp, cert, solve_s, certify_s
-        chunk = min(max(sdp.sweeps_used, 1), left)
+        t0 = time.perf_counter()
+        sdp = next(checkpoints)
 
 
 def full_solve(graph, mu="auto", max_sweeps=500, seed=0):

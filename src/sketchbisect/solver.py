@@ -14,8 +14,8 @@ every sweep and kept current by each update. Vertex i reads the rows
 idx_i = (neighbours of i, i, n) with weights w_i = (1, ..., 1, mu, -mu),
 so one gemv, w_i @ E[idx_i], gives the neighbour sum plus
 mu*v_i - mu*running, which is the neighbour sum minus mu times the other
-rows. The lists are built once per call, as views into one flat index
-array and one flat weight array.
+rows. The lists are built once per swept solve, as views into one flat
+index array and one flat weight array.
 
 Before the first sweep the factors carry no structure, so a solve that
 stops at sweep 0 builds none: it reads its cut g off the leading
@@ -25,6 +25,7 @@ seeded random start is drawn only when the first sweep runs.
 """
 
 import math
+import numbers
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -61,8 +62,16 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_sweeps < 0:
-            raise ValueError("max_sweeps must be non-negative")
+        checked_sweeps(self.max_sweeps)
+
+
+def checked_sweeps(max_sweeps):
+    """``max_sweeps`` as an int; ValueError unless it is a non-negative integer."""
+    if not isinstance(max_sweeps, numbers.Integral):
+        raise ValueError("max_sweeps must be an integer")
+    if max_sweeps < 0:
+        raise ValueError("max_sweeps must be non-negative")
+    return int(max_sweeps)
 
 
 def _factor_rank(n):
@@ -84,7 +93,7 @@ class SdpSolution:
     _unread: InitVar[object] = None
 
 
-def solve_sdp(graph, mu, config=None, start=None):
+def solve_sdp(graph, mu, config=None):
     """Solve the factored SDP on ``graph`` with density offset ``mu``.
 
     Returns the factor matrix, the objective <A - mu*J, VV^T>, a rounded
@@ -94,47 +103,24 @@ def solve_sdp(graph, mu, config=None, start=None):
     its top singular vector. A ``mu`` that is negative, infinite or NaN
     raises ValueError before any work.
 
-    A solve that runs no sweep (``max_sweeps = 0`` on a fresh solve) draws
-    no random start. Its cut g is the sign vector of the leading
-    eigenvector of A - mu*J, a Ritz vector from the certificate's Lanczos
-    loop; the certificate judges it like any other cut. The solution is
-    the rank-one point X = g g^T: ``factors`` is g as an (n, 1) column,
-    ``objective`` is <A - mu*J, g g^T>, ``rank_one_gap`` is 0.0,
-    ``sweeps_used`` is 0 and ``converged`` is False.
+    A solve that runs no sweep (``max_sweeps = 0``) draws no random start.
+    Its cut g is the sign vector of the leading eigenvector of A - mu*J, a
+    Ritz vector from the certificate's Lanczos loop; the certificate judges
+    it like any other cut. The solution is the rank-one point X = g g^T:
+    ``factors`` is g as an (n, 1) column, ``objective`` is
+    <A - mu*J, g g^T>, ``rank_one_gap`` is 0.0, ``sweeps_used`` is 0 and
+    ``converged`` is False.
 
-    ``start`` resumes an earlier solution for the same graph and mu: up to
-    ``config.max_sweeps`` more sweeps run from a copy of ``start.factors``,
-    which are only read, and ``sweeps_used`` continues cumulatively. A
-    start with ``sweeps_used == 0`` carries no sweep state, so the call
-    runs as a fresh one and draws the seeded start from ``config.seed``.
-    A solve split into such calls therefore gives the uninterrupted solve
-    bit for bit, a 0-sweep first call included. A swept start from a graph
-    of another size is rejected with ValueError.
-
-    The sweep works on an (n + 1, r) array whose last row is the running
-    sum of V's rows; a fresh solve draws its seeded start into the first n
-    rows, a resumed one copies its start there, and those rows are the
-    returned ``factors``. Each vertex's index list (its neighbours,
-    itself, the running-sum row) and weight list (ones, mu, -mu) are built
-    once per call, so a vertex update is one gather, one gemv giving the
-    neighbour sum minus mu times the other rows, one norm, and the
-    normalized row written in place with the running sum moved by the
-    difference.
-
-    The lists and the per-sweep objective read a symmetric CSR of the
-    graph, built once per swept call: the package's only one.
+    Any other budget runs the sweeps from the seeded start and returns the
+    last solution ``_sweep_checkpoints`` yields.
     """
     config = config or SolverConfig()
     n = graph.num_vertices
     if n < 2:
         raise ValueError("need at least two vertices")
     mu = checked_mu(mu)
-    r = _factor_rank(n)
 
-    if start is not None and start.sweeps_used == 0:
-        # a 0-sweep solution holds no sweep state; resume as a fresh call
-        start = None
-    if start is None and not config.max_sweeps:
+    if not config.max_sweeps:
         signs = _sign_cut(_spectral_vector(graph, mu, config.seed))
         cut = Partition(graph.vertex_ids, signs)
         return SdpSolution(
@@ -145,7 +131,24 @@ def solve_sdp(graph, mu, config=None, start=None):
             sweeps_used=0,
             converged=False,
         )
+    for sol in _sweep_checkpoints(graph, mu, config):
+        pass
+    return sol
 
+
+def _sweep_checkpoints(graph, mu, config):
+    """Run one swept solve and yield its solution after sweeps 1, 2, 4, 8, ...
+
+    The last yield is the last sweep: the one whose objective gain fell
+    below the tolerance (``converged``) or sweep ``config.max_sweeps``,
+    which must be positive. ``graph`` and ``mu`` are taken as ``solve_sdp``
+    checks them. Each yielded solution owns a copy of the factors, so later
+    sweeps leave it as it was. The update lists and the per-sweep objective
+    read a symmetric CSR of the graph, built once per swept solve: the
+    package's only one.
+    """
+    n = graph.num_vertices
+    r = _factor_rank(n)
     adj = _symmetric(graph.upper)
 
     def objective(W):
@@ -156,30 +159,18 @@ def solve_sdp(graph, mu, config=None, start=None):
     # Views, not copies: writing a row writes E.
     E = np.empty((n + 1, r))
     V = E[:n]
-    if start is None:
-        rng = np.random.default_rng(config.seed)
-        rng.standard_normal(out=V)
+    rng = np.random.default_rng(config.seed)
+    rng.standard_normal(out=V)
+    norms = np.linalg.norm(V, axis=1)
+    while np.any(norms < _STALL_NORM):
+        V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
         norms = np.linalg.norm(V, axis=1)
-        while np.any(norms < _STALL_NORM):
-            V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
-            norms = np.linalg.norm(V, axis=1)
-        V /= norms[:, None]
-        obj = objective(V)
-        done = 0
-    else:
-        if start.factors.shape != V.shape:
-            raise ValueError(f"start has factors of shape {start.factors.shape}, not {V.shape}")
-        V[:] = start.factors
-        # the objective the last call ended with, of these very factors
-        obj = start.objective
-        done = start.sweeps_used
-    converged = False
-    sweeps_used = done
+    V /= norms[:, None]
+    obj = objective(V)
     rows = list(V)
     running = E[n]
     index_lists, weight_lists = _update_lists(adj, mu)
-    for sweep in range(done + 1, done + config.max_sweeps + 1):
-        sweeps_used = sweep
+    for sweep in range(1, config.max_sweeps + 1):
         np.sum(V, axis=0, out=running)
         for row, idx, w in zip(rows, index_lists, weight_lists):
             c = w.dot(E.take(idx, 0))
@@ -194,20 +185,20 @@ def solve_sdp(graph, mu, config=None, start=None):
             raise RuntimeError("coordinate ascent lost monotonicity")
         gain = new_obj - obj
         obj = new_obj
-        if gain < _OBJECTIVE_TOL * (1.0 + abs(obj)):
-            converged = True
-            break
-
-    top_sv, top_vec = _top_singular(V)
-    gap = 1.0 - top_sv * top_sv / n
-    return SdpSolution(
-        factors=V,
-        objective=obj,
-        rounded_cut=Partition(graph.vertex_ids, _sign_cut(top_vec)),
-        rank_one_gap=float(min(max(gap, 0.0), 1.0)),
-        sweeps_used=sweeps_used,
-        converged=converged,
-    )
+        converged = gain < _OBJECTIVE_TOL * (1.0 + abs(obj))
+        if converged or sweep == config.max_sweeps or sweep & (sweep - 1) == 0:
+            top_sv, top_vec = _top_singular(V)
+            gap = 1.0 - top_sv * top_sv / n
+            yield SdpSolution(
+                factors=V.copy(),
+                objective=obj,
+                rounded_cut=Partition(graph.vertex_ids, _sign_cut(top_vec)),
+                rank_one_gap=float(min(max(gap, 0.0), 1.0)),
+                sweeps_used=sweep,
+                converged=converged,
+            )
+        if converged:
+            return
 
 
 def _symmetric(upper):

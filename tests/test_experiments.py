@@ -4,6 +4,7 @@ import statistics
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
 import pytest
 
 from sketchbisect import (
@@ -96,6 +97,19 @@ class TestGridSpec:
             GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, n1=3, n2=8)
         with pytest.raises(ValueError):
             GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, base_seed=-1)
+
+    @pytest.mark.parametrize("field", ["n", "reps", "base_seed", "n1", "n2"])
+    @pytest.mark.parametrize("value", [1.5, 4.0, "4", None])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        kwargs = dict(alphas=(4,), betas=(1,), n=10, reps=1, base_seed=0, n1=4, n2=6)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer$"):
+            GridSpec(**kwargs)
+
+    def test_integer_fields_take_numpy_integers(self):
+        spec = GridSpec(alphas=(4,), betas=(1,), n=np.int64(10), reps=np.int32(1),
+                        base_seed=np.int64(3), n1=np.int64(4), n2=np.int64(6))
+        assert spec.split == (4, 6)
 
     def test_odd_n_allowed_with_explicit_split(self):
         spec = GridSpec(alphas=(4,), betas=(1,), n=11, reps=1, n1=4, n2=7)

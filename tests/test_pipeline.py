@@ -39,21 +39,35 @@ from sketchbisect.certificate import ZOperator
 from conftest import pairwise_sample_sbm, spy_symmetric_builds
 
 
-def count_stage_calls(monkeypatch):
-    """Log ``("solve", sweeps_used)`` and ``("certify", verdict)`` per pipeline call."""
-    calls = []
+def spy_solutions(monkeypatch, log):
+    """Pass every solution the pipeline gets to ``log``: the ``solve_sdp``
+    results and the sweep checkpoints, in the order they arrive."""
+    checkpoints = pipeline._sweep_checkpoints
 
     def solve(*args, **kwargs):
         sol = solve_sdp(*args, **kwargs)
-        calls.append(("solve", sol.sweeps_used))
+        log(sol)
         return sol
+
+    def sweep(*args, **kwargs):
+        for sol in checkpoints(*args, **kwargs):
+            log(sol)
+            yield sol
+
+    monkeypatch.setattr(pipeline, "solve_sdp", solve)
+    monkeypatch.setattr(pipeline, "_sweep_checkpoints", sweep)
+
+
+def count_stage_calls(monkeypatch):
+    """Log ``("solve", sweeps_used)`` per solution and ``("certify", verdict)`` per check."""
+    calls = []
 
     def certify(*args, **kwargs):
         report = check_certificate(*args, **kwargs)
         calls.append(("certify", report.verdict))
         return report
 
-    monkeypatch.setattr(pipeline, "solve_sdp", solve)
+    spy_solutions(monkeypatch, lambda sol: calls.append(("solve", sol.sweeps_used)))
     monkeypatch.setattr(pipeline, "check_certificate", certify)
     return calls
 
@@ -231,6 +245,18 @@ class TestSketchConfig:
             SketchConfig(max_sweeps=-1)
         assert SketchConfig(max_sweeps=0).max_sweeps == 0
         assert SketchConfig().max_sweeps == SolverConfig().max_sweeps == 500
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, "3"])
+    def test_sweep_budget_must_be_an_integer(self, monkeypatch, two_triangles, budget):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the pipeline started")
+
+        monkeypatch.setattr(pipeline, "estimate_mu", no_work)
+        with pytest.raises(ValueError, match=r"^max_sweeps must be an integer$"):
+            SketchConfig(max_sweeps=budget)
+        with pytest.raises(ValueError, match=r"^max_sweeps must be an integer$"):
+            full_solve(two_triangles[0], max_sweeps=budget)
+        assert SketchConfig(max_sweeps=np.int64(3)).max_sweeps == 3
 
     def test_sweep_budget_is_the_only_solver_setting(self):
         # the solver's seed is derived from ``seed``, so no solver config is taken
@@ -431,16 +457,11 @@ class TestCertificateStopsSolve:
         graph, _ = sample_sbm(LogScaleParams(4, 1, 400).to_sbm_params(), seed=0)
         cuts, checked = [], []
 
-        def solve(*args, **kwargs):
-            sol = solve_sdp(*args, **kwargs)
-            cuts.append(sol.rounded_cut)
-            return sol
-
         def certify(graph, partition, mu):
             checked.append(partition)
             return check_certificate(graph, partition, mu)
 
-        monkeypatch.setattr(pipeline, "solve_sdp", solve)
+        spy_solutions(monkeypatch, lambda sol: cuts.append(sol.rounded_cut))
         monkeypatch.setattr(pipeline, "check_certificate", certify)
         result = full_solve(graph, max_sweeps=30, seed=0)
         changes = [cut for i, cut in enumerate(cuts) if i == 0 or cut != cuts[i - 1]]
@@ -508,12 +529,18 @@ class TestCertificateStopsSolve:
         assert accepted >= 12
         assert at_sweep_zero >= 8
 
-    def test_resumed_pipeline_deterministic(self):
-        graph, _ = sample_sbm(LogScaleParams(6, 1, 400).to_sbm_params(), seed=1009)
-        a, b = full_solve(graph, seed=1009), full_solve(graph, seed=1009)
-        assert a.sdp.sweeps_used == b.sdp.sweeps_used
+    def test_swept_pipeline_deterministic(self):
+        # never certified: the pipeline stops at the converged sweep 20, and
+        # that checkpoint is the solve at a budget of 20
+        graph, _ = sample_sbm(LogScaleParams(6, 1, 400).to_sbm_params(), seed=1001)
+        a, b = full_solve(graph, seed=1001), full_solve(graph, seed=1001)
+        assert a.sdp.sweeps_used == b.sdp.sweeps_used == 20 and a.sdp.converged
         assert a.sdp.factors.tobytes() == b.sdp.factors.tobytes()
         assert a.full_partition == b.full_partition
+        config = SolverConfig(max_sweeps=a.sdp.sweeps_used, seed=spawn_seed(1001, 2))
+        alone = solve_sdp(graph, a.mu_used, config)
+        assert alone.factors.tobytes() == a.sdp.factors.tobytes()
+        assert (alone.objective, alone.rank_one_gap) == (a.sdp.objective, a.sdp.rank_one_gap)
 
 
 class TestFullGraphCsr:
@@ -536,9 +563,9 @@ class TestFullGraphCsr:
             assert result.sdp.sweeps_used == 0 and result.certificate.verdict == CERTIFIED
             assert built == []
         else:
-            # one build per swept chunk, each of the sketch
-            assert result.sdp.sweeps_used > 0
-            assert built and set(built) == {result.sketch_vertices.size}
+            # one build for the one swept solve, of the sketch
+            assert result.sdp.sweeps_used > 1
+            assert built == [result.sketch_vertices.size]
 
     def test_cli_sketch_and_certify_build_no_symmetric_csr(self, monkeypatch, tmp_path, capsys):
         graph, _ = sample_sbm(self.PARAMS, seed=9)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -42,12 +43,18 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(max_sweeps=-1)
         assert SolverConfig(max_sweeps=0).max_sweeps == 0
+        assert SolverConfig(max_sweeps=np.int64(3)).max_sweeps == 3
         # the sweep budget and the seed are the only settings
         assert [f.name for f in dataclasses.fields(SolverConfig)] == ["max_sweeps", "seed"]
         with pytest.raises(TypeError):
             SolverConfig(rank=3)
         with pytest.raises(TypeError):
             SolverConfig(objective_tolerance=1e-9)
+
+    @pytest.mark.parametrize("budget", [2.5, 3.0, "3", None])
+    def test_sweep_budget_must_be_an_integer(self, budget):
+        with pytest.raises(ValueError, match=r"^max_sweeps must be an integer$"):
+            SolverConfig(max_sweeps=budget)
 
 
 class TestSolveSdp:
@@ -79,7 +86,7 @@ class TestSolveSdp:
             n = int(rng.integers(4, 40))
             g = random_test_graph(rng, n, 0.4)
             config = SolverConfig(seed=int(rng.integers(1 << 30)))
-            chain = one_sweep_chain(g, 0.5, config)
+            chain = list(solver._sweep_checkpoints(g, 0.5, config))
             objectives = np.array([sol.objective for sol in chain])
             assert np.all(np.diff(objectives) >= -1e-8 * (1.0 + np.abs(objectives[1:])))
             for sol in chain:
@@ -145,6 +152,9 @@ class TestSolveSdp:
         with pytest.raises(ValueError, match=r"^mu must be a finite non-negative number$"):
             solve_sdp(two_triangles[0], mu, SolverConfig(max_sweeps=max_sweeps))
 
+    def test_no_resume_from_a_start(self):
+        assert list(inspect.signature(solve_sdp).parameters) == ["graph", "mu", "config"]
+
     def test_solution_keeps_no_sweep_history(self):
         assert [f.name for f in dataclasses.fields(solver.SdpSolution)] == [
             "factors", "objective", "rounded_cut", "rank_one_gap", "sweeps_used", "converged"
@@ -156,43 +166,32 @@ def _sbm_case(alpha, n, seed, max_sweeps):
     return graph, estimate_mu(graph).mu, SolverConfig(max_sweeps=max_sweeps, seed=seed)
 
 
-def chunked_solve(graph, mu, config):
-    """Solve in chunks of 0, 1, 1, 2, 4, ... sweeps, each call resuming the last."""
-    sol = None
-    chunk = 0
-    while True:
-        sol = solve_sdp(graph, mu, replace(config, max_sweeps=chunk), start=sol)
-        left = config.max_sweeps - sol.sweeps_used
-        if sol.converged or left == 0:
-            return sol
-        chunk = min(max(sol.sweeps_used, 1), left)
-
-
-def one_sweep_chain(graph, mu, config):
-    """The solutions after sweeps 1, 2, ..., each a 1-sweep call resuming the last."""
-    chain = [solve_sdp(graph, mu, replace(config, max_sweeps=1))]
-    while not chain[-1].converged and chain[-1].sweeps_used < config.max_sweeps:
-        chain.append(solve_sdp(graph, mu, replace(config, max_sweeps=1), start=chain[-1]))
-    return chain
+def checkpoint_schedule(last):
+    """Sweeps 1, 2, 4, 8, ... below ``last``, then ``last``."""
+    return [1 << k for k in range(last.bit_length()) if 1 << k < last] + [last]
 
 
 class TestSweepOracle:
-    """``solve_sdp`` reproduces the plainly written sweep bit for bit, both
-    in one call and resumed in chunks of 0, 1, 1, 2, 4, ... sweeps; the
+    """``solve_sdp`` reproduces the plainly written sweep bit for bit. The
     objective after each of its sweeps is ``solve_sdp``'s at that budget,
-    in one call and as a chain of 1-sweep calls."""
+    and ``_sweep_checkpoints`` yields the solutions at sweeps 1, 2, 4, ...
+    and the last, each that budget's ``solve_sdp`` solution, untouched by
+    the sweeps after it."""
 
     @staticmethod
     def assert_same_trajectory(graph, mu, config):
         want, objectives = reference_solve_sdp(graph, mu, config)
         budgets = range(1, want.sweeps_used + 1)
-        assert objectives[1:] == [
-            solve_sdp(graph, mu, replace(config, max_sweeps=k)).objective for k in budgets
-        ]
-        chain = one_sweep_chain(graph, mu, config)
-        assert objectives[1:] == [sol.objective for sol in chain]
-        assert [sol.sweeps_used for sol in chain] == list(budgets)
-        for got in (solve_sdp(graph, mu, config), chunked_solve(graph, mu, config), chain[-1]):
+        at_budget = {k: solve_sdp(graph, mu, replace(config, max_sweeps=k)) for k in budgets}
+        assert objectives[1:] == [at_budget[k].objective for k in budgets]
+        checkpoints = list(solver._sweep_checkpoints(graph, mu, config))
+        assert [sol.sweeps_used for sol in checkpoints] == checkpoint_schedule(want.sweeps_used)
+        for sol in checkpoints:
+            assert sol.objective == objectives[sol.sweeps_used]
+            assert sol.factors.tobytes() == at_budget[sol.sweeps_used].factors.tobytes()
+            assert sol.rounded_cut == at_budget[sol.sweeps_used].rounded_cut
+            assert sol.converged == (sol is checkpoints[-1] and want.converged)
+        for got in (solve_sdp(graph, mu, config), checkpoints[-1]):
             assert got.factors.shape == want.factors.shape
             assert got.factors.tobytes() == want.factors.tobytes()
             assert got.objective == want.objective
@@ -320,31 +319,6 @@ class TestSweepZero:
         assert sol.rounded_cut.equals_up_to_flip(sign_cut(ritz[-1][2]))
         assert not sol.rounded_cut.equals_up_to_flip(sign_cut(best[2]))
 
-    def test_resume_from_sweep_zero(self, two_triangles):
-        graph, planted = two_triangles
-        first = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2))
-        again = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2), start=first)
-        assert again.sweeps_used == 0 and again.rounded_cut == first.rounded_cut
-        swept = solve_sdp(graph, 0.5, SolverConfig(seed=2), start=again)
-        assert swept.sweeps_used >= 1
-        assert swept.rounded_cut.equals_up_to_flip(planted)
-        # once swept, a 0-sweep call rounds V itself, as the last call did
-        idle = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2), start=swept)
-        assert idle.sweeps_used == swept.sweeps_used
-        assert idle.rounded_cut == swept.rounded_cut
-        assert idle.rank_one_gap == swept.rank_one_gap
-        # A 0-sweep start carries no state, so a swept call resumed from it
-        # is the fresh swept call.
-        zero = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=0, seed=2))
-        resumed = solve_sdp(graph, 0.5, SolverConfig(seed=2), start=zero)
-        fresh = solve_sdp(graph, 0.5, SolverConfig(seed=2))
-        assert resumed.sweeps_used == fresh.sweeps_used >= 1
-        assert resumed.factors.tobytes() == fresh.factors.tobytes()
-        assert resumed.objective == fresh.objective
-        assert resumed.rank_one_gap == fresh.rank_one_gap
-        assert resumed.converged == fresh.converged
-        assert resumed.rounded_cut == fresh.rounded_cut
-
 
 def _clique(k):
     return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
@@ -390,31 +364,6 @@ class TestSpectralOracle:
         want = Partition(graph.vertex_ids, np.where(top >= 0, 1, -1))
         sol = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=3))
         assert sol.rounded_cut.equals_up_to_flip(want)
-
-
-class TestResume:
-    """``start=`` continues an earlier solve; the oracle above covers the bits."""
-
-    def test_start_is_read_not_consumed(self, two_triangles):
-        graph, _ = two_triangles
-        first = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2))
-        before = first.factors.tobytes()
-        second = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2), start=first)
-        assert first.factors.tobytes() == before
-        assert first.sweeps_used == 1
-        assert not np.shares_memory(second.factors, first.factors)
-        assert second.sweeps_used == 2
-        assert second.factors.tobytes() != first.factors.tobytes()
-        # resuming the same start twice gives the same second sweep
-        again = solve_sdp(graph, 0.5, SolverConfig(max_sweeps=1, seed=2), start=first)
-        assert again.factors.tobytes() == second.factors.tobytes()
-        assert again.objective == second.objective
-
-    def test_wrong_start_shape_rejected(self, two_triangles):
-        graph, _ = two_triangles
-        other = solve_sdp(Graph(4, [(0, 1), (2, 3)]), 0.5, SolverConfig(max_sweeps=1))
-        with pytest.raises(ValueError):
-            solve_sdp(graph, 0.5, SolverConfig(), start=other)
 
 
 class TestObjectiveValue:
