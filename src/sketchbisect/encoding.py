@@ -53,12 +53,12 @@ def mu_concentration_bound(params, c):
     """Deviation scale c * ln(n) / n**1.5 for the density estimate.
 
     ``params`` is either log-scale parameters (their n is used) or a bare
-    real n >= 2, so the bound can be evaluated along a continuous curve;
-    ``c`` is a non-negative constant.
+    finite real n >= 2, so the bound can be evaluated along a continuous
+    curve; ``c`` is a finite non-negative constant.
     """
     n = getattr(params, "n", params)
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if c < 0:
-        raise ValueError("c must be non-negative")
+    if not 2 <= n < math.inf:
+        raise ValueError("n must be finite and at least 2")
+    if not 0 <= c < math.inf:
+        raise ValueError("c must be finite and non-negative")
     return c * math.log(n) / n**1.5

@@ -7,7 +7,6 @@ parallel schedules, or any subset of cells, produce identical numbers.
 
 import csv
 import math
-import numbers
 import os
 import statistics
 import time
@@ -18,7 +17,7 @@ import numpy as np
 
 from .graphs import LogScaleParams, sample_sbm
 from .pipeline import SketchConfig, auto_gamma, recovered_planted, sketch_and_solve
-from .seeding import spawn_seed
+from .seeding import checked_int, spawn_seed
 from .solver import SolverConfig
 
 METHOD_FULL_SDP = "FULL_SDP"
@@ -26,21 +25,6 @@ METHOD_SKETCH = "SKETCH"
 _METHOD_CODES = {METHOD_FULL_SDP: 1, METHOD_SKETCH: 2}
 
 MU_POLICIES = ("auto", "half", "gw", "oracle")
-
-CSV_HEADER = [
-    "alpha",
-    "beta",
-    "rep",
-    "method",
-    "n",
-    "gamma",
-    "mu",
-    "recovered",
-    "fell_back",
-    "unassigned",
-    "runtime_ms",
-    "seed",
-]
 
 SKIPPED = "SKIPPED"
 
@@ -53,7 +37,9 @@ class GridSpec:
     ``gamma_policy`` for SKETCH, with the sweep budget ``solver.max_sweeps``.
     The solver's seed is derived from the cell's seed, so ``solver.seed`` is
     not read; ``solver`` stays a ``SolverConfig`` because the benchmark's
-    grid workload builds it as one.
+    grid workload builds it as one. The rates must be finite, ``n`` an
+    integer of at least 2, ``reps`` and the split ``n1``/``n2`` positive
+    integers, and ``base_seed`` a non-negative integer.
     """
 
     alphas: tuple
@@ -76,12 +62,14 @@ class GridSpec:
         )
         if not self.alphas or not self.betas:
             raise ValueError("grid must be non-empty")
-        split = ("n1", "n2") if self.n1 is not None or self.n2 is not None else ()
-        for name in ("n", "reps", "base_seed") + split:
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.reps < 1:
-            raise ValueError("reps must be positive")
+        if not all(map(math.isfinite, self.alphas + self.betas)):
+            raise ValueError("alphas and betas must be finite")
+        checked_int(self.n, "n", 2)
+        checked_int(self.reps, "reps", 1)
+        checked_int(self.base_seed, "base_seed")
+        if self.n1 is not None or self.n2 is not None:  # one without the other fails here
+            checked_int(self.n1, "n1", 1)
+            checked_int(self.n2, "n2", 1)
         for m in self.methods:
             if m not in _METHOD_CODES:
                 raise ValueError(f"unknown method {m!r}")
@@ -91,15 +79,11 @@ class GridSpec:
             raise ValueError(f"unknown mu policy {self.mu_policy!r}")
         if self.gamma_policy != "auto" and not 0.0 < float(self.gamma_policy) <= 1.0:
             raise ValueError("fixed gamma must lie in (0, 1]")
-        if (self.n1 is None) != (self.n2 is None):
-            raise ValueError("n1 and n2 must be given together")
         if self.n1 is not None:
             if self.n1 + self.n2 != self.n:
                 raise ValueError("n1 + n2 must equal n")
         elif self.n % 2:
             raise ValueError("n must be even unless n1/n2 are given")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be non-negative")
 
     @property
     def split(self):
@@ -110,42 +94,36 @@ class GridSpec:
 
 @dataclass
 class CellResult:
+    """One grid cell: its identity, then its outcome, which defaults to "not run"."""
+
     alpha: float
     beta: float
     rep: int
     method: str
     n: int
-    gamma_used: object
-    mu_used: object
-    recovered: bool
-    fell_back: bool
-    unassigned_count: int
-    runtime_ms: object
     seed: int
+    gamma_used: object = None
+    mu_used: object = None
+    recovered: bool = False
+    fell_back: bool = False
+    unassigned_count: int = 0
+    runtime_ms: object = None
     error: str = ""
     stage_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
+
+
+def _skipped(alpha, beta):
+    """A cell with beta >= alpha lies outside the assortative model and is not run."""
+    return beta >= alpha
 
 
 def _run_cell(spec, a_idx, b_idx, rep, method):
     alpha = spec.alphas[a_idx]
     beta = spec.betas[b_idx]
     seed = spawn_seed(spec.base_seed, a_idx, b_idx, rep, _METHOD_CODES[method])
-    cell = CellResult(
-        alpha=alpha,
-        beta=beta,
-        rep=rep,
-        method=method,
-        n=spec.n,
-        gamma_used=None,
-        mu_used=None,
-        recovered=False,
-        fell_back=False,
-        unassigned_count=0,
-        runtime_ms=None,
-        seed=seed,
-    )
-    if beta >= alpha:
+    cell = CellResult(alpha=alpha, beta=beta, rep=rep, method=method, n=spec.n, seed=seed)
+    if _skipped(alpha, beta):
         cell.error = SKIPPED
         return cell
 
@@ -215,8 +193,35 @@ def run_grid(spec, jobs=1):
         return list(pool.map(_run_cell, *zip(*tasks), chunksize=1))
 
 
-def _fmt_opt_float(x):
-    return "" if x is None else repr(float(x))
+def _optional(write, read):
+    """A (writer, reader) pair in which None and the empty field stand for each other."""
+    return (lambda x: "" if x is None else write(x),
+            lambda s: None if s == "" else read(s))
+
+
+def _real(x):
+    return repr(float(x))
+
+
+_FLAG = (lambda x: "true" if x else "false", lambda s: s == "true")
+
+# One row per CSV column, in order: header, CellResult field, writer, reader.
+_COLUMNS = (
+    ("alpha", "alpha", _real, float),
+    ("beta", "beta", _real, float),
+    ("rep", "rep", int, int),
+    ("method", "method", str, str),
+    ("n", "n", int, int),
+    ("gamma", "gamma_used", *_optional(_real, float)),
+    ("mu", "mu_used", *_optional(_real, float)),
+    ("recovered", "recovered", *_FLAG),
+    ("fell_back", "fell_back", *_FLAG),
+    ("unassigned", "unassigned_count", int, int),
+    ("runtime_ms", "runtime_ms", *_optional("{:.3f}".format, float)),
+    ("seed", "seed", int, int),
+)
+
+CSV_HEADER = [header for header, *_ in _COLUMNS]
 
 
 def emit_csv(results, path):
@@ -225,52 +230,28 @@ def emit_csv(results, path):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for c in results:
-            writer.writerow(
-                [
-                    repr(float(c.alpha)),
-                    repr(float(c.beta)),
-                    c.rep,
-                    c.method,
-                    c.n,
-                    _fmt_opt_float(c.gamma_used),
-                    _fmt_opt_float(c.mu_used),
-                    "true" if c.recovered else "false",
-                    "true" if c.fell_back else "false",
-                    int(c.unassigned_count),
-                    "" if c.runtime_ms is None else f"{c.runtime_ms:.3f}",
-                    c.seed,
-                ]
-            )
+            writer.writerow([write(getattr(c, name)) for _, name, write, _ in _COLUMNS])
 
 
 def parse_csv(path):
-    """Read back an emitted CSV; timing information is not reconstructed
-    beyond the runtime_ms column itself."""
+    """Read back an emitted CSV.
+
+    A row with beta >= alpha is marked SKIPPED, as ``run_grid`` marks it, so
+    a heatmap of the read-back cells equals the live one. Other errors and
+    the per-stage timings are not in the CSV and are not reconstructed.
+    """
     out = []
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
+        if next(reader, None) != CSV_HEADER:
             raise ValueError("unexpected CSV header")
         for row in reader:
-            (alpha, beta, rep, method, n, gamma, mu, recovered, fell_back,
-             unassigned, runtime_ms, seed) = row
-            out.append(
-                CellResult(
-                    alpha=float(alpha),
-                    beta=float(beta),
-                    rep=int(rep),
-                    method=method,
-                    n=int(n),
-                    gamma_used=None if gamma == "" else float(gamma),
-                    mu_used=None if mu == "" else float(mu),
-                    recovered=recovered == "true",
-                    fell_back=fell_back == "true",
-                    unassigned_count=int(unassigned),
-                    runtime_ms=None if runtime_ms == "" else float(runtime_ms),
-                    seed=int(seed),
-                )
-            )
+            if len(row) != len(_COLUMNS):
+                raise ValueError(f"line {reader.line_num}: expected {len(_COLUMNS)} fields")
+            cell = CellResult(**{name: read(s) for (_, name, _, read), s in zip(_COLUMNS, row)})
+            if _skipped(cell.alpha, cell.beta):
+                cell.error = SKIPPED
+            out.append(cell)
     return out
 
 
@@ -411,14 +392,39 @@ def _num(x):
     return str(int(x)) if float(x).is_integer() else str(x)
 
 
+def _reals(s):
+    return tuple(float(x) for x in s.split(",") if x.strip())
+
+
+def _words(s):
+    return tuple(x.strip() for x in s.split(",") if x.strip())
+
+
+# Config key -> (GridSpec field, reader of the value text).
+_CONFIG_KEYS = {
+    "alphas": ("alphas", _reals),
+    "betas": ("betas", _reals),
+    "n": ("n", int),
+    "reps": ("reps", int),
+    "methods": ("methods", _words),
+    "gamma": ("gamma_policy", lambda s: "auto" if s == "auto" else float(s)),
+    "mu": ("mu_policy", str),
+    "seed": ("base_seed", int),
+    "n1": ("n1", int),
+    "n2": ("n2", int),
+}
+
+
 def parse_grid_config(path):
     """Parse a key = value grid description into a GridSpec.
 
-    Recognized keys: alphas, betas (comma-separated reals), n, reps, seed,
-    n1, n2 (integers), methods (comma-separated), gamma (real or auto),
-    mu (auto|half|gw|oracle). Lines starting with # are comments.
+    ``_CONFIG_KEYS`` lists the keys and reads their values; alphas, betas,
+    n and reps are required. Lines starting with # are comments. A
+    malformed line, a repeated key or a value its key cannot read raises
+    ValueError naming the line: "line 5: key 'n' repeats line 3",
+    "line 5: n: <reason>".
     """
-    raw = {}
+    lines = {}
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -427,36 +433,23 @@ def parse_grid_config(path):
             if "=" not in line:
                 raise ValueError(f"line {lineno}: expected key = value")
             key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            key = key.strip()
+            if key in lines:
+                raise ValueError(f"line {lineno}: key {key!r} repeats line {lines[key][0]}")
+            lines[key] = lineno, value.strip()
 
-    known = {"alphas", "betas", "n", "reps", "methods", "gamma", "mu",
-             "seed", "n1", "n2"}
-    unknown = set(raw) - known
+    unknown = set(lines) - set(_CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for req in ("alphas", "betas", "n", "reps"):
-        if req not in raw:
+        if req not in lines:
             raise ValueError(f"missing required key {req!r}")
 
-    def floats(s):
-        return tuple(float(x) for x in s.split(",") if x.strip())
-
-    kwargs = {
-        "alphas": floats(raw["alphas"]),
-        "betas": floats(raw["betas"]),
-        "n": int(raw["n"]),
-        "reps": int(raw["reps"]),
-    }
-    if "methods" in raw:
-        kwargs["methods"] = tuple(m.strip() for m in raw["methods"].split(",") if m.strip())
-    if "gamma" in raw:
-        kwargs["gamma_policy"] = "auto" if raw["gamma"] == "auto" else float(raw["gamma"])
-    if "mu" in raw:
-        kwargs["mu_policy"] = raw["mu"]
-    if "seed" in raw:
-        kwargs["base_seed"] = int(raw["seed"])
-    if "n1" in raw:
-        kwargs["n1"] = int(raw["n1"])
-    if "n2" in raw:
-        kwargs["n2"] = int(raw["n2"])
+    kwargs = {}
+    for key, (lineno, value) in lines.items():
+        name, read = _CONFIG_KEYS[key]
+        try:
+            kwargs[name] = read(value)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {key}: {exc}") from None
     return GridSpec(**kwargs)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .seeding import checked_int
 from .thresholds import _check_finite
 
 # Rows formatted per write by save_graph and save_partition.
@@ -29,7 +30,10 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 
 @dataclass(frozen=True)
 class SbmParams:
-    """Two-block stochastic block model with intra-rate p and inter-rate q."""
+    """Two-block stochastic block model with intra-rate p and inter-rate q.
+
+    The block sizes ``n1`` and ``n2`` must be positive integers.
+    """
 
     n1: int
     n2: int
@@ -37,7 +41,8 @@ class SbmParams:
     q: float
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
+        sizes = checked_int(self.n1, "n1", None), checked_int(self.n2, "n2", None)
+        if min(sizes) < 1:
             raise ValueError("block sizes must be positive")
         for name in ("p", "q"):
             r = getattr(self, name)
@@ -55,6 +60,7 @@ class LogScaleParams:
 
     This is the scaling regime where exact recovery of the planted cut has a
     sharp threshold, so experiment grids are expressed in finite, positive (alpha, beta).
+    ``n`` must be an integer of at least 2.
     """
 
     alpha: float
@@ -62,8 +68,7 @@ class LogScaleParams:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("n must be at least 2")
+        checked_int(self.n, "n", 2)
         _check_finite(self.alpha, self.beta)
         if self.alpha <= 0 or self.beta <= 0:
             raise ValueError("alpha and beta must be positive")
@@ -205,14 +210,13 @@ class Graph:
     derived quantities are deterministic functions of the edge set. An
     edge given more than once, in either orientation, counts once. The
     adjacency A = U + U^T is never stored; ``matvec`` and ``degrees`` read U.
-    Labels and edge entries must be whole numbers within int64; integer
-    arrays narrower than uint64 are read as they are.
+    ``num_vertices`` must be a non-negative integer. Labels and edge
+    entries must be whole numbers within int64; integer arrays narrower
+    than uint64 are read as they are.
     """
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
-        n = int(num_vertices)
-        if n < 0:
-            raise ValueError("num_vertices must be non-negative")
+        n = checked_int(num_vertices, "num_vertices")
         if vertex_ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:

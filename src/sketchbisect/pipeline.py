@@ -17,8 +17,8 @@ import numpy as np
 from .certificate import CERTIFIED, check_certificate
 from .encoding import checked_mu, estimate_mu
 from .graphs import Partition, _distinct_labels, bernoulli_vertex_sample, induced_subgraph
-from .seeding import spawn_seed
-from .solver import SolverConfig, _sweep_checkpoints, checked_sweeps, solve_sdp
+from .seeding import checked_int, spawn_seed
+from .solver import SolverConfig, _sweep_checkpoints, solve_sdp
 from .thresholds import conjectured_gamma_threshold
 
 TIE_FAIL = "FAIL"
@@ -52,7 +52,8 @@ class SketchConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if self.mu != "auto":
             checked_mu(self.mu)
-        checked_sweeps(self.max_sweeps)
+        checked_int(self.max_sweeps, "max_sweeps")
+        checked_int(self.seed, "seed")
         if self.tie_rule not in (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM):
             raise ValueError(f"unknown tie rule {self.tie_rule!r}")
 

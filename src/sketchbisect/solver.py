@@ -25,7 +25,6 @@ seeded random start is drawn only when the first sweep runs.
 """
 
 import math
-import numbers
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ import numpy as np
 from .certificate import _lanczos_bottom
 from .encoding import checked_mu
 from .graphs import Partition
-from .seeding import spawn_seed
+from .seeding import checked_int, spawn_seed
 
 _STALL_NORM = 1e-13
 
@@ -62,16 +61,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        checked_sweeps(self.max_sweeps)
-
-
-def checked_sweeps(max_sweeps):
-    """``max_sweeps`` as an int; ValueError unless it is a non-negative integer."""
-    if not isinstance(max_sweeps, numbers.Integral):
-        raise ValueError("max_sweeps must be an integer")
-    if max_sweeps < 0:
-        raise ValueError("max_sweeps must be non-negative")
-    return int(max_sweeps)
+        checked_int(self.max_sweeps, "max_sweeps")
+        checked_int(self.seed, "seed")
 
 
 def _factor_rank(n):

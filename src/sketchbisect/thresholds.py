@@ -1,7 +1,8 @@
 """Closed-form recovery thresholds and success bounds for the bisection SDP.
 
-All rates are on the logarithmic scale p = alpha*ln(n)/n, q = beta*ln(n)/n,
-and must be finite: an infinite or NaN alpha or beta raises ValueError.
+All rates are on the logarithmic scale p = alpha*ln(n)/n, q = beta*ln(n)/n.
+Every argument must be finite: an infinite or NaN one raises ValueError
+naming it, never a NaN result or a wrong verdict.
 Exact recovery of a balanced planted cut is possible iff
 sqrt(alpha) - sqrt(beta) >= sqrt(2); below that line no estimator succeeds
 with high probability. The sketching rates compare against that line:
@@ -84,12 +85,12 @@ def sdp_success_bound(n1, n2, p, q, mu):
     The bound is returned as computed: it can be negative (vacuous) for
     weak parameters, and clamping is left to display layers.
     """
-    if n1 < 1 or n2 < 1:
-        raise ValueError("block sizes must be positive")
+    if not (1 <= n1 < math.inf and 1 <= n2 < math.inf):
+        raise ValueError("block sizes must be finite and positive")
     if not 0.0 < q < p <= 1.0:
         raise ValueError("need rates with 0 < q < p <= 1")
-    if mu <= q:
-        raise ValueError("mu must exceed q")
+    if not q < mu < math.inf:
+        raise ValueError("mu must be finite and exceed q")
     n = n1 + n2
     m = abs(n1 - n2)
     if mu < (p + q) / 2.0:
@@ -108,8 +109,8 @@ def unbalanced_recovery_condition(alpha, beta, delta):
     is the balanced case.
     """
     _check_rates(alpha, beta)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError("delta must be finite and non-negative")
     return bool(
         3.0 * (alpha - beta) ** 2
         > 16.0 * (2.0 * alpha + beta) + 24.0 * (alpha - beta) * delta
@@ -149,6 +150,6 @@ def threshold_report(alpha, beta, delta=0.0):
 def phase_boundary_curve(betas):
     """The exact-recovery boundary alpha = (sqrt(beta) + sqrt(2))^2."""
     b = np.asarray(betas, dtype=np.float64)
-    if np.any(b <= 0):
-        raise ValueError("beta must be positive")
+    if not np.all((b > 0) & (b < np.inf)):
+        raise ValueError("beta must be finite and positive")
     return (np.sqrt(b) + math.sqrt(2.0)) ** 2

@@ -270,6 +270,18 @@ class TestRatesChecked:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--alpha", "10", "--beta", "1", "--delta", "nan"],
+         "delta must be finite and non-negative"),
+        (["--curve", "prop1", "--beta-min", "nan"], "beta must be finite and positive"),
+    ], ids=["delta", "beta-min"])
+    def test_non_finite_threshold_argument_fails(self, capsys, argv, message):
+        code, stdout, stderr = run_cli(capsys, "thresholds", *argv)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: {message}\n"
+
+
 class TestThresholdsCommand:
     def test_point_report(self, capsys):
         code, stdout, _ = run_cli(capsys, "thresholds", "--alpha", "50", "--beta", "1")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from sketchbisect import (
+    Graph,
     LogScaleParams,
+    SbmParams,
     SketchConfig,
     SolverConfig,
     auto_gamma,
@@ -68,6 +70,31 @@ def strip_runtime(csv_text):
     return "\n".join(lines)
 
 
+def small_grid(**kwargs):
+    """A one-cell GridSpec with an n1/n2 split; ``kwargs`` override its fields."""
+    return GridSpec(**{**dict(alphas=(4,), betas=(1,), n=10, reps=1, base_seed=0, n1=4, n2=6),
+                       **kwargs})
+
+
+# Every size, count and seed that must be an integer: test id -> (the name
+# its ValueError gives, a call that passes the value there).
+INTEGER_ARGUMENTS = {
+    "n": ("n", lambda v: small_grid(n=v)),
+    "reps": ("reps", lambda v: small_grid(reps=v)),
+    "base_seed": ("base_seed", lambda v: small_grid(base_seed=v)),
+    "n1": ("n1", lambda v: small_grid(n1=v)),
+    "n2": ("n2", lambda v: small_grid(n2=v)),
+    "Graph.num_vertices": ("num_vertices", lambda v: Graph(v, [(0, 1)])),
+    "SbmParams.n1": ("n1", lambda v: SbmParams(v, 3, 0.5, 0.1)),
+    "SbmParams.n2": ("n2", lambda v: SbmParams(3, v, 0.5, 0.1)),
+    "LogScaleParams.n": ("n", lambda v: LogScaleParams(50, 1, v)),
+    "SolverConfig.seed": ("seed", lambda v: SolverConfig(seed=v)),
+    "SketchConfig.seed": ("seed", lambda v: SketchConfig(seed=v)),
+    "spawn_seed.seed": ("seed", lambda v: spawn_seed(v, 1)),
+    "spawn_seed.key": ("path key", lambda v: spawn_seed(1, v)),
+}
+
+
 @pytest.fixture(scope="module")
 def desk_grid():
     """One shared desk-scale run over both methods (~5 s with 4 workers)."""
@@ -97,19 +124,43 @@ class TestGridSpec:
             GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, n1=3, n2=8)
         with pytest.raises(ValueError):
             GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, base_seed=-1)
+        for rates in [dict(alphas=(4, math.nan)), dict(betas=(math.inf,))]:
+            with pytest.raises(ValueError, match=r"^alphas and betas must be finite$"):
+                small_grid(**rates)
 
-    @pytest.mark.parametrize("field", ["n", "reps", "base_seed", "n1", "n2"])
+    @pytest.mark.parametrize("field", INTEGER_ARGUMENTS)
     @pytest.mark.parametrize("value", [1.5, 4.0, "4", None])
     def test_counts_and_seed_must_be_integers(self, field, value):
-        kwargs = dict(alphas=(4,), betas=(1,), n=10, reps=1, base_seed=0, n1=4, n2=6)
-        kwargs[field] = value
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer$"):
-            GridSpec(**kwargs)
+        name, call = INTEGER_ARGUMENTS[field]
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer$"):
+            call(value)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: small_grid(reps=0), "reps must be positive"),
+        (lambda: small_grid(base_seed=-1), "base_seed must be non-negative"),
+        (lambda: small_grid(n=0, n1=0, n2=0), "n must be at least 2"),
+        (lambda: small_grid(n1=0, n2=10), "n1 must be positive"),
+        (lambda: Graph(-1), "num_vertices must be non-negative"),
+        (lambda: SbmParams(0, 3, 0.5, 0.1), "block sizes must be positive"),
+        (lambda: LogScaleParams(50, 1, 1), "n must be at least 2"),
+        (lambda: SolverConfig(seed=-1), "seed must be non-negative"),
+        (lambda: SketchConfig(seed=-1), "seed must be non-negative"),
+        (lambda: spawn_seed(1, 2, -3), "path key must be non-negative"),
+    ], ids=["reps", "base_seed", "grid_n", "grid_n1", "num_vertices", "block", "log_n",
+            "solver_seed", "sketch_seed", "path_key"])
+    def test_integers_below_their_minimum_rejected(self, call, message):
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            call()
 
     def test_integer_fields_take_numpy_integers(self):
         spec = GridSpec(alphas=(4,), betas=(1,), n=np.int64(10), reps=np.int32(1),
                         base_seed=np.int64(3), n1=np.int64(4), n2=np.int64(6))
         assert spec.split == (4, 6)
+        assert Graph(np.int32(3), [(0, 1)]).num_vertices == 3
+        assert SbmParams(np.int64(3), np.uint16(4), 0.5, 0.1).n == 7
+        assert LogScaleParams(50, 1, np.int64(400)).to_sbm_params().n1 == 200
+        assert SketchConfig(seed=np.int64(2)).seed == SolverConfig(seed=np.uint8(2)).seed == 2
+        assert spawn_seed(np.int64(5), np.uint32(1)) == spawn_seed(5, 1)
 
     def test_odd_n_allowed_with_explicit_split(self):
         spec = GridSpec(alphas=(4,), betas=(1,), n=11, reps=1, n1=4, n2=7)
@@ -358,6 +409,7 @@ class TestCsv:
             assert got.fell_back == orig.fell_back
             assert got.unassigned_count == orig.unassigned_count
             assert got.seed == orig.seed
+            assert got.error == orig.error
             if orig.runtime_ms is None:
                 assert got.runtime_ms is None
             else:
@@ -373,10 +425,34 @@ class TestCsv:
         assert got.gamma_used == cell.gamma_used
         assert got.mu_used == cell.mu_used
 
+    def test_read_back_heatmap_equals_live(self, tmp_path):
+        # (4, 4), (4, 8) and (8, 8) are SKIPPED: blank in both heatmaps
+        spec = GridSpec(alphas=(4, 8), betas=(1, 4, 8), n=30, reps=2, base_seed=3,
+                        solver=SolverConfig(max_sweeps=5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            live = run_grid(spec)
+        emit_csv(live, tmp_path / "grid.csv")
+        emit_heatmap_svg(live, tmp_path / "live.svg")
+        emit_heatmap_svg(parse_csv(tmp_path / "grid.csv"), tmp_path / "read.svg")
+        svg = (tmp_path / "live.svg").read_text()
+        assert len(re.findall(r"<rect", svg)) == 2 * 3
+        assert (tmp_path / "read.svg").read_text() == svg
+
+    def test_short_row_names_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        emit_csv([make_cell(8, 2)], path)
+        path.write_text(path.read_text() + "8.0,2.0,1\n")
+        with pytest.raises(ValueError, match=r"^line 3: expected 12 fields$"):
+            parse_csv(path)
+
     def test_header_checked_on_parse(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("alpha,beta\n1.0,2.0\n")
         with pytest.raises(ValueError):
+            parse_csv(path)
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"^unexpected CSV header$"):
             parse_csv(path)
 
     def test_rerun_bitwise_identical_modulo_timing(self, tmp_path):
@@ -555,4 +631,26 @@ class TestGridConfig:
         path = tmp_path / "grid.cfg"
         path.write_text("alphas 20\n")
         with pytest.raises(ValueError):
+            parse_grid_config(path)
+
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "grid.cfg"
+        path.write_text("alphas = 20\nbetas = 2\nn = 100\nreps = 1\n# again\nn = 120\n")
+        with pytest.raises(ValueError, match=r"^line 6: key 'n' repeats line 3$"):
+            parse_grid_config(path)
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("n", "1e3", r"invalid literal for int\(\) with base 10: '1e3'"),
+        ("alphas", "20, x", r"could not convert string to float: ' x'"),
+        ("seed", "-", r"invalid literal for int\(\) with base 10: '-'"),
+        ("gamma", "half", r"could not convert string to float: 'half'"),
+    ], ids=["n", "alphas", "seed", "gamma"])
+    def test_bad_value_names_line_and_key(self, tmp_path, key, value, reason):
+        lines = {"alphas": "20", "betas": "2", "n": "100", "reps": "1", "seed": "3",
+                 "gamma": "auto"}
+        lines[key] = value
+        path = tmp_path / "grid.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        lineno = list(lines).index(key) + 1
+        with pytest.raises(ValueError, match=rf"^line {lineno}: {key}: {reason}$"):
             parse_grid_config(path)

@@ -10,6 +10,7 @@ from sketchbisect import (
     IMPOSSIBLE,
     RECOVERABLE,
     conjectured_gamma_threshold,
+    mu_concentration_bound,
     phase_boundary_curve,
     recovery_phase,
     sdp_success_bound,
@@ -50,7 +51,7 @@ NON_FINITE = [(math.inf, 1.0), (-math.inf, 1.0), (math.nan, 1.0), (50.0, math.in
 
 
 class TestNonFiniteRates:
-    """An infinite or NaN rate is one ValueError, never a NaN or a wrong phase."""
+    """An infinite or NaN argument is one ValueError, never a NaN or a wrong phase."""
 
     CHECKS = {
         "recovery_phase": recovery_phase,
@@ -68,6 +69,26 @@ class TestNonFiniteRates:
         with pytest.raises(ValueError) as exc:
             self.CHECKS[name](alpha, beta)
         assert str(exc.value) == want
+
+    # every other real argument: test id -> (the name its ValueError gives, a call)
+    OTHER_ARGUMENTS = {
+        "unbalanced_recovery_condition.delta": (
+            "delta", lambda x: unbalanced_recovery_condition(10, 1, x)),
+        "threshold_report.delta": ("delta", lambda x: threshold_report(10, 1, x)),
+        "sdp_success_bound.n1": ("block sizes", lambda x: sdp_success_bound(x, 5, 0.5, 0.1, 0.3)),
+        "sdp_success_bound.n2": ("block sizes", lambda x: sdp_success_bound(5, x, 0.5, 0.1, 0.3)),
+        "sdp_success_bound.mu": ("mu", lambda x: sdp_success_bound(5, 5, 0.5, 0.1, x)),
+        "mu_concentration_bound.n": ("n", lambda x: mu_concentration_bound(x, 1)),
+        "mu_concentration_bound.c": ("c", lambda x: mu_concentration_bound(400, x)),
+        "phase_boundary_curve.beta": ("beta", lambda x: phase_boundary_curve([1.0, x])),
+    }
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("argument", OTHER_ARGUMENTS)
+    def test_other_arguments_rejected_by_name(self, argument, value):
+        name, call = self.OTHER_ARGUMENTS[argument]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and "):
+            call(value)
 
     def test_large_finite_rates_still_accepted(self):
         assert recovery_phase(1e300, 1.0) == RECOVERABLE
