@@ -10,7 +10,7 @@ from .certificate import check_certificate
 from .encoding import estimate_mu
 from .experiments import emit_csv, emit_heatmap_svg, parse_grid_config, run_grid
 from .graphs import load_graph, load_partition, save_partition
-from .pipeline import SketchConfig, sketch_and_solve
+from .pipeline import TIE_FAIL, TIE_RULES, SketchConfig, sketch_and_solve
 from .solver import SolverConfig, solve_sdp
 from .thresholds import phase_boundary_curve, threshold_report
 
@@ -163,7 +163,7 @@ def build_parser():
                    help="across-block rate, q = beta*ln(n)/n; needed by --gamma auto")
     p.add_argument("--mu", type=_auto_or_float, default="auto")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tie-rule", choices=["FAIL", "TO_FIRST", "RANDOM"], default="FAIL")
+    p.add_argument("--tie-rule", choices=TIE_RULES, default=TIE_FAIL)
     p.set_defaults(func=_cmd_sketch)
 
     p = sub.add_parser("thresholds", help="closed-form threshold quantities")

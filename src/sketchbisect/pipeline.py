@@ -24,6 +24,13 @@ from .thresholds import conjectured_gamma_threshold
 TIE_FAIL = "FAIL"
 TIE_TO_FIRST = "TO_FIRST"
 TIE_RANDOM = "RANDOM"
+TIE_RULES = (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM)
+
+
+def checked_tie_rule(rule):
+    """Raise ValueError unless ``rule`` is one of ``TIE_RULES``."""
+    if rule not in TIE_RULES:
+        raise ValueError(f"unknown tie rule {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -54,8 +61,7 @@ class SketchConfig:
             checked_mu(self.mu)
         checked_int(self.max_sweeps, "max_sweeps")
         checked_int(self.seed, "seed")
-        if self.tie_rule not in (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM):
-            raise ValueError(f"unknown tie rule {self.tie_rule!r}")
+        checked_tie_rule(self.tie_rule)
 
 
 @dataclass
@@ -83,15 +89,16 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     A vertex joins the side it has strictly more edges to. Ties follow
     ``tie_rule``: FAIL leaves the vertex unassigned, TO_FIRST sends it to
     the +1 side, RANDOM flips a fair coin per tied vertex (in ascending
-    vertex order, driven by ``seed``). One seed side may be empty, as for
-    the all-ones cut that is optimal at small mu; then every vertex with a
-    seed neighbour joins the other side and the rest are ties. Each side
-    is an array or any iterable of whole-number labels (ValueError
-    otherwise); repeats count once. Returns the partition over all
-    assigned vertices plus the array of unassigned labels. The margins
-    are read off ``graph.upper``, so the vote builds no symmetric CSR of
-    the full graph.
+    vertex order, driven by ``seed``); any other rule raises ValueError
+    before any work. One seed side may be empty, as for the all-ones cut
+    that is optimal at small mu; then every vertex with a seed neighbour
+    joins the other side and the rest are ties. Each side is an array or
+    any iterable of whole-number labels (ValueError otherwise); repeats
+    count once. Returns the partition over all assigned vertices plus the
+    array of unassigned labels. The margins are read off ``graph.upper``,
+    so the vote builds no symmetric CSR of the full graph.
     """
+    checked_tie_rule(tie_rule)
     plus = _distinct_labels(side_plus, "seed labels")
     minus = _distinct_labels(side_minus, "seed labels")
     if plus.size == 0 and minus.size == 0:

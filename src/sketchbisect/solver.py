@@ -5,10 +5,14 @@ the factorization X = V V^T with unit-norm rows. A sweep visits vertices in
 index order and replaces each row by the normalized sum of its neighbors'
 rows minus mu times the sum of all other rows, which is the exact
 coordinate maximizer, so the objective never decreases. The rank is always
-min(n, ceil(sqrt(2n)) + 1): from ceil(sqrt(2n)) + 1 on, second-order
-critical points of the factored problem are global optima of the SDP.
+2: for this two-community program Bandeira, Boumal and Voroninski (COLT
+2016) show that above the recovery threshold the rank-2 factored problem
+has, with high probability, no second-order critical point that is not a
+global optimum. The rank proves nothing here, however: a cut is accepted
+only when the dual certificate proves it the unique SDP optimum, and a
+solve that stalls elsewhere costs sweeps, never a wrong verdict.
 
-The sweeps run on an (n + 1, r) array E: V is its first n rows and the
+The sweeps run on an (n + 1, 2) array E: V is its first n rows and the
 last row is the running sum of V's rows, re-summed from V at the start of
 every sweep and kept current by each update. Vertex i reads the rows
 idx_i = (neighbours of i, i, n) with weights w_i = (1, ..., 1, mu, -mu),
@@ -36,6 +40,10 @@ from .seeding import checked_int, spawn_seed
 
 _STALL_NORM = 1e-13
 
+# Factor rank of every swept solve; ``solve_sdp`` needs n >= 2, so it never
+# exceeds n.
+_RANK = 2
+
 # A sweep whose objective gain is below this, relative to 1 + |objective|,
 # ends the solve as converged.
 _OBJECTIVE_TOL = 1e-9
@@ -54,7 +62,8 @@ class SolverConfig:
 
     ``max_sweeps = 0`` runs no sweep: the solve returns the spectral cut
     as a rank-one point (see ``solve_sdp``). The factor rank and the
-    stopping tolerance are fixed (``_factor_rank``, ``_OBJECTIVE_TOL``).
+    stopping tolerance are fixed (``_RANK``, ``_OBJECTIVE_TOL``): the
+    certificate, not the rank, is what proves a cut.
     """
 
     max_sweeps: int = 500
@@ -63,12 +72,6 @@ class SolverConfig:
     def __post_init__(self):
         checked_int(self.max_sweeps, "max_sweeps")
         checked_int(self.seed, "seed")
-
-
-def _factor_rank(n):
-    """min(n, ceil(sqrt(2n)) + 1): the rank at which second-order critical
-    points of the factored problem are global SDP optima."""
-    return min(n, math.isqrt(2 * n - 1) + 2)
 
 
 @dataclass
@@ -90,9 +93,11 @@ def solve_sdp(graph, mu, config=None):
     Returns the factor matrix, the objective <A - mu*J, VV^T>, a rounded
     cut, and rank_one_gap = 1 - s1(V)^2 / n measuring how far X is from a
     rank-one (exactly two-sided) solution. Once V has had at least one
-    sweep it has rank min(n, ceil(sqrt(2n)) + 1) and the cut is read off
-    its top singular vector. A ``mu`` that is negative, infinite or NaN
-    raises ValueError before any work.
+    sweep it has rank 2 and the cut is read off its top singular vector.
+    Rank 2 suffices above the recovery threshold (Bandeira, Boumal and
+    Voroninski), but a solve may still end away from the SDP optimum: the
+    certificate, not the rank, is what proves a cut. A ``mu`` that is
+    negative, infinite or NaN raises ValueError before any work.
 
     A solve that runs no sweep (``max_sweeps = 0``) draws no random start.
     Its cut g is the sign vector of the leading eigenvector of A - mu*J, a
@@ -139,7 +144,6 @@ def _sweep_checkpoints(graph, mu, config):
     package's only one.
     """
     n = graph.num_vertices
-    r = _factor_rank(n)
     adj = _symmetric(graph.upper)
 
     def objective(W):
@@ -148,13 +152,13 @@ def _sweep_checkpoints(graph, mu, config):
 
     # Rows 0..n-1 of E are the swept factors, row n is their running sum.
     # Views, not copies: writing a row writes E.
-    E = np.empty((n + 1, r))
+    E = np.empty((n + 1, _RANK))
     V = E[:n]
     rng = np.random.default_rng(config.seed)
     rng.standard_normal(out=V)
     norms = np.linalg.norm(V, axis=1)
     while np.any(norms < _STALL_NORM):
-        V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
+        V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), _RANK))
         norms = np.linalg.norm(V, axis=1)
     V /= norms[:, None]
     obj = objective(V)

@@ -8,8 +8,6 @@ not independent of the graph store, so a test of graph construction needs
 a reference built from its own input.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -218,10 +216,10 @@ def reference_solve_sdp(graph, mu, config=None):
     vertex slices its neighbours out of the CSR arrays, gathers the rows of
     the neighbours, itself and the running sum by fancy indexing, takes
     ``np.dot`` with the weights (1, ..., 1, mu, -mu) and normalizes with
-    ``np.linalg.norm``. The rank min(n, ceil(sqrt(2n)) + 1), the stopping
-    rule (gain below 1e-9 * (1 + |objective|)), initialization,
-    monotonicity guard and rounding are those of ``solve_sdp``, which must
-    return exactly this solution, float for float.
+    ``np.linalg.norm``. The rank (2), the stopping rule (gain below
+    1e-9 * (1 + |objective|)), initialization, monotonicity guard and
+    rounding are those of ``solve_sdp``, which must return exactly this
+    solution, float for float.
 
     Returns the solution and, on their own, the objectives of the seeded
     start and after every sweep: entry k is the objective that
@@ -234,7 +232,7 @@ def reference_solve_sdp(graph, mu, config=None):
         config = SolverConfig()
     n = graph.num_vertices
     mu = float(mu)
-    r = min(n, math.ceil(math.sqrt(2 * n)) + 1)
+    r = 2
 
     rng = np.random.default_rng(config.seed)
     V = rng.standard_normal((n, r))

@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -98,6 +99,16 @@ class TestVoteExtend:
             assert unassigned.size == 0
             seen.add(part.sign_of(4))
         assert seen == {1, -1}
+
+    @pytest.mark.parametrize("rule", ["bogus", "fail", None])
+    def test_unknown_tie_rule_rejected(self, rule):
+        # rejected even where no vertex ties, with SketchConfig's message
+        g = Graph(5, [(4, 0), (4, 1), (4, 2)])
+        message = rf"^unknown tie rule {re.escape(repr(rule))}$"
+        with pytest.raises(ValueError, match=message):
+            vote_extend(g, [0, 1], [2, 3], tie_rule=rule)
+        with pytest.raises(ValueError, match=message):
+            SketchConfig(tie_rule=rule)
 
     def test_random_ties_reproducible(self):
         g = Graph(6, [(4, 0), (4, 2), (5, 1), (5, 3)])
@@ -486,8 +497,8 @@ class TestCertificateStopsSolve:
         calls = count_stage_calls(monkeypatch)
         result = full_solve(graph, seed=1004)
         assert calls[:2] == [("solve", 0), ("certify", NOT_CERTIFIED)]
-        assert calls[-2:] == [("solve", 2), ("certify", CERTIFIED)]
-        assert len(calls) == 6
+        assert calls[-2:] == [("solve", 4), ("certify", CERTIFIED)]
+        assert len(calls) == 8
         assert not result.fell_back_random
         assert result.full_partition.equals_up_to_flip(planted)
 
@@ -530,11 +541,11 @@ class TestCertificateStopsSolve:
         assert at_sweep_zero >= 8
 
     def test_swept_pipeline_deterministic(self):
-        # never certified: the pipeline stops at the converged sweep 20, and
-        # that checkpoint is the solve at a budget of 20
+        # never certified: the pipeline stops at the converged sweep 21, and
+        # that checkpoint is the solve at a budget of 21
         graph, _ = sample_sbm(LogScaleParams(6, 1, 400).to_sbm_params(), seed=1001)
         a, b = full_solve(graph, seed=1001), full_solve(graph, seed=1001)
-        assert a.sdp.sweeps_used == b.sdp.sweeps_used == 20 and a.sdp.converged
+        assert a.sdp.sweeps_used == b.sdp.sweeps_used == 21 and a.sdp.converged
         assert a.sdp.factors.tobytes() == b.sdp.factors.tobytes()
         assert a.full_partition == b.full_partition
         config = SolverConfig(max_sweeps=a.sdp.sweeps_used, seed=spawn_seed(1001, 2))

@@ -34,10 +34,13 @@ from conftest import (
 
 
 class TestSolverConfig:
-    def test_auto_rank_formula(self):
-        for n in range(1, 200):
-            want = min(n, math.ceil(math.sqrt(2 * n)) + 1)
-            assert solver._factor_rank(n) == want
+    def test_factor_rank_is_two(self):
+        # at every n a swept solve holds n x 2 factors
+        rng = np.random.default_rng(5)
+        for n in (2, 3, 7, 40, 300):
+            g = random_test_graph(rng, n, min(1.0, 8 / n))
+            sol = solve_sdp(g, 0.5, SolverConfig(max_sweeps=1, seed=n))
+            assert sol.factors.shape == (n, solver._RANK) == (n, 2)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -152,6 +155,22 @@ class TestSolveSdp:
         with pytest.raises(ValueError, match=r"^mu must be a finite non-negative number$"):
             solve_sdp(two_triangles[0], mu, SolverConfig(max_sweeps=max_sweeps))
 
+    def test_swept_solve_holds_no_wide_factor_array(self):
+        # Two sweeps at n = 6000 near the threshold trace under 10 MiB: the
+        # update lists and the symmetric CSR, with n x 2 factors beside
+        # them. At the old rank of 111 the n x r sweep array with its
+        # products and copies took 26.5 MiB.
+        graph, _ = sample_sbm(LogScaleParams(4, 1, 6000).to_sbm_params(), 3)
+        mu = estimate_mu(graph).mu
+        tracemalloc.start()
+        try:
+            sol = solve_sdp(graph, mu, SolverConfig(max_sweeps=2, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sol.sweeps_used == 2
+        assert peak < 10 * 2**20
+
     def test_no_resume_from_a_start(self):
         assert list(inspect.signature(solve_sdp).parameters) == ["graph", "mu", "config"]
 
@@ -263,14 +282,17 @@ class TestSweepZero:
         assert sol.sweeps_used == 0 and not sol.converged
 
     def test_draws_no_factor_matrix(self):
-        # A 0-sweep solve allocates no n x r array and takes no A @ V
-        # product: its traced peak stays below one such array (5.08 MiB at
-        # n = 6000, r = 111). The degrees and every product with A are
-        # counted in the window: they read the graph's upper triangle.
+        # A 0-sweep solve allocates no factor array and takes no A @ V
+        # product: its traced peak stays below 5.08 MiB, one n x r array at
+        # n = 6000 and r = 111, the rank that sqrt(2n) + 1 once gave there.
+        # The bound is that fixed figure, not one of today's rank-2 array:
+        # at 96 KB that would fall below the Lanczos basis counted here.
+        # The degrees and every product with A are counted in the window:
+        # they read the graph's upper triangle.
         graph, _ = sample_sbm(LogScaleParams(50, 1, 6000).to_sbm_params(), 3)
         mu = estimate_mu(graph).mu
         config = SolverConfig(max_sweeps=0, seed=3)
-        n = graph.num_vertices
+        assert graph.num_vertices == 6000
         tracemalloc.start()
         try:
             sol = solve_sdp(graph, mu, config)
@@ -278,7 +300,7 @@ class TestSweepZero:
         finally:
             tracemalloc.stop()
         assert sol.sweeps_used == 0
-        assert peak < n * solver._factor_rank(n) * 8
+        assert peak < 6000 * 111 * 8
 
     def test_two_calls_same_cut(self):
         graph, _ = sample_sbm(LogScaleParams(6, 1, 300).to_sbm_params(), 5)
