@@ -10,8 +10,8 @@ from .certificate import check_certificate
 from .encoding import estimate_mu
 from .experiments import emit_csv, emit_heatmap_svg, parse_grid_config, run_grid
 from .graphs import load_graph, load_partition, save_partition
-from .pipeline import TIE_FAIL, TIE_RULES, SketchConfig, sketch_and_solve
-from .solver import SolverConfig, solve_sdp
+from .pipeline import SketchConfig, sketch_and_solve
+from .solver import DEFAULT_MAX_SWEEPS, SolverConfig, solve_sdp
 from .thresholds import phase_boundary_curve, threshold_report
 
 
@@ -65,7 +65,6 @@ def _cmd_sketch(args):
     config = SketchConfig(
         gamma=args.gamma,
         seed=args.seed,
-        tie_rule=args.tie_rule,
         mu=args.mu,
         alpha=args.alpha,
         beta=args.beta,
@@ -139,7 +138,7 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--out", required=True, help="partition output file")
     p.add_argument("--mu", type=_auto_or_float, default="auto")
-    p.add_argument("--max-sweeps", type=int, default=500,
+    p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
                    help="sweep budget; 0 runs no sweep and writes the sign cut of "
                         "the leading eigenvector of A - mu*J")
     p.add_argument("--seed", type=int, default=0)
@@ -163,7 +162,6 @@ def build_parser():
                    help="across-block rate, q = beta*ln(n)/n; needed by --gamma auto")
     p.add_argument("--mu", type=_auto_or_float, default="auto")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tie-rule", choices=TIE_RULES, default=TIE_FAIL)
     p.set_defaults(func=_cmd_sketch)
 
     p = sub.add_parser("thresholds", help="closed-form threshold quantities")

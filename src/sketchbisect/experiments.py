@@ -37,9 +37,9 @@ class GridSpec:
     ``gamma_policy`` for SKETCH, with the sweep budget ``solver.max_sweeps``.
     The solver's seed is derived from the cell's seed, so ``solver.seed`` is
     not read; ``solver`` stays a ``SolverConfig`` because the benchmark's
-    grid workload builds it as one. The rates must be finite, ``n`` an
-    integer of at least 2, ``reps`` and the split ``n1``/``n2`` positive
-    integers, and ``base_seed`` a non-negative integer.
+    grid workload builds it as one. The rates must be finite and positive,
+    ``n`` an integer of at least 2, ``reps`` and the split ``n1``/``n2``
+    positive integers, and ``base_seed`` a non-negative integer.
     """
 
     alphas: tuple
@@ -64,6 +64,8 @@ class GridSpec:
             raise ValueError("grid must be non-empty")
         if not all(map(math.isfinite, self.alphas + self.betas)):
             raise ValueError("alphas and betas must be finite")
+        if min(self.alphas + self.betas) <= 0:
+            raise ValueError("alphas and betas must be positive")
         checked_int(self.n, "n", 2)
         checked_int(self.reps, "reps", 1)
         checked_int(self.base_seed, "base_seed")
@@ -109,7 +111,6 @@ class CellResult:
     unassigned_count: int = 0
     runtime_ms: object = None
     error: str = ""
-    stage_ms: dict = field(default_factory=dict)
     total_ms: float = 0.0
 
 
@@ -151,10 +152,8 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
         cell.fell_back = result.fell_back_random
         cell.unassigned_count = int(result.unassigned.size)
         cell.recovered = recovered_planted(planted, result)
-        cell.stage_ms = {k: v * 1e3 for k, v in result.timings.items()}
-        cell.runtime_ms = (
-            cell.stage_ms["solve"] + cell.stage_ms["certify"] + cell.stage_ms["extend"]
-        )
+        t = result.timings
+        cell.runtime_ms = t["solve"] * 1e3 + t["certify"] * 1e3 + t["extend"] * 1e3
     except Exception as exc:  # cell failures are data, not crashes
         cell.error = f"{type(exc).__name__}: {exc}"
         cell.recovered = False
@@ -173,11 +172,12 @@ def run_grid(spec, jobs=1):
     """Run every (alpha, beta, rep, method) cell; order is canonical.
 
     Cells with beta >= alpha are marked SKIPPED. Failures inside a cell
-    are recorded on the CellResult rather than raised. ``jobs`` > 1 runs
-    cells in a process pool of at most as many workers as this process
-    may use CPUs: further workers add no throughput, and the time a cell
-    spends waiting for a core would land in its ``runtime_ms``. Workers are
-    not pinned to CPUs. Results are identical to the serial run.
+    are recorded on the CellResult rather than raised. ``jobs`` must be a
+    positive integer; above 1 it runs cells in a process pool of at most
+    as many workers as this process may use CPUs: further workers add no
+    throughput, and the time a cell spends waiting for a core would land
+    in its ``runtime_ms``. Workers are not pinned to CPUs. Results are
+    identical to the serial run.
     """
     tasks = [
         (spec, ai, bi, rep, method)
@@ -186,7 +186,7 @@ def run_grid(spec, jobs=1):
         for rep in range(spec.reps)
         for method in sorted(spec.methods)
     ]
-    workers = min(jobs, usable_cpus())
+    workers = min(checked_int(jobs, "jobs", 1), usable_cpus())
     if workers <= 1:
         return [_run_cell(*t) for t in tasks]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -18,19 +18,12 @@ from .certificate import CERTIFIED, check_certificate
 from .encoding import checked_mu, estimate_mu
 from .graphs import Partition, _distinct_labels, bernoulli_vertex_sample, induced_subgraph
 from .seeding import checked_int, spawn_seed
-from .solver import SolverConfig, _sweep_checkpoints, solve_sdp
+from .solver import DEFAULT_MAX_SWEEPS, SolverConfig, _sweep_checkpoints, solve_sdp
 from .thresholds import conjectured_gamma_threshold
 
 TIE_FAIL = "FAIL"
 TIE_TO_FIRST = "TO_FIRST"
 TIE_RANDOM = "RANDOM"
-TIE_RULES = (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM)
-
-
-def checked_tie_rule(rule):
-    """Raise ValueError unless ``rule`` is one of ``TIE_RULES``."""
-    if rule not in TIE_RULES:
-        raise ValueError(f"unknown tie rule {rule!r}")
 
 
 @dataclass(frozen=True)
@@ -42,14 +35,14 @@ class SketchConfig:
     observed edge density of the full graph; a given mu must be finite and
     non-negative. ``max_sweeps`` is the solver's sweep budget, and 0 keeps
     only the spectral cut. ``seed`` drives the vertex sample, the solver
-    initialization, the fallback cut, and random tie breaking, through
-    independent derived streams.
+    initialization and the fallback coins, through three independent
+    derived streams. The vote has no setting: the pipeline votes with
+    ``TIE_FAIL`` (see ``sketch_and_solve``).
     """
 
     gamma: object = "auto"
     seed: int = 0
-    max_sweeps: int = 500
-    tie_rule: str = TIE_FAIL
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
     mu: object = "auto"
     alpha: object = None
     beta: object = None
@@ -61,7 +54,6 @@ class SketchConfig:
             checked_mu(self.mu)
         checked_int(self.max_sweeps, "max_sweeps")
         checked_int(self.seed, "seed")
-        checked_tie_rule(self.tie_rule)
 
 
 @dataclass
@@ -98,53 +90,39 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     array of unassigned labels. The margins are read off ``graph.upper``,
     so the vote builds no symmetric CSR of the full graph.
     """
-    checked_tie_rule(tie_rule)
+    if tie_rule not in (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM):
+        raise ValueError(f"unknown tie rule {tie_rule!r}")
     plus = _distinct_labels(side_plus, "seed labels")
     minus = _distinct_labels(side_minus, "seed labels")
     if plus.size == 0 and minus.size == 0:
         raise ValueError("seed sides must not both be empty")
     if np.intersect1d(plus, minus, assume_unique=True).size:
         raise ValueError("seed sides must be disjoint")
-    rows_plus = graph.indices_of(plus)
-    rows_minus = graph.indices_of(minus)
 
-    n = graph.num_vertices
-    in_seed = np.zeros(n, dtype=bool)
-    in_seed[rows_plus] = True
-    in_seed[rows_minus] = True
-    outside = np.flatnonzero(~in_seed)
+    signs = np.zeros(graph.num_vertices, dtype=np.int8)
+    signs[graph.indices_of(plus)] = 1
+    signs[graph.indices_of(minus)] = -1
+    seed_rows = np.flatnonzero(signs)
+    outside = np.flatnonzero(signs == 0)
 
     # (edges to plus) - (edges to minus) from the upper triangle and the
     # transpose of its seed rows, the only rows with a non-zero sign:
     # integer sums, so exact in floats and equal to A @ s
-    seed_signs = np.zeros(n)
-    seed_signs[rows_plus] = 1.0
-    seed_signs[rows_minus] = -1.0
-    seed_rows = np.flatnonzero(in_seed)
     upper = graph.upper
-    margin = (upper @ seed_signs + upper[seed_rows].T @ seed_signs[seed_rows])[outside]
+    margin = (upper @ signs + upper[seed_rows].T @ signs[seed_rows])[outside]
+    signs[outside] = np.sign(margin)
 
-    signs = np.sign(margin).astype(np.int8)
-    tied = signs == 0
-    if np.any(tied):
+    tied = outside[margin == 0]
+    if tied.size:
         if tie_rule == TIE_TO_FIRST:
             signs[tied] = 1
         elif tie_rule == TIE_RANDOM:
             rng = np.random.default_rng(seed)
-            signs[tied] = np.where(rng.random(int(tied.sum())) < 0.5, 1, -1)
+            signs[tied] = np.where(rng.random(tied.size) < 0.5, 1, -1)
         # TIE_FAIL leaves them at 0: unassigned
 
-    assigned = signs != 0
-    ids = np.concatenate([plus, minus, graph.vertex_ids[outside[assigned]]])
-    sgn = np.concatenate(
-        [
-            np.ones(plus.size, dtype=np.int8),
-            -np.ones(minus.size, dtype=np.int8),
-            signs[assigned],
-        ]
-    )
-    unassigned = graph.vertex_ids[outside[~assigned]]
-    return Partition(ids, sgn), unassigned
+    kept = signs != 0
+    return Partition(graph.vertex_ids[kept], signs[kept]), graph.vertex_ids[~kept]
 
 
 def sketch_and_solve(graph, config=None):
@@ -164,6 +142,11 @@ def sketch_and_solve(graph, config=None):
     keeps that report instead of being checked again: the check is
     deterministic. ``timings["solve"]`` sums the spectral cut and the
     sweeps, ``timings["certify"]`` the certificate calls.
+
+    Vertices outside the sketch are then placed by ``vote_extend`` with its
+    default rule, ``TIE_FAIL``: a tied vertex stays in ``unassigned``, so
+    ``recovered_planted`` is False for that run. A caller who wants another
+    tie rule calls ``vote_extend`` on ``result.sketch_partition``.
     """
     config = config or SketchConfig()
     timings = {}
@@ -208,11 +191,7 @@ def sketch_and_solve(graph, config=None):
         unassigned = np.empty(0, dtype=np.int64)
     else:
         full_partition, unassigned = vote_extend(
-            graph,
-            sketch_partition.side_vertices(1),
-            sketch_partition.side_vertices(-1),
-            tie_rule=config.tie_rule,
-            seed=spawn_seed(config.seed, 4),
+            graph, sketch_partition.side_vertices(1), sketch_partition.side_vertices(-1)
         )
     timings["extend"] = time.perf_counter() - t0
 
@@ -259,7 +238,7 @@ def _solve_until_certified(graph, mu, max_sweeps, seed):
         sdp = next(checkpoints)
 
 
-def full_solve(graph, mu="auto", max_sweeps=500, seed=0):
+def full_solve(graph, mu="auto", max_sweeps=DEFAULT_MAX_SWEEPS, seed=0):
     """Solve on the whole vertex set (gamma = 1); same result shape as the sketch.
 
     Every vertex is in the sketch, so no vertex is left to the vote.

@@ -40,6 +40,9 @@ from .seeding import checked_int, spawn_seed
 
 _STALL_NORM = 1e-13
 
+# Default sweep budget of every solve, read by the pipeline and the CLI.
+DEFAULT_MAX_SWEEPS = 500
+
 # Factor rank of every swept solve; ``solve_sdp`` needs n >= 2, so it never
 # exceeds n.
 _RANK = 2
@@ -66,7 +69,7 @@ class SolverConfig:
     certificate, not the rank, is what proves a cut.
     """
 
-    max_sweeps: int = 500
+    max_sweeps: int = DEFAULT_MAX_SWEEPS
     seed: int = 0
 
     def __post_init__(self):

@@ -243,6 +243,16 @@ class TestSketchCommand:
         assert code == 1
         assert stderr == "error: automatic gamma needs alpha and beta\n"
 
+    def test_tie_rule_flag_is_gone(self, capsys, tmp_path, triangle_files):
+        # the pipeline votes with one rule, so the flag is an argparse error
+        gpath, _, _, _ = triangle_files
+        with pytest.raises(SystemExit) as exc:
+            main(["sketch", str(gpath), "--out", str(tmp_path / "c.txt"),
+                  "--gamma", "1.0", "--tie-rule", "FAIL"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tie-rule FAIL" in capsys.readouterr().err
+        assert not (tmp_path / "c.txt").exists()
+
     def test_help_says_what_auto_gamma_needs(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sketch", "--help"])
@@ -350,6 +360,14 @@ class TestExperimentCommand:
         code, stdout, _ = run_cli(capsys, "experiment", "--grid", cfg)
         assert code == 0
         assert stdout == "4 cells (4 skipped/failed), 0/0 recovered\n"
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_rejected(self, capsys, tmp_path, jobs):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("alphas = 50\nbetas = 1\nn = 60\nreps = 1\n")
+        code, stdout, stderr = run_cli(capsys, "experiment", "--grid", cfg, "--jobs", jobs)
+        assert code == 1
+        assert (stdout, stderr) == ("", "error: jobs must be positive\n")
 
     def test_bad_config_fails_cleanly(self, capsys, tmp_path):
         cfg = tmp_path / "grid.cfg"

@@ -55,8 +55,8 @@ def make_cell(alpha, beta, rep=0, method=METHOD_FULL_SDP, recovered=True, **kw):
 
 
 def untimed(cell):
-    """Every CellResult field but the three timing fields."""
-    timing = ("runtime_ms", "stage_ms", "total_ms")
+    """Every CellResult field but the two timing fields."""
+    timing = ("runtime_ms", "total_ms")
     return {k: v for k, v in vars(cell).items() if k not in timing}
 
 
@@ -124,8 +124,13 @@ class TestGridSpec:
             GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, n1=3, n2=8)
         with pytest.raises(ValueError):
             GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, base_seed=-1)
-        for rates in [dict(alphas=(4, math.nan)), dict(betas=(math.inf,))]:
-            with pytest.raises(ValueError, match=r"^alphas and betas must be finite$"):
+        # a rate <= 0 would only fail or skip its cells, so the grid is refused
+        for rates, rule in [(dict(alphas=(4, math.nan)), "finite"),
+                            (dict(betas=(math.inf,)), "finite"),
+                            (dict(betas=(0,)), "positive"),
+                            (dict(alphas=(4, -1)), "positive"),
+                            (dict(alphas=(-2,), betas=(1,)), "positive")]:
+            with pytest.raises(ValueError, match=rf"^alphas and betas must be {rule}$"):
                 small_grid(**rates)
 
     @pytest.mark.parametrize("field", INTEGER_ARGUMENTS)
@@ -258,6 +263,20 @@ class TestRunGrid:
         serial = run_grid(spec, jobs=8)
         assert pools == [2]
         assert [untimed(c) for c in parallel] == [untimed(c) for c in serial]
+
+    @pytest.mark.parametrize("jobs, message", [
+        (1.5, "jobs must be an integer"),
+        ("2", "jobs must be an integer"),
+        (0, "jobs must be positive"),
+        (-2, "jobs must be positive"),
+    ], ids=repr)
+    def test_jobs_must_be_a_positive_integer(self, monkeypatch, jobs, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(experiments, "_run_cell", no_work)
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            run_grid(small_grid(), jobs=jobs)
 
     @pytest.mark.parametrize(
         "method, gamma_policy, mu_policy, split",
