@@ -10,9 +10,10 @@ def checked_int(value, name, minimum=0):
     """``value`` as an int; ValueError naming ``name`` unless it is an
     integer of at least ``minimum`` (``None``: no lower bound).
 
-    Python and numpy integers pass; floats, whole or not, and strings do not.
+    Python and numpy integers pass; booleans, floats, whole or not, and
+    strings do not.
     """
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer")
     if minimum is not None and value < minimum:
         bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")

@@ -12,14 +12,17 @@ global optimum. The rank proves nothing here, however: a cut is accepted
 only when the dual certificate proves it the unique SDP optimum, and a
 solve that stalls elsewhere costs sweeps, never a wrong verdict.
 
-The sweeps run on an (n + 1, 2) array E: V is its first n rows and the
-last row is the running sum of V's rows, re-summed from V at the start of
-every sweep and kept current by each update. Vertex i reads the rows
-idx_i = (neighbours of i, i, n) with weights w_i = (1, ..., 1, mu, -mu),
-so one gemv, w_i @ E[idx_i], gives the neighbour sum plus
-mu*v_i - mu*running, which is the neighbour sum minus mu times the other
-rows. The lists are built once per swept solve, as views into one flat
-index array and one flat weight array.
+At rank 2 a factor row is one complex number z_i, and that is how the
+sweeps hold it, so a vertex update is a few Python complex operations, not
+numpy calls. The update stays the exact Gauss-Seidel step of the mixing
+method (Wang, Chang and Kolter, arXiv 1706.00476), in index order. The
+vertices run in blocks of ``_BLOCK``. At the start of a block its own rows
+are set to zero, and one sparse product of its rows of the symmetric CSR
+gives each block vertex the sum of its neighbours outside the block: no
+row outside the block changes while it runs. Each vertex then adds its
+in-block neighbours and mu*(z_i - R), where R is the running sum of all
+rows, and divides by the modulus. The block's rows are written back with
+one slice assignment.
 
 Before the first sweep the factors carry no structure, so a solve that
 stops at sweep 0 builds none: it reads its cut g off the leading
@@ -32,6 +35,7 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .certificate import _lanczos_bottom
 from .encoding import checked_mu
@@ -46,6 +50,10 @@ DEFAULT_MAX_SWEEPS = 500
 # Factor rank of every swept solve; ``solve_sdp`` needs n >= 2, so it never
 # exceeds n.
 _RANK = 2
+
+# Vertices per block of a sweep: each block reads its neighbours outside
+# itself through one sparse product (see ``_sweep_checkpoints``).
+_BLOCK = 64
 
 # A sweep whose objective gain is below this, relative to 1 + |objective|,
 # ends the solve as converged.
@@ -141,10 +149,18 @@ def _sweep_checkpoints(graph, mu, config):
     The last yield is the last sweep: the one whose objective gain fell
     below the tolerance (``converged``) or sweep ``config.max_sweeps``,
     which must be positive. ``graph`` and ``mu`` are taken as ``solve_sdp``
-    checks them. Each yielded solution owns a copy of the factors, so later
-    sweeps leave it as it was. The update lists and the per-sweep objective
-    read a symmetric CSR of the graph, built once per swept solve: the
-    package's only one.
+    checks them. A yielded solution keeps its factors as they were when
+    it was yielded. The blocks and the per-sweep objective read a
+    symmetric CSR of the graph, built once per swept solve: the package's
+    only one.
+
+    Row i of the factors is the complex number z[i], and V views z as an
+    (n, 2) float array. Within a sweep (see the module docstring) every sum
+    runs in a fixed order: R left to right at the start of the sweep;
+    for each vertex, from 0j, its neighbours outside its block ascending
+    (the block's sparse product), then those inside ascending, then
+    mu*(z[i] - R). A sum whose modulus is below ``_STALL_NORM`` leaves
+    its row as it was.
     """
     n = graph.num_vertices
     adj = _symmetric(graph.upper)
@@ -153,10 +169,8 @@ def _sweep_checkpoints(graph, mu, config):
         s = W.sum(axis=0)
         return float((W * (adj @ W)).sum() - mu * (s @ s))
 
-    # Rows 0..n-1 of E are the swept factors, row n is their running sum.
-    # Views, not copies: writing a row writes E.
-    E = np.empty((n + 1, _RANK))
-    V = E[:n]
+    z = np.empty(n, dtype=np.complex128)
+    V = z.view(np.float64).reshape(n, _RANK)
     rng = np.random.default_rng(config.seed)
     rng.standard_normal(out=V)
     norms = np.linalg.norm(V, axis=1)
@@ -165,19 +179,29 @@ def _sweep_checkpoints(graph, mu, config):
         norms = np.linalg.norm(V, axis=1)
     V /= norms[:, None]
     obj = objective(V)
-    rows = list(V)
-    running = E[n]
-    index_lists, weight_lists = _update_lists(adj, mu)
+    blocks = _blocks(adj)
     for sweep in range(1, config.max_sweeps + 1):
-        np.sum(V, axis=0, out=running)
-        for row, idx, w in zip(rows, index_lists, weight_lists):
-            c = w.dot(E.take(idx, 0))
-            nc = math.sqrt(c.dot(c))
-            if nc < _STALL_NORM:
-                continue
-            running -= row
-            np.divide(c, nc, out=row)
-            running += row
+        R = 0j
+        for w in z.tolist():
+            R += w
+        for start, stop, rows, inside in blocks:
+            zb = z[start:stop].tolist()
+            # With the block's own rows at zero, its rows' product sums the
+            # neighbours outside it: each zero term adds exactly nothing.
+            z[start:stop] = 0
+            outside = (rows @ V).view(np.complex128)[:, 0].tolist()
+            for k, (c, nbrs) in enumerate(zip(outside, inside)):
+                for j in nbrs:
+                    c += zb[j]
+                w = zb[k]
+                c += mu * (w - R)
+                nc = abs(c)
+                if nc < _STALL_NORM:
+                    continue
+                c /= nc
+                zb[k] = c
+                R += c - w
+            z[start:stop] = zb
         new_obj = objective(V)
         if new_obj < obj - 1e-8 * (1.0 + abs(new_obj)):
             raise RuntimeError("coordinate ascent lost monotonicity")
@@ -204,28 +228,31 @@ def _symmetric(upper):
     return upper + upper.T
 
 
-def _update_lists(adj, mu):
-    """Per-vertex index and weight lists of the sweep's gemv.
+def _blocks(adj):
+    """The sweep's blocks, read straight off the arrays of the symmetric CSR.
 
-    Row i of the (n + 1)-row factor array is read at (neighbours of i, i, n)
-    with weights (1, ..., 1, mu, -mu). Both lists are views into one flat
-    array each, with the two extra slots of every row placed vectorially;
-    they are cut by plain slicing, which costs a fraction of ``np.split``.
+    Block b covers the vertices from start = b * ``_BLOCK`` up to stop and
+    is the tuple (start, stop, rows, inside). ``rows`` is the CSR of the
+    block's rows, views into ``adj``'s arrays. ``inside[k]`` lists the
+    in-block neighbours of vertex start + k, ascending, as offsets from
+    start.
     """
     n = adj.shape[0]
-    self_slot = adj.indptr[1:] + 2 * np.arange(n)
-    neighbour = np.ones(adj.nnz + 2 * n, dtype=bool)
-    neighbour[self_slot] = neighbour[self_slot + 1] = False
-    flat_idx = np.empty(neighbour.size, dtype=np.intp)
-    flat_idx[neighbour] = adj.indices
-    flat_idx[self_slot] = np.arange(n)
-    flat_idx[self_slot + 1] = n
-    flat_w = np.ones(neighbour.size)
-    flat_w[self_slot] = mu
-    flat_w[self_slot + 1] = -mu
-    bounds = [0] + (self_slot + 2).tolist()
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    return [flat_idx[a:b] for a, b in spans], [flat_w[a:b] for a, b in spans]
+    indptr, indices = adj.indptr, adj.indices
+    row_of_entry = np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    within = row_of_entry // _BLOCK == indices // _BLOCK
+    in_ptr = [0] + np.cumsum(np.bincount(row_of_entry[within], minlength=n)).tolist()
+    in_flat = (indices[within] % _BLOCK).tolist()
+    inside = [in_flat[a:b] for a, b in zip(in_ptr[:-1], in_ptr[1:])]
+    blocks = []
+    for start in range(0, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        lo, hi = indptr[start], indptr[stop]
+        rows = sp.csr_matrix(
+            (adj.data[lo:hi], indices[lo:hi], indptr[start:stop + 1] - lo), shape=(stop - start, n)
+        )
+        blocks.append((start, stop, rows, inside[start:stop]))
+    return blocks
 
 
 def _spectral_vector(graph, mu, seed):

@@ -211,12 +211,14 @@ def assert_same_graph(a, b):
 def reference_solve_sdp(graph, mu, config=None):
     """Mixing-method solver with the per-vertex sweep written out plainly.
 
-    The factors sit in the first n rows of an (n + 1)-row array whose last
-    row is their running sum, re-summed at the start of every sweep. Each
-    vertex slices its neighbours out of the CSR arrays, gathers the rows of
-    the neighbours, itself and the running sum by fancy indexing, takes
-    ``np.dot`` with the weights (1, ..., 1, mu, -mu) and normalizes with
-    ``np.linalg.norm``. The rank (2), the stopping rule (gain below
+    Each factor row is one Python complex number, real part first. At the
+    start of every sweep R is the sum of all rows, taken left to right.
+    Vertex i, in index order, starts from 0j and adds, in ascending order,
+    its neighbours outside its block of ``solver._BLOCK`` consecutive
+    vertices, then its neighbours inside the block, then mu*(z_i - R).
+    Neighbours before i already carry this sweep's rows. Unless that sum c
+    is shorter than the stall norm, the row becomes c/|c| and R gains the
+    change of the row. The rank (2), the stopping rule (gain below
     1e-9 * (1 + |objective|)), initialization, monotonicity guard and
     rounding are those of ``solve_sdp``, which must return exactly this
     solution, float for float.
@@ -226,7 +228,7 @@ def reference_solve_sdp(graph, mu, config=None):
     ``solve_sdp`` reports at a budget of k sweeps.
     """
     from sketchbisect import Partition, SolverConfig
-    from sketchbisect.solver import _STALL_NORM, SdpSolution
+    from sketchbisect.solver import _BLOCK, _STALL_NORM, SdpSolution
 
     if config is None:
         config = SolverConfig()
@@ -241,36 +243,43 @@ def reference_solve_sdp(graph, mu, config=None):
         V[norms < _STALL_NORM] = rng.standard_normal((int((norms < _STALL_NORM).sum()), r))
         norms = np.linalg.norm(V, axis=1)
     V /= norms[:, None]
+    z = [complex(x, y) for x, y in V.tolist()]
 
     adj = reference_adjacency(graph)
-    indptr, indices = adj.indptr, adj.indices
+    neighbours = [adj.indices[adj.indptr[i]:adj.indptr[i + 1]].tolist() for i in range(n)]
+
+    def factors():
+        return np.array([[w.real, w.imag] for w in z])
 
     def objective(W):
         s = W.sum(axis=0)
         return float((W * (adj @ W)).sum() - mu * (s @ s))
 
-    obj = objective(V)
+    obj = objective(factors())
     history = [obj]
-    E = np.zeros((n + 1, r))
-    E[:n] = V
-    V = E[:n]
     converged = False
     sweeps_used = 0
     for sweep in range(1, config.max_sweeps + 1):
         sweeps_used = sweep
-        E[n] = V.sum(axis=0)
+        R = 0j
+        for w in z:
+            R += w
         for i in range(n):
-            neighbours = indices[indptr[i]:indptr[i + 1]]
-            idx = np.concatenate([neighbours, [i, n]])
-            weights = np.concatenate([np.ones(neighbours.size), [mu, -mu]])
-            c = np.dot(weights, E[idx])
-            nc = np.linalg.norm(c)
-            if nc < _STALL_NORM:
+            block = i // _BLOCK
+            c = 0j
+            for j in neighbours[i]:
+                if j // _BLOCK != block:
+                    c += z[j]
+            for j in neighbours[i]:
+                if j // _BLOCK == block:
+                    c += z[j]
+            c += mu * (z[i] - R)
+            if abs(c) < _STALL_NORM:
                 continue
-            E[n] -= E[i]
-            E[i] = c / nc
-            E[n] += E[i]
-        new_obj = objective(V)
+            new = c / abs(c)
+            R += new - z[i]
+            z[i] = new
+        new_obj = objective(factors())
         if new_obj < obj - 1e-8 * (1.0 + abs(new_obj)):
             raise RuntimeError("coordinate ascent lost monotonicity")
         gain = new_obj - obj
@@ -280,6 +289,7 @@ def reference_solve_sdp(graph, mu, config=None):
             converged = True
             break
 
+    V = factors()
     u, s, _ = np.linalg.svd(V, full_matrices=False)
     signs = np.where(u[:, 0] >= 0.0, 1, -1).astype(np.int8)
     if signs[0] < 0:

@@ -88,7 +88,9 @@ INTEGER_ARGUMENTS = {
     "SbmParams.n1": ("n1", lambda v: SbmParams(v, 3, 0.5, 0.1)),
     "SbmParams.n2": ("n2", lambda v: SbmParams(3, v, 0.5, 0.1)),
     "LogScaleParams.n": ("n", lambda v: LogScaleParams(50, 1, v)),
+    "SolverConfig.max_sweeps": ("max_sweeps", lambda v: SolverConfig(max_sweeps=v)),
     "SolverConfig.seed": ("seed", lambda v: SolverConfig(seed=v)),
+    "SketchConfig.max_sweeps": ("max_sweeps", lambda v: SketchConfig(max_sweeps=v)),
     "SketchConfig.seed": ("seed", lambda v: SketchConfig(seed=v)),
     "spawn_seed.seed": ("seed", lambda v: spawn_seed(v, 1)),
     "spawn_seed.key": ("path key", lambda v: spawn_seed(1, v)),
@@ -134,7 +136,7 @@ class TestGridSpec:
                 small_grid(**rates)
 
     @pytest.mark.parametrize("field", INTEGER_ARGUMENTS)
-    @pytest.mark.parametrize("value", [1.5, 4.0, "4", None])
+    @pytest.mark.parametrize("value", [1.5, 4.0, "4", None, True, False])
     def test_counts_and_seed_must_be_integers(self, field, value):
         name, call = INTEGER_ARGUMENTS[field]
         with pytest.raises(ValueError, match=rf"^{name} must be an integer$"):

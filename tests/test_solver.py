@@ -151,15 +151,15 @@ class TestSolveSdp:
             raise AssertionError("a Krylov step or a sweep started")
 
         monkeypatch.setattr(solver, "_lanczos_bottom", no_work)
-        monkeypatch.setattr(solver, "_update_lists", no_work)
+        monkeypatch.setattr(solver, "_blocks", no_work)
         with pytest.raises(ValueError, match=r"^mu must be a finite non-negative number$"):
             solve_sdp(two_triangles[0], mu, SolverConfig(max_sweeps=max_sweeps))
 
     def test_swept_solve_holds_no_wide_factor_array(self):
         # Two sweeps at n = 6000 near the threshold trace under 10 MiB: the
-        # update lists and the symmetric CSR, with n x 2 factors beside
-        # them. At the old rank of 111 the n x r sweep array with its
-        # products and copies took 26.5 MiB.
+        # symmetric CSR and the blocks' in-block neighbour lists, with n x 2
+        # factors beside them. At the old rank of 111 the n x r sweep array
+        # with its products and copies took 26.5 MiB.
         graph, _ = sample_sbm(LogScaleParams(4, 1, 6000).to_sbm_params(), 3)
         mu = estimate_mu(graph).mu
         tracemalloc.start()
@@ -232,6 +232,26 @@ class TestSweepOracle:
     def test_two_vertices(self):
         for mu in (0.0, 0.5, 2.0):
             self.assert_same_trajectory(Graph(2, [(0, 1)]), mu, SolverConfig(seed=5))
+
+    def test_one_vertex_past_a_block(self):
+        # the second block holds one vertex: all its neighbours lie outside it
+        n = solver._BLOCK + 1
+        graph = random_test_graph(np.random.default_rng(8), n, 0.15)
+        assert graph.degrees[n - 1] > 0
+        self.assert_same_trajectory(graph, estimate_mu(graph).mu, SolverConfig(seed=4))
+
+    def test_edges_across_blocks_and_an_isolated_vertex_in_the_last(self):
+        b = solver._BLOCK
+        n = 2 * b + 3
+        isolated = 2 * b + 1
+        rng = np.random.default_rng(12)
+        edges = [e for e in random_test_graph(rng, n, 0.08).edges.tolist() if isolated not in e]
+        # both sides of each block boundary, and the first vertex with the last
+        edges += [(b - 1, b), (2 * b - 1, 2 * b), (0, n - 1)]
+        graph = Graph(n, edges)
+        assert graph.degrees[isolated] == 0
+        mu = estimate_mu(graph).mu
+        self.assert_same_trajectory(graph, mu, SolverConfig(max_sweeps=40, seed=6))
 
     def test_budget_limited_near_threshold(self):
         sol = self.assert_same_trajectory(*_sbm_case(4, 400, 2, 30))
