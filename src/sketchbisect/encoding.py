@@ -11,6 +11,8 @@ family handled here.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class MuEstimate:
@@ -22,8 +24,8 @@ class MuEstimate:
 
 
 def checked_mu(mu):
-    """``mu`` as a float; ValueError unless it is finite and non-negative."""
-    if not 0.0 <= float(mu) < math.inf:
+    """``mu`` as a float; ValueError unless it is finite and non-negative, and not a boolean."""
+    if isinstance(mu, (bool, np.bool_)) or not 0.0 <= float(mu) < math.inf:
         raise ValueError("mu must be a finite non-negative number")
     return float(mu)
 

@@ -6,6 +6,7 @@ parallel schedules, or any subset of cells, produce identical numbers.
 """
 
 import csv
+import itertools
 import math
 import os
 import statistics
@@ -15,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import LogScaleParams, sample_sbm
-from .pipeline import SketchConfig, auto_gamma, recovered_planted, sketch_and_solve
+from .graphs import LogScaleParams, _block_sizes, sample_sbm
+from .pipeline import SketchConfig, auto_gamma, checked_gamma, recovered_planted, sketch_and_solve
 from .seeding import checked_int, spawn_seed
 from .solver import SolverConfig
 
@@ -37,9 +38,11 @@ class GridSpec:
     ``gamma_policy`` for SKETCH, with the sweep budget ``solver.max_sweeps``.
     The solver's seed is derived from the cell's seed, so ``solver.seed`` is
     not read; ``solver`` stays a ``SolverConfig`` because the benchmark's
-    grid workload builds it as one. The rates must be finite and positive,
-    ``n`` an integer of at least 2, ``reps`` and the split ``n1``/``n2``
-    positive integers, and ``base_seed`` a non-negative integer.
+    grid workload builds it as one. Every (alpha, beta, n) must make a
+    ``LogScaleParams`` and (n, n1, n2) a split (``graphs._block_sizes``),
+    which raise their own errors. The grid checks its own fields: non-empty
+    axes, ``reps`` (positive), ``base_seed`` (non-negative), the method
+    and mu-policy names and, through ``checked_gamma``, ``gamma_policy``.
     """
 
     alphas: tuple
@@ -57,21 +60,14 @@ class GridSpec:
     def __post_init__(self):
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        object.__setattr__(
-            self, "methods", tuple(dict.fromkeys(self.methods))
-        )
+        object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))
         if not self.alphas or not self.betas:
             raise ValueError("grid must be non-empty")
-        if not all(map(math.isfinite, self.alphas + self.betas)):
-            raise ValueError("alphas and betas must be finite")
-        if min(self.alphas + self.betas) <= 0:
-            raise ValueError("alphas and betas must be positive")
-        checked_int(self.n, "n", 2)
+        for alpha, beta in itertools.product(self.alphas, self.betas):
+            LogScaleParams(alpha, beta, self.n)
+        _block_sizes(self.n, self.n1, self.n2)
         checked_int(self.reps, "reps", 1)
         checked_int(self.base_seed, "base_seed")
-        if self.n1 is not None or self.n2 is not None:  # one without the other fails here
-            checked_int(self.n1, "n1", 1)
-            checked_int(self.n2, "n2", 1)
         for m in self.methods:
             if m not in _METHOD_CODES:
                 raise ValueError(f"unknown method {m!r}")
@@ -79,19 +75,11 @@ class GridSpec:
             raise ValueError("need at least one method")
         if self.mu_policy not in MU_POLICIES:
             raise ValueError(f"unknown mu policy {self.mu_policy!r}")
-        if self.gamma_policy != "auto" and not 0.0 < float(self.gamma_policy) <= 1.0:
-            raise ValueError("fixed gamma must lie in (0, 1]")
-        if self.n1 is not None:
-            if self.n1 + self.n2 != self.n:
-                raise ValueError("n1 + n2 must equal n")
-        elif self.n % 2:
-            raise ValueError("n must be even unless n1/n2 are given")
+        checked_gamma(self.gamma_policy)
 
     @property
     def split(self):
-        if self.n1 is not None:
-            return int(self.n1), int(self.n2)
-        return self.n // 2, self.n // 2
+        return _block_sizes(self.n, self.n1, self.n2)
 
 
 @dataclass
@@ -128,9 +116,8 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
         cell.error = SKIPPED
         return cell
 
-    n1, n2 = spec.split
     try:
-        params = LogScaleParams(alpha, beta, spec.n).to_sbm_params(n1, n2)
+        params = LogScaleParams(alpha, beta, spec.n).to_sbm_params(*spec.split)
         t_total = time.perf_counter()
         graph, planted = sample_sbm(params, spawn_seed(seed, 0))
 

@@ -3,11 +3,9 @@
 Graphs are simple and undirected. Every vertex carries a stable integer
 label: induced subgraphs keep the labels of the parent graph, which lets
 a cut found on a sketch be compared against, or extended to, the full
-vertex set without any index translation. A graph stores its labels and
-the strict upper triangle of its adjacency as CSR (the canonical edge
-rows) only. The edge count, the edge list, the degrees, induced
-subgraphs, vote margins and every adjacency product ``Graph.matvec`` are
-read off that triangle; no symmetric CSR of a graph is built here.
+vertex set without any index translation. This module owns the rules of
+a graph (``Graph``) and of the block model (``LogScaleParams``,
+``_block_sizes``); no symmetric CSR of a graph is built here.
 """
 
 import itertools
@@ -54,6 +52,18 @@ class SbmParams:
         return self.n1 + self.n2
 
 
+def _block_sizes(n, n1=None, n2=None):
+    """(n1, n2), positive integers summing to n, or (n/2, n/2) for an even n; else ValueError."""
+    if n1 is None and n2 is None:
+        if n % 2:
+            raise ValueError("n must be even unless n1/n2 are given")
+        return n // 2, n // 2
+    n1, n2 = checked_int(n1, "n1", 1), checked_int(n2, "n2", 1)
+    if n1 + n2 != n:
+        raise ValueError("n1 + n2 must equal n")
+    return n1, n2
+
+
 @dataclass(frozen=True)
 class LogScaleParams:
     """Edge rates on the logarithmic scale: p = alpha*ln(n)/n, q = beta*ln(n)/n.
@@ -76,16 +86,10 @@ class LogScaleParams:
     def to_sbm_params(self, n1=None, n2=None):
         """Convert to raw rates, clamping to [0, 1] with a warning.
 
-        By default the two blocks split ``n`` evenly (``n`` must then be
-        even); pass ``n1`` and ``n2`` for an unbalanced split with
-        n1 + n2 == n.
+        The block sizes are ``_block_sizes(n, n1, n2)``: an even split of
+        ``n`` by default, or the given ``n1`` and ``n2``.
         """
-        if n1 is None and n2 is None:
-            if self.n % 2:
-                raise ValueError("n must be even for a balanced split")
-            n1 = n2 = self.n // 2
-        elif n1 is None or n2 is None or n1 + n2 != self.n:
-            raise ValueError("n1 and n2 must be given together and sum to n")
+        n1, n2 = _block_sizes(self.n, n1, n2)
         scale = math.log(self.n) / self.n
         p = self.alpha * scale
         q = self.beta * scale
@@ -171,13 +175,11 @@ def _index_dtype(n, m=0):
 
 
 def _upper_csr(n, counts, hi):
-    """CSR of the strict upper triangle from canonical edge rows.
+    """CSR of the strict upper triangle from canonical edge rows (i < j, in order), with no sort.
 
-    Canonical rows (i < j, sorted) are the upper triangle already in CSR
-    order, so its row pointer is the running sum of the per-row edge
-    ``counts`` and its column indices are ``hi``. Nothing is sorted. The
-    index width is ``_index_dtype(n, m)``; a contiguous ``hi`` of that
-    width becomes the CSR's own column array, anything else is copied.
+    The row pointer is the running sum of the per-row ``counts``, in the
+    ``_index_dtype(n, m)`` width; a contiguous ``hi`` of that width becomes
+    the CSR's own column array, anything else is copied.
     """
     idx = _index_dtype(n, hi.shape[0])
     indptr = np.zeros(n + 1, dtype=idx)
@@ -205,14 +207,15 @@ class Graph:
 
     ``vertex_ids`` is kept sorted ascending, and rows follow that order.
     The only edge store is ``upper``, the strict upper triangle of the
-    adjacency as CSR: row i holds the sorted neighbours j > i. The edge
-    count and the lexicographic (u < v) edge list are read off it, so all
-    derived quantities are deterministic functions of the edge set. An
-    edge given more than once, in either orientation, counts once. The
-    adjacency A = U + U^T is never stored; ``matvec`` and ``degrees`` read U.
-    ``num_vertices`` must be a non-negative integer. Labels and edge
-    entries must be whole numbers within int64; integer arrays narrower
-    than uint64 are read as they are.
+    adjacency as CSR: row i holds the sorted neighbours j > i. Everything
+    else is read off it; A = U + U^T is never stored.
+
+    ``Graph(num_vertices, edges, vertex_ids)`` is checked: a non-negative
+    integer count, distinct labels and edges between two known labels that
+    differ, all whole numbers within int64 (integer arrays narrower than
+    uint64 are read as they are); a repeated edge, either way round, counts
+    once. ``Graph._from_upper`` is trusted: the sampler, ``induced_subgraph``
+    and copies use it.
     """
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
@@ -233,38 +236,35 @@ class Graph:
         if e.ndim != 2 or e.shape[1] != 2:
             raise ValueError("edges must be pairs of vertex ids")
         if vertex_ids is None and _is_canonical(e[:, 0], e[:, 1], n):
-            # The rows are the CSR already: they are counted and their
-            # columns copied, in the caller's width; no key, no sort.
-            counts = np.bincount(e[:, 0].astype(np.intp, copy=False), minlength=n)
-            self._install(ids, _upper_csr(n, counts, e[:, 1].copy()))
-            return
-        a = _rows_of(ids, e[:, 0])
-        b = _rows_of(ids, e[:, 1])
-        if np.any(a == b):
-            raise ValueError("self-loops are not allowed")
-        # _rows_of returns fresh arrays, so each pair is ordered in place and
-        # no O(m) temporary outlives its use into the CSR build.
-        hi = np.maximum(a, b)
-        lo = np.minimum(a, b, out=a)
-        del a, b
-        # One int64 key per edge orders the rows lexicographically and
-        # merges repeated edges.
-        key = lo * n
-        key += hi
-        lo, hi = np.divmod(_sorted_unique(key), n)
-        del key
+            # The rows are the CSR already: they are counted as they are and
+            # their columns copied into the index width; no key, no sort.
+            lo, hi = e[:, 0], e[:, 1].astype(_index_dtype(n, e.shape[0]))
+        else:
+            a = _rows_of(ids, e[:, 0])
+            b = _rows_of(ids, e[:, 1])
+            if np.any(a == b):
+                raise ValueError("self-loops are not allowed")
+            # _rows_of returns fresh arrays, so each pair is ordered in place and
+            # no O(m) temporary outlives its use into the CSR build.
+            hi = np.maximum(a, b)
+            lo = np.minimum(a, b, out=a)
+            del a, b
+            # One int64 key per edge orders the rows lexicographically and
+            # merges repeated edges.
+            key = lo * n
+            key += hi
+            lo, hi = np.divmod(_sorted_unique(key), n)
+            del key
         self._install(ids, _upper_csr(n, np.bincount(lo, minlength=n), hi))
 
-    @classmethod
-    def _from_canonical(cls, n, counts, hi):
-        """Graph on labels 0..n-1 from per-row edge counts and canonical columns, unchecked.
+    @staticmethod
+    def _from_upper(ids, upper):
+        """The graph on ``ids`` and ``upper`` as they are, neither checked nor copied.
 
-        Row i holds the next ``counts[i]`` entries of ``hi``. The rows must
-        satisfy what ``__init__`` establishes: each row's columns increase
-        strictly and lie in i+1..n-1. A contiguous ``hi`` in the index width
-        becomes the graph's own column array.
+        ``ids`` must be sorted distinct int64 labels, and ``upper`` a canonical
+        strict-upper 0/1 CSR in the ``_index_dtype`` width.
         """
-        return cls.__new__(cls)._install(np.arange(n, dtype=np.int64), _upper_csr(n, counts, hi))
+        return object.__new__(Graph)._install(ids, upper)
 
     def _install(self, ids, upper):
         """Store sorted labels and the CSR upper triangle; returns self."""
@@ -276,12 +276,10 @@ class Graph:
         self._lower = upper.T
         return self
 
-    def __getstate__(self):
-        # _lower is a view of _upper's arrays: pickling it would store them twice
-        return {"_ids": self._ids, "_upper": self._upper}
-
-    def __setstate__(self, state):
-        self._install(state["_ids"], state["_upper"])
+    def __reduce__(self):
+        # _lower is a view of _upper's arrays: copying it would store them
+        # twice. A static _from_upper pickles as one qualified name.
+        return Graph._from_upper, (self._ids, self._upper)
 
     @property
     def num_vertices(self):
@@ -498,11 +496,9 @@ def sample_sbm(params, seed):
     ``integers(2**63, size=3)`` draw of ``np.random.default_rng(seed)``.
     ``seed`` is anything that function accepts, with any bit generator; a
     caller's ``Generator`` is advanced by that one draw and by nothing else.
-    A seed gives the same graph on every rerun with the same numpy. Below
-    rate 1/3 the gaps are ``ceil(E / -log1p(-rate))`` of standard
-    exponentials E, the variates numpy's ``Generator.geometric`` would
-    draw, with one libm ``log1p`` per block pair; another platform's libm
-    may round that one value differently and move edges.
+    A seed gives the same graph on every rerun with the same numpy; the one
+    libm ``log1p`` per block pair of ``_success_positions`` may round
+    differently on another platform and move edges.
     """
     n, n1, n2 = params.n, params.n1, params.n2
     col = _index_dtype(n)
@@ -524,15 +520,16 @@ def sample_sbm(params, seed):
     hi[:top][~from11] = j12
     hi[top:] = j22
     del j11, j12, j22, from11  # the column arrays are not held through the CSR build
-    graph = Graph._from_canonical(n, np.concatenate([c11 + c12, c22]), hi)
+    graph = Graph._from_upper(
+        np.arange(n, dtype=np.int64), _upper_csr(n, np.concatenate([c11 + c12, c22]), hi))
     signs = np.ones(n, dtype=np.int8)
     signs[n1:] = -1
     return graph, Partition(np.arange(n), signs)
 
 
 def bernoulli_vertex_sample(graph, gamma, seed):
-    """Keep each vertex independently with probability gamma; return kept labels."""
-    if not 0.0 <= gamma <= 1.0:
+    """Keep each vertex independently with probability gamma, a real in [0, 1]; return kept labels."""
+    if isinstance(gamma, (bool, np.bool_)) or not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     keep = rng.random(graph.num_vertices) < gamma
@@ -552,7 +549,7 @@ def induced_subgraph(graph, vertices):
     rows = graph.indices_of(verts)
     if verts.size == graph.num_vertices:
         return graph
-    return Graph.__new__(Graph)._install(verts, graph.upper[rows][:, rows])
+    return Graph._from_upper(verts, graph.upper[rows][:, rows])
 
 
 def _write_pairs(path, header, chunks):
@@ -669,16 +666,17 @@ def load_graph(path):
     """Read the edge-list format written by ``save_graph``.
 
     Blank lines and leading or trailing whitespace are ignored. A missing or
-    malformed header, an edge line without exactly two integer tokens, an
-    id outside 0..n-1, a self-loop or a non-ASCII byte raises ValueError
-    naming the line. An edge listed more than once, in either orientation,
-    counts once, as in ``Graph``.
+    malformed header, a vertex count above the int64 maximum, an edge line
+    without exactly two integer tokens, an id outside 0..n-1, a self-loop
+    or a non-ASCII byte raises ValueError naming the line. An edge listed
+    more than once, in either orientation, counts once, as in ``Graph``.
 
     Only the lines up to the header are read here; numpy parses the body
     from the path in the CSR's index width for n vertices (int32 while n
     fits), and ``Graph`` checks it. An id too wide for that width is
     outside 0..n-1 too. The body is read again line by line only when
-    either fails, to name the first bad line.
+    either fails, to name the first bad line; if none is, numpy's error on
+    sizing arrays for n vertices is raised as it was.
     """
     with _open_lines(path) as fh:
         for head, line in enumerate(fh):
@@ -695,13 +693,15 @@ def load_graph(path):
     n = int(parts[1])
     if n < 0:
         raise ValueError(f"line {head + 1}: vertex count must be non-negative")
+    if n > np.iinfo(np.int64).max:
+        raise ValueError(f"line {head + 1}: vertex count exceeds the int64 maximum")
     try:
         return Graph(n, _read_rows(path, head + 1, _index_dtype(n)))
-    except (ValueError, KeyError):
-        pass
+    except (ValueError, KeyError) as exc:
+        error = exc
     with _open_lines(path) as fh:
         _check_edge_lines(itertools.islice(fh, head + 1, None), head + 2, n)
-    raise ValueError("malformed edge list")
+    raise error
 
 
 def save_partition(partition, path):

@@ -9,6 +9,7 @@ gamma-fraction of the full problem. The only symmetric CSR built is a
 swept solve's, of the graph it solves, so a sweep-0 certificate builds none.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -26,17 +27,26 @@ TIE_TO_FIRST = "TO_FIRST"
 TIE_RANDOM = "RANDOM"
 
 
+def checked_gamma(gamma):
+    """``gamma`` as "auto" or a float; ValueError unless it is "auto" or a non-boolean real in (0, 1]."""
+    if isinstance(gamma, str) and gamma == "auto":
+        return gamma
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    return float(gamma)
+
+
 @dataclass(frozen=True)
 class SketchConfig:
     """Configuration for one sketch-and-solve run.
 
     ``gamma`` and ``mu`` accept either a number or "auto". Automatic gamma
     needs the log-scale rates ``alpha`` and ``beta``; automatic mu is the
-    observed edge density of the full graph; a given mu must be finite and
-    non-negative. ``max_sweeps`` is the solver's sweep budget, and 0 keeps
-    only the spectral cut. ``seed`` drives the vertex sample, the solver
-    initialization and the fallback coins, through three independent
-    derived streams. The vote has no setting: the pipeline votes with
+    observed edge density of the full graph; given values pass
+    ``checked_gamma`` and ``checked_mu``. ``max_sweeps`` is the solver's
+    sweep budget, and 0 keeps only the spectral cut. ``seed`` drives the
+    vertex sample, the solver initialization and the fallback coins,
+    through three independent derived streams. The vote has no setting: the pipeline votes with
     ``TIE_FAIL`` (see ``sketch_and_solve``).
     """
 
@@ -48,8 +58,7 @@ class SketchConfig:
     beta: object = None
 
     def __post_init__(self):
-        if self.gamma != "auto" and not 0.0 < float(self.gamma) <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
+        checked_gamma(self.gamma)
         if self.mu != "auto":
             checked_mu(self.mu)
         checked_int(self.max_sweeps, "max_sweeps")

@@ -76,6 +76,11 @@ def small_grid(**kwargs):
                        **kwargs})
 
 
+def balanced_grid(**kwargs):
+    """A one-cell GridSpec with the default even split; ``kwargs`` override its fields."""
+    return GridSpec(**{**dict(alphas=(4,), betas=(1,), n=10, reps=1), **kwargs})
+
+
 # Every size, count and seed that must be an integer: test id -> (the name
 # its ValueError gives, a call that passes the value there).
 INTEGER_ARGUMENTS = {
@@ -108,32 +113,45 @@ def desk_grid():
 
 class TestGridSpec:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(), betas=(1,), n=10, reps=1)
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=10, reps=0)
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, methods=("CVX",))
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, mu_policy="mean")
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, gamma_policy=0.0)
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=11, reps=1)
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, n1=3)
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, n1=3, n2=8)
-        with pytest.raises(ValueError):
-            GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, base_seed=-1)
-        # a rate <= 0 would only fail or skip its cells, so the grid is refused
-        for rates, rule in [(dict(alphas=(4, math.nan)), "finite"),
-                            (dict(betas=(math.inf,)), "finite"),
-                            (dict(betas=(0,)), "positive"),
-                            (dict(alphas=(4, -1)), "positive"),
-                            (dict(alphas=(-2,), betas=(1,)), "positive")]:
-            with pytest.raises(ValueError, match=rf"^alphas and betas must be {rule}$"):
-                small_grid(**rates)
+        def refused(message, **fields):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                balanced_grid(**fields)
+
+        refused("grid must be non-empty", alphas=())
+        refused("reps must be positive", reps=0)
+        refused("unknown method 'CVX'", methods=("CVX",))
+        refused("unknown mu policy 'mean'", mu_policy="mean")
+        refused("gamma must lie in (0, 1]", gamma_policy=0.0)
+        refused("n must be even unless n1/n2 are given", n=11)
+        refused("n2 must be an integer", n1=3)
+        refused("n1 + n2 must equal n", n1=3, n2=8)
+        refused("base_seed must be non-negative", base_seed=-1)
+        # a rate <= 0 would only fail or skip its cells, so the grid is refused,
+        # in the words of the model that would refuse the cell
+        refused("alpha and beta must be finite, got alpha=nan, beta=1.0", alphas=(4, math.nan))
+        refused("alpha and beta must be finite, got alpha=4.0, beta=inf", betas=(math.inf,))
+        for rates in (dict(betas=(0,)), dict(alphas=(4, -1)), dict(alphas=(-2,), betas=(1,))):
+            refused("alpha and beta must be positive", **rates)
+
+    # One bad input each: the grid refuses it with the text of the model call
+    # that owns the rule.
+    @pytest.mark.parametrize("fields, model", [
+        (dict(alphas=(math.nan,)), lambda: LogScaleParams(math.nan, 1.0, 10)),
+        (dict(betas=(math.inf,)), lambda: LogScaleParams(4.0, math.inf, 10)),
+        (dict(betas=(0,)), lambda: LogScaleParams(4.0, 0.0, 10)),
+        (dict(alphas=(-3,)), lambda: LogScaleParams(-3.0, 1.0, 10)),
+        (dict(n=1), lambda: LogScaleParams(4.0, 1.0, 1)),
+        (dict(n1=4), lambda: LogScaleParams(4.0, 1.0, 10).to_sbm_params(4, None)),
+        (dict(n1=0, n2=10), lambda: LogScaleParams(4.0, 1.0, 10).to_sbm_params(0, 10)),
+        (dict(n=11), lambda: LogScaleParams(4.0, 1.0, 11).to_sbm_params()),
+        (dict(n1=3, n2=8), lambda: LogScaleParams(4.0, 1.0, 10).to_sbm_params(3, 8)),
+    ], ids=["nan", "inf", "zero", "negative", "n_is_1", "missing_n2", "n1_zero", "odd_n", "sum"])
+    def test_each_model_rule_has_one_owner(self, fields, model):
+        with pytest.raises(ValueError) as owner:
+            model()
+        message = str(owner.value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            balanced_grid(**fields)
 
     @pytest.mark.parametrize("field", INTEGER_ARGUMENTS)
     @pytest.mark.parametrize("value", [1.5, 4.0, "4", None, True, False])

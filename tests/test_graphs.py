@@ -148,13 +148,14 @@ class TestGraphConstruction:
         assert Graph(0).num_vertices == 0
         assert Graph(0).edges.shape == (0, 2) and Graph(0).edges.dtype == np.int64
 
-    def test_canonical_constructor_matches_init(self):
+    def test_trusted_constructor_matches_init(self):
         sampled, _ = sample_sbm(SbmParams(12, 9, 0.5, 0.2), seed=8)
         cases = ((5, []), (0, []), (1, []), (2, [(0, 1)]),
                  (sampled.num_vertices, sampled.edges))
         for n, edges in cases:
             ref = Graph(n, edges)
-            g = Graph._from_canonical(n, np.bincount(ref.edges[:, 0], minlength=n), ref.edges[:, 1])
+            g = Graph._from_upper(np.arange(n, dtype=np.int64), graphs._upper_csr(
+                n, np.bincount(ref.edges[:, 0], minlength=n), ref.edges[:, 1]))
             assert_same_graph(g, ref)
             assert np.array_equal(g.indices_of(ref.vertex_ids), ref.indices_of(ref.vertex_ids))
             with pytest.raises(KeyError):
@@ -267,8 +268,8 @@ class TestCanonicalCsr:
         routes = {
             "Graph": Graph(n, canonical),
             "non-contiguous": Graph(n, labels[canonical], vertex_ids=labels[::-1]),
-            "_from_canonical": Graph._from_canonical(
-                n, np.bincount(canonical[:, 0], minlength=n), canonical[:, 1].copy()),
+            "_from_upper": Graph._from_upper(np.arange(n, dtype=np.int64), graphs._upper_csr(
+                n, np.bincount(canonical[:, 0], minlength=n), canonical[:, 1].copy())),
             "load_graph": load_graph(path),
             "induced_subgraph": self.embedded(n, canonical),
         }
@@ -564,15 +565,16 @@ class TestSampleSbmOracle:
 
     @pytest.mark.parametrize("params", CASES + [SbmParams(40, 33, 0.3, 0.05)], ids=repr)
     def test_rows_reach_the_graph_canonical(self, monkeypatch, params):
-        # Graph._from_canonical trusts its rows: row i's columns lie in i+1..n-1, keys increasing
+        # Graph._from_upper trusts the CSR built from these rows: row i's
+        # columns lie in i+1..n-1, keys increasing
         rows = []
-        build = graphs.Graph._from_canonical.__func__
+        build = graphs._upper_csr
 
-        def spy(cls, n, counts, hi):
+        def spy(n, counts, hi):
             rows.append((n, counts.copy(), hi.copy()))
-            return build(cls, n, counts, hi)
+            return build(n, counts, hi)
 
-        monkeypatch.setattr(graphs.Graph, "_from_canonical", classmethod(spy))
+        monkeypatch.setattr(graphs, "_upper_csr", spy)
         sample_sbm(params, seed=3)
         [(n, counts, hi)] = rows
         assert n == params.n and counts.dtype == np.int64 and hi.dtype == np.int32
@@ -1026,6 +1028,28 @@ class TestEdgeListFiles:
         p = load_partition(path)
         assert p == Partition([0, 2**40, 2**31], [1, -1, 1])
         assert p.ids.dtype == np.int64 and p.ids.tolist() == [0, 2**31, 2**40]
+
+    # None of these counts can be allocated: 8 PB and more exceed the address
+    # space, and numpy refuses such an array before asking for memory.
+    @pytest.mark.parametrize("count, message", [
+        (2**63, "line 1: vertex count exceeds the int64 maximum"),
+        (10**20, "line 1: vertex count exceeds the int64 maximum"),
+        (2**63 - 1, None),
+        (10**15, None),
+    ], ids=["int64_max_plus_1", "1e20", "int64_max", "1e15"])
+    def test_count_the_machine_cannot_hold_is_a_cli_error(self, tmp_path, capsys, count, message):
+        path = self.write(tmp_path, f"n {count}\n")
+        cut = tmp_path / "cut"
+        cut.write_text("0 1\n")
+        code = cli.main(["certify", str(path), str(cut), "--mu", "0.5"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: ") and "Traceback" not in err
+        if message is None:  # numpy's own words; no line is malformed
+            assert "malformed" not in err and "line" not in err
+        else:
+            assert err == f"error: {message}\n"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                load_graph(path)
 
     def test_out_of_range_id_is_a_cli_error(self, tmp_path, capsys):
         path = self.write(tmp_path, "n 3\n0 1\n1 5\n")

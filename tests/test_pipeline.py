@@ -34,8 +34,9 @@ from sketchbisect import (
     spawn_seed,
     vote_extend,
 )
-from sketchbisect import pipeline
+from sketchbisect import experiments, pipeline
 from sketchbisect.certificate import ZOperator
+from sketchbisect.encoding import checked_mu
 
 from conftest import pairwise_sample_sbm, spy_symmetric_builds
 
@@ -244,6 +245,33 @@ class TestSketchConfig:
         with pytest.raises(ValueError):
             SketchConfig(gamma=1.5)
         SketchConfig(gamma=1.0)
+
+    # A boolean is neither a sampling rate nor an offset, though Python and
+    # numpy would read it as 1 or 0.
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_], ids=repr)
+    @pytest.mark.parametrize("call, message", [
+        (lambda flag: SketchConfig(gamma=flag), "gamma must lie in (0, 1]"),
+        (pipeline.checked_gamma, "gamma must lie in (0, 1]"),
+        (lambda flag: experiments.GridSpec(alphas=(4,), betas=(1,), n=10, reps=1, gamma_policy=flag),
+         "gamma must lie in (0, 1]"),
+        (lambda flag: bernoulli_vertex_sample(Graph(3), flag, 0), "gamma must lie in [0, 1]"),
+        (lambda flag: SketchConfig(mu=flag), "mu must be a finite non-negative number"),
+        (checked_mu, "mu must be a finite non-negative number"),
+        (lambda flag: check_certificate(Graph(2, [(0, 1)]), Partition([0, 1], [1, -1]), flag),
+         "mu must be a finite non-negative number"),
+    ], ids=["SketchConfig.gamma", "checked_gamma", "GridSpec.gamma_policy",
+            "bernoulli_vertex_sample", "SketchConfig.mu", "checked_mu", "check_certificate"])
+    def test_booleans_are_not_rates(self, call, message, flag):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(flag)
+
+    def test_gamma_is_auto_or_a_real(self):
+        for bad in ("0.5", "AUTO", math.nan, np.array(0.5), None):
+            with pytest.raises(ValueError, match=r"^gamma must lie in \(0, 1\]$"):
+                SketchConfig(gamma=bad)
+        for good in ("auto", 1, 0.25, np.float32(0.5), np.int64(1)):
+            assert SketchConfig(gamma=good).gamma == good
+            assert pipeline.checked_gamma(good) == good
 
     def test_tie_rule_is_not_a_setting(self):
         # the pipeline votes with TIE_FAIL; vote_extend alone takes a rule
