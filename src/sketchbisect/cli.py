@@ -89,7 +89,7 @@ def _cmd_sketch(args):
 
 
 def _cmd_thresholds(args):
-    if args.curve is not None:
+    if args.curve:
         betas = np.linspace(args.beta_min, args.beta_max, args.points)
         alphas = phase_boundary_curve(betas)
         sys.stdout.write("beta,alpha\n")
@@ -168,7 +168,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--delta", type=float, default=0.0)
-    p.add_argument("--curve", choices=["prop1"], default=None,
+    p.add_argument("--curve", action="store_true",
                    help="emit the recovery boundary as CSV instead")
     p.add_argument("--beta-min", type=float, default=1.0)
     p.add_argument("--beta-max", type=float, default=10.0)

@@ -11,7 +11,7 @@ family handled here.
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from .seeding import is_real
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class MuEstimate:
 
 
 def checked_mu(mu):
-    """``mu`` as a float; ValueError unless it is finite and non-negative, and not a boolean."""
-    if isinstance(mu, (bool, np.bool_)) or not 0.0 <= float(mu) < math.inf:
+    """``mu`` as a float; ValueError unless it is a finite non-negative real, not a boolean."""
+    if not is_real(mu) or not 0.0 <= mu < math.inf:
         raise ValueError("mu must be a finite non-negative number")
     return float(mu)
 
@@ -51,14 +51,12 @@ def expected_mu(params):
     return (p + q) / 2.0 - (p - q) / (2.0 * (n - 1))
 
 
-def mu_concentration_bound(params, c):
+def mu_concentration_bound(n, c):
     """Deviation scale c * ln(n) / n**1.5 for the density estimate.
 
-    ``params`` is either log-scale parameters (their n is used) or a bare
-    finite real n >= 2, so the bound can be evaluated along a continuous
-    curve; ``c`` is a finite non-negative constant.
+    ``n`` is a finite real n >= 2, so the bound can be evaluated along a
+    continuous curve; ``c`` is a finite non-negative constant.
     """
-    n = getattr(params, "n", params)
     if not 2 <= n < math.inf:
         raise ValueError("n must be finite and at least 2")
     if not 0 <= c < math.inf:

@@ -25,8 +25,6 @@ METHOD_FULL_SDP = "FULL_SDP"
 METHOD_SKETCH = "SKETCH"
 _METHOD_CODES = {METHOD_FULL_SDP: 1, METHOD_SKETCH: 2}
 
-MU_POLICIES = ("auto", "half", "gw", "oracle")
-
 SKIPPED = "SKIPPED"
 
 
@@ -35,14 +33,15 @@ class GridSpec:
     """Every (alpha, beta, rep, method) cell of one Monte Carlo grid.
 
     A cell is one ``sketch_and_solve`` call, at gamma 1 for FULL_SDP and at
-    ``gamma_policy`` for SKETCH, with the sweep budget ``solver.max_sweeps``.
+    ``gamma_policy`` for SKETCH, at the estimated mu and with the sweep
+    budget ``solver.max_sweeps``.
     The solver's seed is derived from the cell's seed, so ``solver.seed`` is
     not read; ``solver`` stays a ``SolverConfig`` because the benchmark's
     grid workload builds it as one. Every (alpha, beta, n) must make a
     ``LogScaleParams`` and (n, n1, n2) a split (``graphs._block_sizes``),
     which raise their own errors. The grid checks its own fields: non-empty
     axes, ``reps`` (positive), ``base_seed`` (non-negative), the method
-    and mu-policy names and, through ``checked_gamma``, ``gamma_policy``.
+    names and, through ``checked_gamma``, ``gamma_policy``.
     """
 
     alphas: tuple
@@ -51,7 +50,6 @@ class GridSpec:
     reps: int
     methods: tuple = (METHOD_FULL_SDP, METHOD_SKETCH)
     gamma_policy: object = "auto"
-    mu_policy: str = "auto"
     base_seed: int = 0
     n1: object = None
     n2: object = None
@@ -73,8 +71,6 @@ class GridSpec:
                 raise ValueError(f"unknown method {m!r}")
         if not self.methods:
             raise ValueError("need at least one method")
-        if self.mu_policy not in MU_POLICIES:
-            raise ValueError(f"unknown mu policy {self.mu_policy!r}")
         checked_gamma(self.gamma_policy)
 
     @property
@@ -121,9 +117,6 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
         t_total = time.perf_counter()
         graph, planted = sample_sbm(params, spawn_seed(seed, 0))
 
-        oracle = (params.p + params.q) / 2.0
-        mu = {"auto": "auto", "half": 0.5, "gw": 1.0, "oracle": oracle}[spec.mu_policy]
-
         if method == METHOD_FULL_SDP:
             gamma = 1.0
         elif spec.gamma_policy == "auto":
@@ -132,7 +125,7 @@ def _run_cell(spec, a_idx, b_idx, rep, method):
             gamma = float(spec.gamma_policy)
         cell.gamma_used = gamma
         result = sketch_and_solve(graph, SketchConfig(
-            gamma=gamma, seed=spawn_seed(seed, 1), max_sweeps=spec.solver.max_sweeps, mu=mu))
+            gamma=gamma, seed=spawn_seed(seed, 1), max_sweeps=spec.solver.max_sweeps))
 
         cell.total_ms = (time.perf_counter() - t_total) * 1e3
         cell.mu_used = result.mu_used
@@ -395,7 +388,6 @@ _CONFIG_KEYS = {
     "reps": ("reps", int),
     "methods": ("methods", _words),
     "gamma": ("gamma_policy", lambda s: "auto" if s == "auto" else float(s)),
-    "mu": ("mu_policy", str),
     "seed": ("base_seed", int),
     "n1": ("n1", int),
     "n2": ("n2", int),

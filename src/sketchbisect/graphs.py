@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .seeding import checked_int
+from .seeding import checked_int, is_real
 from .thresholds import _check_finite
 
 # Rows formatted per write by save_graph and save_partition.
@@ -30,7 +30,8 @@ _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 class SbmParams:
     """Two-block stochastic block model with intra-rate p and inter-rate q.
 
-    The block sizes ``n1`` and ``n2`` must be positive integers.
+    The block sizes ``n1`` and ``n2`` must be positive integers, and the
+    rates non-boolean reals in [0, 1].
     """
 
     n1: int
@@ -44,7 +45,7 @@ class SbmParams:
             raise ValueError("block sizes must be positive")
         for name in ("p", "q"):
             r = getattr(self, name)
-            if not 0.0 <= r <= 1.0:
+            if not is_real(r) or not 0.0 <= r <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {r}")
 
     @property
@@ -220,6 +221,8 @@ class Graph:
 
     def __init__(self, num_vertices, edges=(), vertex_ids=None):
         n = checked_int(num_vertices, "num_vertices")
+        if n > np.iinfo(np.int64).max:
+            raise ValueError("vertex count exceeds the int64 maximum")
         if vertex_ids is None:
             ids = np.arange(n, dtype=np.int64)
         else:
@@ -349,12 +352,6 @@ class Partition:
         self._ids.flags.writeable = False
         self._signs.flags.writeable = False
 
-    @classmethod
-    def from_sides(cls, plus, minus):
-        plus = list(plus)
-        minus = list(minus)
-        return cls(plus + minus, [1] * len(plus) + [-1] * len(minus))
-
     @property
     def ids(self):
         return self._ids
@@ -362,14 +359,6 @@ class Partition:
     @property
     def signs(self):
         return self._signs
-
-    @property
-    def n_plus(self):
-        return int(np.count_nonzero(self._signs == 1))
-
-    @property
-    def n_minus(self):
-        return int(np.count_nonzero(self._signs == -1))
 
     def __len__(self):
         return self._ids.shape[0]
@@ -411,7 +400,8 @@ class Partition:
         )
 
     def __repr__(self):
-        return f"Partition(n={len(self)}, +{self.n_plus}/-{self.n_minus})"
+        plus = int(np.count_nonzero(self._signs == 1))
+        return f"Partition(n={len(self)}, +{plus}/-{len(self) - plus})"
 
 
 def _pair_generators(seed):
@@ -529,7 +519,7 @@ def sample_sbm(params, seed):
 
 def bernoulli_vertex_sample(graph, gamma, seed):
     """Keep each vertex independently with probability gamma, a real in [0, 1]; return kept labels."""
-    if isinstance(gamma, (bool, np.bool_)) or not 0.0 <= gamma <= 1.0:
+    if not is_real(gamma) or not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     keep = rng.random(graph.num_vertices) < gamma

@@ -9,7 +9,6 @@ gamma-fraction of the full problem. The only symmetric CSR built is a
 swept solve's, of the graph it solves, so a sweep-0 certificate builds none.
 """
 
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 from .certificate import CERTIFIED, check_certificate
 from .encoding import checked_mu, estimate_mu
 from .graphs import Partition, _distinct_labels, bernoulli_vertex_sample, induced_subgraph
-from .seeding import checked_int, spawn_seed
+from .seeding import checked_int, is_real, spawn_seed
 from .solver import DEFAULT_MAX_SWEEPS, SolverConfig, _sweep_checkpoints, solve_sdp
 from .thresholds import conjectured_gamma_threshold
 
@@ -31,7 +30,7 @@ def checked_gamma(gamma):
     """``gamma`` as "auto" or a float; ValueError unless it is "auto" or a non-boolean real in (0, 1]."""
     if isinstance(gamma, str) and gamma == "auto":
         return gamma
-    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real) or not 0.0 < gamma <= 1.0:
+    if not is_real(gamma) or not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
     return float(gamma)
 

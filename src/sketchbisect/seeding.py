@@ -1,5 +1,6 @@
-"""Deterministic derivation of independent child seeds, and the integer
-check that every size, count and seed of the package goes through."""
+"""Deterministic derivation of independent child seeds, the integer check
+that every size, count and seed of the package goes through, and the real
+test that every rate and offset goes through."""
 
 import numbers
 
@@ -19,6 +20,11 @@ def checked_int(value, name, minimum=0):
         bound = {0: "non-negative", 1: "positive"}.get(minimum, f"at least {minimum}")
         raise ValueError(f"{name} must be {bound}")
     return int(value)
+
+
+def is_real(value):
+    """True for a Python or numpy real number that is not a boolean; strings and arrays are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def spawn_seed(seed, *path):

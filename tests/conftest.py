@@ -46,6 +46,14 @@ def dense_certificate(graph, partition, mu):
     )
 
 
+def sides(plus, minus):
+    """The cut with the labels ``plus`` on side +1 and ``minus`` on side -1."""
+    from sketchbisect import Partition
+
+    plus, minus = list(plus), list(minus)
+    return Partition(plus + minus, [1] * len(plus) + [-1] * len(minus))
+
+
 def recording_loop(monkeypatch, module):
     """Replace ``module._lanczos_bottom`` by a copy that records its checkpoints."""
     checkpoints = []

@@ -31,6 +31,7 @@ from conftest import (
     pairwise_sample_sbm,
     random_test_graph,
     recording_loop,
+    sides,
 )
 
 
@@ -63,7 +64,7 @@ class TestZOperator:
 
     def test_empty_graph_balanced_mu_zero_is_zero(self):
         graph = Graph(4, [])
-        part = Partition.from_sides([0, 1], [2, 3])
+        part = sides([0, 1], [2, 3])
         op = ZOperator(graph, part, 0.0)
         assert np.all(op.dense() == 0.0)
         assert op.scale == 0.0
@@ -129,7 +130,7 @@ class TestCheckCertificate:
 
     def test_single_split_edge_zero_certificate(self):
         graph = Graph(2, [(0, 1)])
-        part = Partition.from_sides([0], [1])
+        part = sides([0], [1])
         report = check_certificate(graph, part, 1.0)
         assert report.verdict == NOT_CERTIFIED
         assert report.witness_value == 0.0
@@ -137,7 +138,7 @@ class TestCheckCertificate:
 
     def test_empty_graph_borderline_is_inconclusive(self):
         graph = Graph(4, [])
-        part = Partition.from_sides([0, 1], [2, 3])
+        part = sides([0, 1], [2, 3])
         report = check_certificate(graph, part, 0.1)
         assert report.verdict == INCONCLUSIVE
 
@@ -258,12 +259,12 @@ class TestMatvecCount:
         report = self.counted_report(monkeypatch, *k22_cross, 0.5)
         assert report.verdict == NOT_CERTIFIED
         assert report.matvecs >= report.iterations + 2
-        halves = Partition.from_sides([0, 1], [2, 3])
+        halves = sides([0, 1], [2, 3])
         report = self.counted_report(monkeypatch, Graph(4, []), halves, 0.1)
         assert report.verdict == INCONCLUSIVE
 
     def test_zero_operator_counts_only_zg_check(self, monkeypatch):
-        split_edge = Partition.from_sides([0], [1])
+        split_edge = sides([0], [1])
         report = self.counted_report(monkeypatch, Graph(2, [(0, 1)]), split_edge, 1.0)
         assert report.iterations == 0 and report.matvecs == 1
 
@@ -422,7 +423,7 @@ class TestExhaustiveCheck:
 
     def test_all_ones_partition_single_edge(self):
         graph = Graph(2, [(0, 1)])
-        part = Partition.from_sides([0, 1], [])
+        part = sides([0, 1], [])
         assert exhaustive_unique_opt_check(graph, part, 0.0) is True
 
     def test_size_guard(self):

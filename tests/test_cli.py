@@ -17,6 +17,8 @@ from sketchbisect import (
 from sketchbisect import cli
 from sketchbisect.cli import main
 
+from conftest import sides
+
 
 @pytest.fixture
 def triangle_files(tmp_path):
@@ -165,7 +167,7 @@ class TestCertifyCommand:
 
     def test_not_certified_report(self, capsys, tmp_path):
         graph = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
-        part = Partition.from_sides([0, 1], [2, 3])
+        part = sides([0, 1], [2, 3])
         gpath, ppath = tmp_path / "g.txt", tmp_path / "p.txt"
         save_graph(graph, gpath)
         save_partition(part, ppath)
@@ -283,7 +285,7 @@ class TestRatesChecked:
     @pytest.mark.parametrize("argv, message", [
         (["--alpha", "10", "--beta", "1", "--delta", "nan"],
          "delta must be finite and non-negative"),
-        (["--curve", "prop1", "--beta-min", "nan"], "beta must be finite and positive"),
+        (["--curve", "--beta-min", "nan"], "beta must be finite and positive"),
     ], ids=["delta", "beta-min"])
     def test_non_finite_threshold_argument_fails(self, capsys, argv, message):
         code, stdout, stderr = run_cli(capsys, "thresholds", *argv)
@@ -315,7 +317,7 @@ class TestThresholdsCommand:
 
     def test_curve_csv(self, capsys):
         code, stdout, _ = run_cli(
-            capsys, "thresholds", "--curve", "prop1",
+            capsys, "thresholds", "--curve",
             "--beta-min", "1", "--beta-max", "4", "--points", "3",
         )
         assert code == 0
@@ -326,6 +328,13 @@ class TestThresholdsCommand:
             b, a = map(float, line.split(","))
             assert a == pytest.approx((b**0.5 + 2**0.5) ** 2, rel=1e-15)
         assert lines[1].startswith("1.0,")
+
+    def test_curve_takes_no_value(self, capsys):
+        # --curve is a plain switch: the one boundary it draws has no name to pick
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", "--curve", "prop1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: prop1" in capsys.readouterr().err
 
     def test_point_requires_both_rates(self, capsys):
         code, _, stderr = run_cli(capsys, "thresholds", "--alpha", "50")

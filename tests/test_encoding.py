@@ -6,7 +6,6 @@ import pytest
 
 from sketchbisect import (
     Graph,
-    LogScaleParams,
     SbmParams,
     estimate_mu,
     expected_mu,
@@ -79,10 +78,6 @@ class TestMuConcentrationBound:
 
     def test_zero_constant(self):
         assert mu_concentration_bound(25, 0.0) == 0.0
-
-    def test_accepts_log_scale_params(self):
-        lsp = LogScaleParams(10, 2, 400)
-        assert mu_concentration_bound(lsp, 4.0) == mu_concentration_bound(400, 4.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

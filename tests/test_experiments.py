@@ -120,7 +120,6 @@ class TestGridSpec:
         refused("grid must be non-empty", alphas=())
         refused("reps must be positive", reps=0)
         refused("unknown method 'CVX'", methods=("CVX",))
-        refused("unknown mu policy 'mean'", mu_policy="mean")
         refused("gamma must lie in (0, 1]", gamma_policy=0.0)
         refused("n must be even unless n1/n2 are given", n=11)
         refused("n2 must be an integer", n1=3)
@@ -299,24 +298,23 @@ class TestRunGrid:
             run_grid(small_grid(), jobs=jobs)
 
     @pytest.mark.parametrize(
-        "method, gamma_policy, mu_policy, split",
+        "method, gamma_policy, split",
         [
-            (METHOD_FULL_SDP, "auto", "auto", None),
-            (METHOD_FULL_SDP, "auto", "half", None),
-            (METHOD_FULL_SDP, "auto", "oracle", (120, 80)),
-            (METHOD_SKETCH, "auto", "auto", None),
-            (METHOD_SKETCH, "auto", "oracle", None),
-            (METHOD_SKETCH, 0.6, "half", None),
-            (METHOD_SKETCH, 0.6, "auto", (120, 80)),
+            (METHOD_FULL_SDP, "auto", None),
+            (METHOD_FULL_SDP, "auto", (120, 80)),
+            (METHOD_SKETCH, "auto", None),
+            (METHOD_SKETCH, 0.6, None),
+            (METHOD_SKETCH, 0.6, (120, 80)),
         ],
     )
-    def test_cell_is_the_direct_pipeline_call(self, method, gamma_policy, mu_policy, split):
+    def test_cell_is_the_direct_pipeline_call(self, method, gamma_policy, split):
         # a FULL_SDP cell is full_solve, and a SKETCH cell is sketch_and_solve
-        # with its gamma policy, on the graph sampled from the cell's seed
+        # with its gamma policy, both at the estimated mu, on the graph
+        # sampled from the cell's seed
         n1, n2 = split or (None, None)
         spec = GridSpec(
             alphas=(6, 14), betas=(1,), n=200, reps=2, methods=(method,),
-            gamma_policy=gamma_policy, mu_policy=mu_policy, n1=n1, n2=n2,
+            gamma_policy=gamma_policy, n1=n1, n2=n2,
             base_seed=11, solver=SolverConfig(max_sweeps=8),
         )
         cells = run_grid(spec)
@@ -324,17 +322,15 @@ class TestRunGrid:
         for c in cells:
             params = LogScaleParams(c.alpha, c.beta, spec.n).to_sbm_params(*spec.split)
             graph, planted = sample_sbm(params, spawn_seed(c.seed, 0))
-            mu = {"auto": "auto", "half": 0.5, "oracle": (params.p + params.q) / 2.0}
             if method == METHOD_FULL_SDP:
                 result = full_solve(
-                    graph, mu=mu[mu_policy], max_sweeps=spec.solver.max_sweeps,
+                    graph, max_sweeps=spec.solver.max_sweeps,
                     seed=spawn_seed(c.seed, 1),
                 )
             else:
                 cfg = SketchConfig(
                     gamma=gamma_policy, seed=spawn_seed(c.seed, 1),
-                    max_sweeps=spec.solver.max_sweeps, mu=mu[mu_policy], alpha=c.alpha,
-                    beta=c.beta,
+                    max_sweeps=spec.solver.max_sweeps, alpha=c.alpha, beta=c.beta,
                 )
                 result = sketch_and_solve(graph, cfg)
             gamma = 1.0 if method == METHOD_FULL_SDP else (
@@ -360,19 +356,6 @@ class TestRunGrid:
         failed = [c for c in results if c.error and c.error != SKIPPED]
         assert failed, "expected at least one failed cell at this gamma"
         assert all(not c.recovered for c in failed)
-
-    def test_one_sided_cut_cell_runs(self):
-        # mu = 1/2 lies below q ~ 0.68, so the certified sketch cut puts every
-        # vertex on one side; the cell must vote-extend it, not record an error
-        spec = GridSpec(
-            alphas=(14,), betas=(10,), n=60, reps=3,
-            methods=(METHOD_SKETCH,), gamma_policy=0.5, mu_policy="half",
-        )
-        results = run_grid(spec)
-        assert [c.error for c in results] == ["", "", ""]
-        for c in results:
-            assert not c.fell_back and not c.recovered
-            assert c.mu_used == 0.5 and c.unassigned_count == 0
 
     def test_recovered_implies_fully_assigned(self, desk_grid):
         _, results = desk_grid
@@ -630,7 +613,6 @@ class TestGridConfig:
             "reps = 5\n"
             "methods = FULL_SDP, SKETCH\n"
             "gamma = auto\n"
-            "mu = half\n"
             "seed = 9\n"
         )
         spec = parse_grid_config(path)
@@ -640,7 +622,6 @@ class TestGridConfig:
         assert spec.reps == 5
         assert spec.methods == (METHOD_FULL_SDP, METHOD_SKETCH)
         assert spec.gamma_policy == "auto"
-        assert spec.mu_policy == "half"
         assert spec.base_seed == 9
 
     def test_unbalanced_keys(self, tmp_path):
@@ -654,10 +635,14 @@ class TestGridConfig:
         path.write_text("alphas = 20\nbetas = 2\nn = 100\nreps = 1\ngamma = 0.3\n")
         assert parse_grid_config(path).gamma_policy == 0.3
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("color = red", "unknown config keys: ['color']"),
+        ("mu = auto", "unknown config keys: ['mu']"),  # every cell runs at the estimated mu
+    ], ids=["color", "mu"])
+    def test_unknown_key_rejected(self, tmp_path, line, message):
         path = tmp_path / "grid.cfg"
-        path.write_text("alphas = 20\nbetas = 2\nn = 100\nreps = 1\ncolor = red\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"alphas = 20\nbetas = 2\nn = 100\nreps = 1\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_grid_config(path)
 
     def test_missing_required_key(self, tmp_path):

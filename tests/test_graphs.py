@@ -36,6 +36,7 @@ from conftest import (
     reference_adjacency,
     reference_sample_sbm,
     reference_upper,
+    sides,
     spy_symmetric_builds,
 )
 
@@ -147,6 +148,13 @@ class TestGraphConstruction:
             assert g.upper.nnz == 0 and list(g.degrees) == [0, 0, 0, 0]
         assert Graph(0).num_vertices == 0
         assert Graph(0).edges.shape == (0, 2) and Graph(0).edges.dtype == np.int64
+
+    @pytest.mark.parametrize("count", [2**63, 2**64], ids=["2**63", "2**64"])
+    def test_count_beyond_int64_is_refused(self, count):
+        # refused before any array is sized: np.arange raised OverflowError for
+        # 2**63 and numpy's "Maximum allowed size exceeded" for 2**64
+        with pytest.raises(ValueError, match=r"^vertex count exceeds the int64 maximum$"):
+            Graph(count)
 
     def test_trusted_constructor_matches_init(self):
         sampled, _ = sample_sbm(SbmParams(12, 9, 0.5, 0.2), seed=8)
@@ -411,9 +419,9 @@ class TestPartition:
     def test_side_map(self):
         p = Partition([3, 1, 2], [1, -1, 1])
         assert list(p.ids) == [1, 2, 3]
-        assert p == Partition.from_sides([2, 3], [1])
+        assert p == sides([2, 3], [1])
         assert p.sign_of(1) == -1
-        assert p.n_plus == 2 and p.n_minus == 1
+        assert np.count_nonzero(p.signs == 1) == 2 and np.count_nonzero(p.signs == -1) == 1
 
     def test_invalid_signs(self):
         with pytest.raises(ValueError):
@@ -431,11 +439,12 @@ class TestPartition:
             Partition(np.array([2**63], dtype=np.uint64), [1])  # used to wrap to -2**63
         with pytest.raises(ValueError, match="signs must be whole numbers"):
             Partition([0, 1], [1.5, -1])
-        assert Partition([1.0, 0.0], [-1.0, 1.0]) == Partition.from_sides([0], [1])
+        assert Partition([1.0, 0.0], [-1.0, 1.0]) == sides([0], [1])
 
     def test_sign_vector_alignment(self):
         g = Graph(3, [(0, 1)])
         p = Partition([0, 1, 2], [1, -1, 1])
+        assert repr(p) == "Partition(n=3, +2/-1)"
         assert np.array_equal(p.sign_vector(g), [1.0, -1.0, 1.0])
         with pytest.raises(ValueError):
             Partition([0, 1], [1, -1]).sign_vector(g)
@@ -448,9 +457,9 @@ class TestPartition:
         assert not a.equals_up_to_flip(c)
 
     def test_restrict_and_sides(self):
-        p = Partition.from_sides([0, 2], [1, 3])
+        p = sides([0, 2], [1, 3])
         r = p.restrict([0, 1])
-        assert r == Partition.from_sides([0], [1])
+        assert r == sides([0], [1])
         assert list(p.side_vertices(1)) == [0, 2]
         with pytest.raises(KeyError):
             p.restrict([9])
@@ -460,10 +469,10 @@ class TestPartition:
         with pytest.raises(KeyError):
             empty.restrict([0])
         # non-contiguous labels: unsorted, repeated input restricts by label
-        sparse = Partition.from_sides([10, 42], [7, 99])
-        assert sparse.restrict([99, 10, 99]) == Partition.from_sides([10], [99])
+        sparse = sides([10, 42], [7, 99])
+        assert sparse.restrict([99, 10, 99]) == sides([10], [99])
         assert sparse.restrict(v for v in (99, 10)) == sparse.restrict({10, 99})
-        assert sparse.restrict(np.int64(42)) == sparse.restrict(42) == Partition.from_sides([42], [])
+        assert sparse.restrict(np.int64(42)) == sparse.restrict(42) == sides([42], [])
         assert len(sparse.restrict([])) == 0
         for outside in ([8], [0], [100], [-1]):
             with pytest.raises(KeyError):
@@ -475,17 +484,17 @@ class TestPartition:
 
     def test_restrict_rejects_non_integer_labels(self):
         # [0.2, 2.9] used to restrict to the vertices 0 and 2
-        p = Partition.from_sides([0, 2], [1, 3])
+        p = sides([0, 2], [1, 3])
         with pytest.raises(ValueError, match="vertices must be whole numbers"):
             p.restrict([0.2, 2.9])
-        assert p.restrict([2.0, 0.0]) == Partition.from_sides([0, 2], [])
+        assert p.restrict([2.0, 0.0]) == sides([0, 2], [])
 
 
 class TestSampleSbm:
     def test_degenerate_rates_force_graph(self):
         g, planted = sample_sbm(SbmParams(2, 2, 1.0, 0.0), seed=123)
         assert edge_set(g) == {(0, 1), (2, 3)}
-        assert planted == Partition.from_sides([0, 1], [2, 3])
+        assert planted == sides([0, 1], [2, 3])
 
     def test_all_ones_gives_complete_graph(self):
         g, _ = sample_sbm(SbmParams(3, 3, 1.0, 1.0), seed=9)

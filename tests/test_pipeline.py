@@ -14,6 +14,7 @@ from sketchbisect import (
     Graph,
     LogScaleParams,
     Partition,
+    SbmParams,
     SketchConfig,
     SolverConfig,
     TIE_FAIL,
@@ -38,7 +39,7 @@ from sketchbisect import experiments, pipeline
 from sketchbisect.certificate import ZOperator
 from sketchbisect.encoding import checked_mu
 
-from conftest import pairwise_sample_sbm, spy_symmetric_builds
+from conftest import pairwise_sample_sbm, sides, spy_symmetric_builds
 
 
 def spy_solutions(monkeypatch, log):
@@ -153,17 +154,17 @@ class TestVoteExtend:
         # 2 and 3 see only the non-empty side; 4 sees no seed at all
         g = Graph(5, [(0, 1), (0, 2), (1, 3), (2, 3)])
         part, unassigned = vote_extend(g, [], [0, 1])
-        assert part == Partition.from_sides([], [0, 1, 2, 3])
+        assert part == sides([], [0, 1, 2, 3])
         assert list(unassigned) == [4]
         part, unassigned = vote_extend(g, [0], [], tie_rule=TIE_TO_FIRST)
         assert unassigned.size == 0
-        assert part == Partition.from_sides([0, 1, 2, 3, 4], [])
+        assert part == sides([0, 1, 2, 3, 4], [])
 
     def test_no_outsiders_is_identity(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
         part, unassigned = vote_extend(g, [0, 1], [2, 3])
         assert unassigned.size == 0
-        assert part == Partition.from_sides([0, 1], [2, 3])
+        assert part == sides([0, 1], [2, 3])
 
     @pytest.mark.parametrize("labels", ["contiguous", "non-contiguous"])
     def test_votes_follow_the_dense_margins(self, labels):
@@ -264,6 +265,24 @@ class TestSketchConfig:
     def test_booleans_are_not_rates(self, call, message, flag):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(flag)
+
+    # A rate or offset is a Python or numpy real: a string or a 0-d array is
+    # not read through float(), and a boolean is not read as 1 or 0.
+    @pytest.mark.parametrize("value", ["0.5", np.array(0.5), True, np.True_], ids=repr)
+    @pytest.mark.parametrize("call, message", [
+        (lambda v: SketchConfig(mu=v), "mu must be a finite non-negative number"),
+        (lambda v: check_certificate(Graph(2, [(0, 1)]), Partition([0, 1], [1, -1]), v),
+         "mu must be a finite non-negative number"),
+        (lambda v: bernoulli_vertex_sample(Graph(3), v, 0), "gamma must lie in [0, 1]"),
+        (lambda v: SbmParams(2, 2, v, 0.1), "p must lie in [0, 1], got {}"),
+        (lambda v: SbmParams(2, 2, 0.5, v), "q must lie in [0, 1], got {}"),
+    ], ids=["SketchConfig.mu", "check_certificate", "bernoulli_vertex_sample", "SbmParams.p",
+            "SbmParams.q"])
+    def test_rates_are_non_boolean_reals(self, call, message, value):
+        with pytest.raises(ValueError, match=f"^{re.escape(message.format(value))}$"):
+            call(value)
+        for real in (np.float64(0.5), np.float32(0.5)):
+            call(real)
 
     def test_gamma_is_auto_or_a_real(self):
         for bad in ("0.5", "AUTO", math.nan, np.array(0.5), None):
@@ -442,13 +461,13 @@ class TestSketchAndSolve:
         graph, _ = sample_sbm(params, seed=1)
         full = full_solve(graph, mu=0.0)
         assert full.certificate.verdict == CERTIFIED
-        assert full.full_partition.n_minus == 0
+        assert np.count_nonzero(full.full_partition.signs == -1) == 0
         result = sketch_and_solve(graph, SketchConfig(gamma=0.3, mu=0.0, seed=0))
         assert result.certificate.verdict == CERTIFIED
         assert not result.fell_back_random
-        assert result.sketch_partition.n_minus == 0
-        assert result.full_partition.n_minus == 0
-        assert result.full_partition.n_plus + result.unassigned.size == 200
+        assert np.count_nonzero(result.sketch_partition.signs == -1) == 0
+        assert np.count_nonzero(result.full_partition.signs == -1) == 0
+        assert np.count_nonzero(result.full_partition.signs == 1) + result.unassigned.size == 200
 
     def test_auto_gamma_pipeline_recovers_strong_signal(self):
         params = LogScaleParams(50, 1, 300).to_sbm_params()

@@ -30,6 +30,7 @@ from conftest import (
     random_test_graph,
     recording_loop,
     reference_solve_sdp,
+    sides,
 )
 
 
@@ -416,12 +417,12 @@ class TestObjectiveValue:
 
     def test_single_edge_split(self):
         k2 = Graph(2, [(0, 1)])
-        part = Partition.from_sides([0], [1])
+        part = sides([0], [1])
         assert objective_value(k2, 1.0, part) == -2.0
 
     def test_triangle_all_ones(self):
         k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-        part = Partition.from_sides([0, 1, 2], [])
+        part = sides([0, 1, 2], [])
         assert objective_value(k3, 0.0, part) == 6.0
 
     def test_matches_dense_quadratic_form(self):
@@ -466,10 +467,10 @@ class TestBruteForceMax:
         k4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
         part, val = brute_force_max(k4, 0.0, balanced_only=True)
         assert val == -4.0
-        assert part.n_plus == 2
+        assert np.count_nonzero(part.signs == 1) == 2
         # deterministic tie-break: lexicographically smallest with g_0 = +1,
         # scanning -1 before +1, is (+1, -1, -1, +1)
-        assert part == Partition.from_sides([0, 3], [1, 2])
+        assert part == sides([0, 3], [1, 2])
 
     def test_isolated_pair(self):
         _, val = brute_force_max(Graph(2, []), 0.0, balanced_only=True)
