@@ -2,16 +2,13 @@
 
 Takes correct labels on a random fraction of the vertices and lets the
 vote rule assign everyone else: join the side you have strictly more
-edges into. Shows how the failure mode (a tied vertex) is handled by
-each tie rule, and how recovery sharpens as the labelled fraction grows
-past the vote threshold.
+edges into. Shows how recovery sharpens as the labelled fraction grows
+past the vote threshold, and how many vertices the failure mode (a tie)
+leaves unassigned when the labelling is very sparse.
 """
 
 from sketchbisect import (
     LogScaleParams,
-    TIE_FAIL,
-    TIE_RANDOM,
-    TIE_TO_FIRST,
     bernoulli_vertex_sample,
     sample_sbm,
     vote_extend,
@@ -40,21 +37,20 @@ def main():
             graph, planted = sample_sbm(params, seed=100 + s)
             kept = bernoulli_vertex_sample(graph, gamma, seed=200 + s)
             plus, minus = oracle_sides(planted, kept)
-            part, unassigned = vote_extend(graph, plus, minus, tie_rule=TIE_FAIL)
+            part, unassigned = vote_extend(graph, plus, minus)
             wins += unassigned.size == 0 and part.equals_up_to_flip(planted)
         marker = "above" if gamma > threshold else "below"
         print(f"  gamma={gamma:.2f} ({marker} threshold): {wins}/20")
 
     # with a very sparse labelling some vertices have equally many edges
-    # into both sides; each tie rule handles them differently
+    # into both sides; the vote leaves each of them unassigned
     graph, planted = sample_sbm(params, seed=100)
     kept = bernoulli_vertex_sample(graph, 0.05, seed=200)
     plus, minus = oracle_sides(planted, kept)
-    print(f"\ntie rules with only {len(plus) + len(minus)} labelled vertices:")
-    for rule in (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM):
-        part, unassigned = vote_extend(graph, plus, minus, tie_rule=rule, seed=9)
-        print(f"  {rule:10s} unassigned={unassigned.size:3d} "
-              f"recovered={unassigned.size == 0 and part.equals_up_to_flip(planted)}")
+    _, unassigned = vote_extend(graph, plus, minus)
+    print(f"\ngamma=0.05, only {len(plus) + len(minus)} labelled vertices: "
+          f"{unassigned.size} of {graph.num_vertices - len(kept)} outside vertices tied, "
+          f"left unassigned")
 
 
 if __name__ == "__main__":

@@ -48,8 +48,6 @@ from .graphs import (
 )
 from .pipeline import (
     TIE_FAIL,
-    TIE_RANDOM,
-    TIE_TO_FIRST,
     PipelineResult,
     SketchConfig,
     auto_gamma,
@@ -106,8 +104,6 @@ __all__ = [
     "SolverConfig",
     "ThresholdReport",
     "TIE_FAIL",
-    "TIE_RANDOM",
-    "TIE_TO_FIRST",
     "auto_gamma",
     "bernoulli_vertex_sample",
     "brute_force_max",

@@ -57,8 +57,8 @@ def mu_concentration_bound(n, c):
     ``n`` is a finite real n >= 2, so the bound can be evaluated along a
     continuous curve; ``c`` is a finite non-negative constant.
     """
-    if not 2 <= n < math.inf:
+    if not (is_real(n) and 2 <= n < math.inf):
         raise ValueError("n must be finite and at least 2")
-    if not 0 <= c < math.inf:
+    if not (is_real(c) and 0 <= c < math.inf):
         raise ValueError("c must be finite and non-negative")
     return c * math.log(n) / n**1.5

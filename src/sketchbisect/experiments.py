@@ -56,13 +56,14 @@ class GridSpec:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "betas", tuple(float(b) for b in self.betas))
-        object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))
-        if not self.alphas or not self.betas:
+        alphas, betas = tuple(self.alphas), tuple(self.betas)
+        if not alphas or not betas:
             raise ValueError("grid must be non-empty")
-        for alpha, beta in itertools.product(self.alphas, self.betas):
+        for alpha, beta in itertools.product(alphas, betas):
             LogScaleParams(alpha, beta, self.n)
+        object.__setattr__(self, "alphas", tuple(map(float, alphas)))
+        object.__setattr__(self, "betas", tuple(map(float, betas)))
+        object.__setattr__(self, "methods", tuple(dict.fromkeys(self.methods)))
         _block_sizes(self.n, self.n1, self.n2)
         checked_int(self.reps, "reps", 1)
         checked_int(self.base_seed, "base_seed")

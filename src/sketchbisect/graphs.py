@@ -138,15 +138,15 @@ def _rows_of(ids, vertices):
 def _whole_numbers(values, name):
     """``values`` as an integer array; integers narrower than uint64 keep their width.
 
-    uint64, floats, booleans and Python objects must hold whole numbers
-    within int64 and become int64; anything else raises ValueError naming
-    ``name``.
+    uint64, floats and Python objects must hold whole numbers within int64
+    and become int64; anything else, booleans included, raises ValueError
+    naming ``name``.
     """
     a = np.asarray(values)
     if a.dtype.kind == "i" or (a.dtype.kind == "u" and a.dtype.itemsize < 8):
         return a
     whole = False
-    if a.dtype.kind in "ubfO":
+    if a.dtype.kind in "ufO":
         with np.errstate(invalid="ignore"):
             try:
                 ints = a.astype(np.int64)

@@ -19,11 +19,9 @@ from .encoding import checked_mu, estimate_mu
 from .graphs import Partition, _distinct_labels, bernoulli_vertex_sample, induced_subgraph
 from .seeding import checked_int, is_real, spawn_seed
 from .solver import DEFAULT_MAX_SWEEPS, SolverConfig, _sweep_checkpoints, solve_sdp
-from .thresholds import conjectured_gamma_threshold
+from .thresholds import _check_finite, _is_finite, conjectured_gamma_threshold
 
 TIE_FAIL = "FAIL"
-TIE_TO_FIRST = "TO_FIRST"
-TIE_RANDOM = "RANDOM"
 
 
 def checked_gamma(gamma):
@@ -42,11 +40,12 @@ class SketchConfig:
     ``gamma`` and ``mu`` accept either a number or "auto". Automatic gamma
     needs the log-scale rates ``alpha`` and ``beta``; automatic mu is the
     observed edge density of the full graph; given values pass
-    ``checked_gamma`` and ``checked_mu``. ``max_sweeps`` is the solver's
+    ``checked_gamma`` and ``checked_mu``, and a given ``alpha`` or ``beta``
+    must be a finite non-boolean real. ``max_sweeps`` is the solver's
     sweep budget, and 0 keeps only the spectral cut. ``seed`` drives the
     vertex sample, the solver initialization and the fallback coins,
-    through three independent derived streams. The vote has no setting: the pipeline votes with
-    ``TIE_FAIL`` (see ``sketch_and_solve``).
+    through three independent derived streams. The vote has no setting
+    (see ``vote_extend``).
     """
 
     gamma: object = "auto"
@@ -58,8 +57,10 @@ class SketchConfig:
 
     def __post_init__(self):
         checked_gamma(self.gamma)
-        if self.mu != "auto":
+        if not (isinstance(self.mu, str) and self.mu == "auto"):
             checked_mu(self.mu)
+        if not all(r is None or _is_finite(r) for r in (self.alpha, self.beta)):
+            _check_finite(self.alpha, self.beta)
         checked_int(self.max_sweeps, "max_sweeps")
         checked_int(self.seed, "seed")
 
@@ -83,22 +84,20 @@ def auto_gamma(alpha, beta):
     return min(1.0, 2.0 * conjectured_gamma_threshold(alpha, beta))
 
 
-def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
+def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL):
     """Assign every vertex outside the two seed sets by majority vote.
 
-    A vertex joins the side it has strictly more edges to. Ties follow
-    ``tie_rule``: FAIL leaves the vertex unassigned, TO_FIRST sends it to
-    the +1 side, RANDOM flips a fair coin per tied vertex (in ascending
-    vertex order, driven by ``seed``); any other rule raises ValueError
-    before any work. One seed side may be empty, as for the all-ones cut
-    that is optimal at small mu; then every vertex with a seed neighbour
-    joins the other side and the rest are ties. Each side is an array or
-    any iterable of whole-number labels (ValueError otherwise); repeats
-    count once. Returns the partition over all assigned vertices plus the
-    array of unassigned labels. The margins are read off ``graph.upper``,
-    so the vote builds no symmetric CSR of the full graph.
+    A vertex joins the side it has strictly more edges to; a tied vertex
+    stays unassigned. ``tie_rule`` has one value, ``TIE_FAIL``; any other
+    raises ValueError before any work. One seed side may be empty, as for
+    the all-ones cut that is optimal at small mu; then every vertex with a
+    seed neighbour joins the other side and the rest are ties. Each side is
+    an array or any iterable of whole-number labels (ValueError otherwise);
+    repeats count once. Returns the partition over all assigned vertices
+    plus the array of unassigned labels. The margins are one
+    ``graph.matvec``, so the vote builds no symmetric CSR of the full graph.
     """
-    if tie_rule not in (TIE_FAIL, TIE_TO_FIRST, TIE_RANDOM):
+    if not (isinstance(tie_rule, str) and tie_rule == TIE_FAIL):
         raise ValueError(f"unknown tie rule {tie_rule!r}")
     plus = _distinct_labels(side_plus, "seed labels")
     minus = _distinct_labels(side_minus, "seed labels")
@@ -110,24 +109,10 @@ def vote_extend(graph, side_plus, side_minus, tie_rule=TIE_FAIL, seed=0):
     signs = np.zeros(graph.num_vertices, dtype=np.int8)
     signs[graph.indices_of(plus)] = 1
     signs[graph.indices_of(minus)] = -1
-    seed_rows = np.flatnonzero(signs)
     outside = np.flatnonzero(signs == 0)
-
-    # (edges to plus) - (edges to minus) from the upper triangle and the
-    # transpose of its seed rows, the only rows with a non-zero sign:
-    # integer sums, so exact in floats and equal to A @ s
-    upper = graph.upper
-    margin = (upper @ signs + upper[seed_rows].T @ signs[seed_rows])[outside]
-    signs[outside] = np.sign(margin)
-
-    tied = outside[margin == 0]
-    if tied.size:
-        if tie_rule == TIE_TO_FIRST:
-            signs[tied] = 1
-        elif tie_rule == TIE_RANDOM:
-            rng = np.random.default_rng(seed)
-            signs[tied] = np.where(rng.random(tied.size) < 0.5, 1, -1)
-        # TIE_FAIL leaves them at 0: unassigned
+    # (edges to plus) - (edges to minus): integer sums, so exact in floats;
+    # a zero margin leaves the vertex at 0, unassigned
+    signs[outside] = np.sign(graph.matvec(signs)[outside])
 
     kept = signs != 0
     return Partition(graph.vertex_ids[kept], signs[kept]), graph.vertex_ids[~kept]
@@ -151,10 +136,9 @@ def sketch_and_solve(graph, config=None):
     deterministic. ``timings["solve"]`` sums the spectral cut and the
     sweeps, ``timings["certify"]`` the certificate calls.
 
-    Vertices outside the sketch are then placed by ``vote_extend`` with its
-    default rule, ``TIE_FAIL``: a tied vertex stays in ``unassigned``, so
-    ``recovered_planted`` is False for that run. A caller who wants another
-    tie rule calls ``vote_extend`` on ``result.sketch_partition``.
+    Vertices outside the sketch are then placed by ``vote_extend``: a tied
+    vertex stays in ``unassigned``, so ``recovered_planted`` is False for
+    that run.
     """
     config = config or SketchConfig()
     timings = {}

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import is_real
+
 RECOVERABLE = "RECOVERABLE"
 IMPOSSIBLE = "IMPOSSIBLE"
 BOUNDARY = "BOUNDARY"
@@ -37,8 +39,13 @@ BOUNDARY = "BOUNDARY"
 _BOUNDARY_TOL = 1e-12
 
 
+def _is_finite(x):
+    """True for a finite Python or numpy real that is not a boolean."""
+    return is_real(x) and math.isfinite(x)
+
+
 def _check_finite(alpha, beta):
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    if not (_is_finite(alpha) and _is_finite(beta)):
         raise ValueError(f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}")
 
 
@@ -85,11 +92,11 @@ def sdp_success_bound(n1, n2, p, q, mu):
     The bound is returned as computed: it can be negative (vacuous) for
     weak parameters, and clamping is left to display layers.
     """
-    if not (1 <= n1 < math.inf and 1 <= n2 < math.inf):
+    if not (_is_finite(n1) and _is_finite(n2) and n1 >= 1 and n2 >= 1):
         raise ValueError("block sizes must be finite and positive")
-    if not 0.0 < q < p <= 1.0:
+    if not (is_real(p) and is_real(q) and 0.0 < q < p <= 1.0):
         raise ValueError("need rates with 0 < q < p <= 1")
-    if not q < mu < math.inf:
+    if not (_is_finite(mu) and mu > q):
         raise ValueError("mu must be finite and exceed q")
     n = n1 + n2
     m = abs(n1 - n2)
@@ -109,7 +116,7 @@ def unbalanced_recovery_condition(alpha, beta, delta):
     is the balanced case.
     """
     _check_rates(alpha, beta)
-    if not 0.0 <= delta < math.inf:
+    if not (_is_finite(delta) and delta >= 0.0):
         raise ValueError("delta must be finite and non-negative")
     return bool(
         3.0 * (alpha - beta) ** 2
@@ -132,7 +139,8 @@ class ThresholdReport:
 
 def threshold_report(alpha, beta, delta=0.0):
     """All threshold quantities for one (alpha, beta) point."""
-    _check_rates(alpha, beta)
+    # checks the rates and delta before float() reads them
+    holds = unbalanced_recovery_condition(alpha, beta, delta)
     phase = recovery_phase(alpha, beta)
     return ThresholdReport(
         alpha=float(alpha),
@@ -143,13 +151,13 @@ def threshold_report(alpha, beta, delta=0.0):
         vote_gamma=vote_gamma_threshold(alpha, beta),
         sketch_gamma=sketch_gamma_threshold(alpha, beta),
         conjectured_gamma=conjectured_gamma_threshold(alpha, beta),
-        unbalanced_condition_holds=unbalanced_recovery_condition(alpha, beta, delta),
+        unbalanced_condition_holds=holds,
     )
 
 
 def phase_boundary_curve(betas):
     """The exact-recovery boundary alpha = (sqrt(beta) + sqrt(2))^2."""
-    b = np.asarray(betas, dtype=np.float64)
-    if not np.all((b > 0) & (b < np.inf)):
+    b = np.asarray(betas)
+    if b.dtype.kind not in "iuf" or not np.all((b > 0) & (b < np.inf)):
         raise ValueError("beta must be finite and positive")
-    return (np.sqrt(b) + math.sqrt(2.0)) ** 2
+    return (np.sqrt(b.astype(np.float64)) + math.sqrt(2.0)) ** 2

@@ -126,17 +126,17 @@ class TestGridSpec:
         refused("n1 + n2 must equal n", n1=3, n2=8)
         refused("base_seed must be non-negative", base_seed=-1)
         # a rate <= 0 would only fail or skip its cells, so the grid is refused,
-        # in the words of the model that would refuse the cell
-        refused("alpha and beta must be finite, got alpha=nan, beta=1.0", alphas=(4, math.nan))
-        refused("alpha and beta must be finite, got alpha=4.0, beta=inf", betas=(math.inf,))
+        # in the words of the model that would refuse the cell, naming the values as given
+        refused("alpha and beta must be finite, got alpha=nan, beta=1", alphas=(4, math.nan))
+        refused("alpha and beta must be finite, got alpha=4, beta=inf", betas=(math.inf,))
         for rates in (dict(betas=(0,)), dict(alphas=(4, -1)), dict(alphas=(-2,), betas=(1,))):
             refused("alpha and beta must be positive", **rates)
 
     # One bad input each: the grid refuses it with the text of the model call
     # that owns the rule.
     @pytest.mark.parametrize("fields, model", [
-        (dict(alphas=(math.nan,)), lambda: LogScaleParams(math.nan, 1.0, 10)),
-        (dict(betas=(math.inf,)), lambda: LogScaleParams(4.0, math.inf, 10)),
+        (dict(alphas=(math.nan,)), lambda: LogScaleParams(math.nan, 1, 10)),
+        (dict(betas=(math.inf,)), lambda: LogScaleParams(4, math.inf, 10)),
         (dict(betas=(0,)), lambda: LogScaleParams(4.0, 0.0, 10)),
         (dict(alphas=(-3,)), lambda: LogScaleParams(-3.0, 1.0, 10)),
         (dict(n=1), lambda: LogScaleParams(4.0, 1.0, 1)),

@@ -200,9 +200,12 @@ class TestGraphConstruction:
         ([(0, 1)], np.array([0.0, 1.0, float("nan")])),
         (np.array([[0, 2**64 - 1]], dtype=np.uint64), None),
         ([(0, 1)], np.array([0, 1, 2**63], dtype=np.uint64)),
+        ([[True, False]], None),
+        ([(0, 1)], np.array([False, True, True])),
     ])
     def test_non_integer_ids_raise(self, edges, vertex_ids):
-        # they used to be truncated: (0.5, 1.9) built the edge (0, 1)
+        # they used to be truncated: (0.5, 1.9) built the edge (0, 1), and
+        # [[True, False]] the edge (0, 1)
         with pytest.raises(ValueError, match="whole numbers within int64"):
             Graph(3, edges, vertex_ids=vertex_ids)
 
@@ -439,6 +442,11 @@ class TestPartition:
             Partition(np.array([2**63], dtype=np.uint64), [1])  # used to wrap to -2**63
         with pytest.raises(ValueError, match="signs must be whole numbers"):
             Partition([0, 1], [1.5, -1])
+        # a boolean is not a label or a sign: [True, True] used to be a +2/-0 cut
+        with pytest.raises(ValueError, match="signs must be whole numbers"):
+            Partition([0, 1], [True, True])
+        with pytest.raises(ValueError, match="ids must be whole numbers"):
+            Partition(np.array([False, True]), [1, -1])
         assert Partition([1.0, 0.0], [-1.0, 1.0]) == sides([0], [1])
 
     def test_sign_vector_alignment(self):
@@ -825,6 +833,8 @@ class TestInducedSubgraph:
             induced_subgraph(path, [0.5, 1.9, 2.2])
         with pytest.raises(ValueError, match="vertices must be whole numbers"):
             induced_subgraph(path, ["1", "2"])
+        with pytest.raises(ValueError, match="vertices must be whole numbers"):
+            induced_subgraph(path, [True, False])
         assert edge_set(induced_subgraph(path, np.array([2.0, 3.0, 0.0]))) == {(2, 3)}
         assert induced_subgraph(path, (v for v in (3, 2, 0))) == induced_subgraph(path, [0, 2, 3])
         assert induced_subgraph(path, 2) == induced_subgraph(path, [2.0])

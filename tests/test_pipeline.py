@@ -18,8 +18,6 @@ from sketchbisect import (
     SketchConfig,
     SolverConfig,
     TIE_FAIL,
-    TIE_RANDOM,
-    TIE_TO_FIRST,
     auto_gamma,
     bernoulli_vertex_sample,
     check_certificate,
@@ -35,6 +33,7 @@ from sketchbisect import (
     spawn_seed,
     vote_extend,
 )
+import sketchbisect
 from sketchbisect import experiments, pipeline
 from sketchbisect.certificate import ZOperator
 from sketchbisect.encoding import checked_mu
@@ -89,20 +88,7 @@ class TestVoteExtend:
         assert list(unassigned) == [4]
         assert 4 not in part.ids
 
-        part, unassigned = vote_extend(g, [0, 1], [2, 3], tie_rule=TIE_TO_FIRST)
-        assert unassigned.size == 0
-        assert part.sign_of(4) == 1
-
-        seen = set()
-        for seed in range(20):
-            part, unassigned = vote_extend(
-                g, [0, 1], [2, 3], tie_rule=TIE_RANDOM, seed=seed
-            )
-            assert unassigned.size == 0
-            seen.add(part.sign_of(4))
-        assert seen == {1, -1}
-
-    @pytest.mark.parametrize("rule", ["bogus", "fail", None])
+    @pytest.mark.parametrize("rule", ["bogus", "fail", None, "TO_FIRST", "RANDOM"])
     def test_unknown_tie_rule_rejected(self, rule):
         # rejected even where no vertex ties
         g = Graph(5, [(4, 0), (4, 1), (4, 2)])
@@ -110,11 +96,13 @@ class TestVoteExtend:
         with pytest.raises(ValueError, match=message):
             vote_extend(g, [0, 1], [2, 3], tie_rule=rule)
 
-    def test_random_ties_reproducible(self):
-        g = Graph(6, [(4, 0), (4, 2), (5, 1), (5, 3)])
-        a = vote_extend(g, [0, 1], [2, 3], tie_rule=TIE_RANDOM, seed=11)
-        b = vote_extend(g, [0, 1], [2, 3], tie_rule=TIE_RANDOM, seed=11)
-        assert a[0] == b[0]
+    def test_one_rule_and_no_seed(self):
+        # the vote draws no random numbers, so it takes no seed
+        g = Graph(5, [(4, 0), (4, 2)])
+        with pytest.raises(TypeError):
+            vote_extend(g, [0, 1], [2, 3], seed=1)
+        assert not {"TIE_TO_FIRST", "TIE_RANDOM"} & set(dir(sketchbisect))
+        assert not {"TIE_TO_FIRST", "TIE_RANDOM"} & set(dir(pipeline))
 
     def test_seeds_keep_their_sides(self):
         g = Graph(4, [(0, 1), (2, 3), (0, 2)])
@@ -136,6 +124,8 @@ class TestVoteExtend:
             vote_extend(g, [0.2], [2.9])
         with pytest.raises(ValueError, match="seed labels must be whole numbers"):
             vote_extend(g, [0], np.array([3.0, float("nan")]))
+        with pytest.raises(ValueError, match="seed labels must be whole numbers"):
+            vote_extend(g, [True], [3])
 
     def test_seed_sides_from_any_iterable(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -156,9 +146,6 @@ class TestVoteExtend:
         part, unassigned = vote_extend(g, [], [0, 1])
         assert part == sides([], [0, 1, 2, 3])
         assert list(unassigned) == [4]
-        part, unassigned = vote_extend(g, [0], [], tie_rule=TIE_TO_FIRST)
-        assert unassigned.size == 0
-        assert part == sides([0, 1, 2, 3, 4], [])
 
     def test_no_outsiders_is_identity(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)])
@@ -283,6 +270,38 @@ class TestSketchConfig:
             call(value)
         for real in (np.float64(0.5), np.float32(0.5)):
             call(real)
+
+    # The log-scale rates take the same test wherever they enter, before any work
+    @pytest.mark.parametrize("value", ["1", True, np.True_, np.array(1.0)], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda a, b: LogScaleParams(a, b, 400),
+        lambda a, b: experiments.GridSpec(alphas=(a,), betas=(b,), n=10, reps=1),
+        lambda a, b: SketchConfig(gamma=0.5, alpha=a, beta=b),
+        auto_gamma,
+    ], ids=["LogScaleParams", "GridSpec", "SketchConfig", "auto_gamma"])
+    def test_log_scale_rates_are_non_boolean_reals(self, call, value):
+        for alpha, beta in ((value, 0.5), (6.0, value)):
+            want = f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}"
+            with pytest.raises(ValueError) as exc:
+                call(alpha, beta)
+            assert str(exc.value) == want
+        call(np.float64(6.0), np.float32(0.5))
+
+    def test_one_given_rate_is_checked(self):
+        # a lone rate is checked as a pair is; a grid stores its checked rates as floats
+        with pytest.raises(ValueError, match=r"^alpha and beta must be finite, got alpha='50', beta=None$"):
+            SketchConfig(alpha="50")
+        assert SketchConfig(beta=np.int64(2)).beta == 2
+        grid = experiments.GridSpec(alphas=(6, np.float32(7.5)), betas=(np.int64(1),), n=10, reps=1)
+        assert grid.alphas == (6.0, 7.5) and grid.betas == (1.0,)
+        assert all(type(r) is float for r in grid.alphas + grid.betas)
+
+    def test_auto_mu_is_the_string(self):
+        # an array mu used to be compared with "auto" elementwise
+        for bad in (np.array([0.5, 0.6]), np.array("auto"), "AUTO"):
+            with pytest.raises(ValueError, match=r"^mu must be a finite non-negative number$"):
+                SketchConfig(mu=bad)
+        assert SketchConfig(mu="auto").mu == "auto"
 
     def test_gamma_is_auto_or_a_real(self):
         for bad in ("0.5", "AUTO", math.nan, np.array(0.5), None):

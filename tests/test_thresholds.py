@@ -90,6 +90,32 @@ class TestNonFiniteRates:
         with pytest.raises(ValueError, match=rf"^{name} must be finite and "):
             call(value)
 
+    # a string, a boolean or a 0-d array is not a rate: "1" used to escape as
+    # TypeError, and True to pass as 1
+    NON_REALS = ["1", True, np.True_, np.array(1.0)]
+
+    @pytest.mark.parametrize("value", NON_REALS, ids=repr)
+    @pytest.mark.parametrize("name", CHECKS)
+    def test_non_reals_rejected_with_one_message(self, name, value):
+        for alpha, beta in ((value, 0.5), (60.0, value)):
+            want = f"alpha and beta must be finite, got alpha={alpha!r}, beta={beta!r}"
+            with pytest.raises(ValueError) as exc:
+                self.CHECKS[name](alpha, beta)
+            assert str(exc.value) == want
+
+    @pytest.mark.parametrize("value", NON_REALS, ids=repr)
+    @pytest.mark.parametrize("argument", [a for a in OTHER_ARGUMENTS if a != "phase_boundary_curve.beta"])
+    def test_other_arguments_must_be_reals(self, argument, value):
+        name, call = self.OTHER_ARGUMENTS[argument]
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and "):
+            call(value)
+
+    @pytest.mark.parametrize("value", NON_REALS, ids=repr)
+    def test_success_bound_rates_must_be_reals(self, value):
+        for p, q in ((value, 0.1), (0.9, value)):
+            with pytest.raises(ValueError, match=r"^need rates with 0 < q < p <= 1$"):
+                sdp_success_bound(5, 5, p, q, 0.95)
+
     def test_large_finite_rates_still_accepted(self):
         assert recovery_phase(1e300, 1.0) == RECOVERABLE
         assert conjectured_gamma_threshold(1e300, 1.0) > 0.0
@@ -268,3 +294,7 @@ class TestPhaseBoundaryCurve:
     def test_validation(self):
         with pytest.raises(ValueError):
             phase_boundary_curve([1.0, 0.0])
+        # strings and booleans used to be read as numbers
+        for betas in (["1"], np.array([True, True])):
+            with pytest.raises(ValueError, match=r"^beta must be finite and positive$"):
+                phase_boundary_curve(betas)
