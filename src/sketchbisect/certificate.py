@@ -11,11 +11,25 @@ Z restricted to the complement of g is positive definite), then g g^T is
 the unique optimum of the unit-diagonal SDP, so the cut needs no further
 search.
 
-The check is matrix-free: the bottom of the spectrum on the complement of
-g is bracketed with a deflated Lanczos iteration (fully reorthogonalized,
-restarting on breakdown) whose Ritz residuals give certified two-sided
-bounds. The same loop, undeflated, finds the solver's sweep-0 spectral
-cut; it is the package's only Krylov iteration.
+The check is matrix-free. A decided check ends in one of three ways:
+
+- Diagonal refutation (NOT_CERTIFIED, no Krylov step). With Zg = 0 the
+  unit multiple w of e_i - (g_i/n) g is orthogonal to g and has Rayleigh
+  quotient Z_ii * n/(n - 1), so a negative enough diagonal entry is a
+  witness.
+- Krylov refutation (NOT_CERTIFIED). Otherwise the bottom of the spectrum
+  on the complement of g is bracketed with a deflated Lanczos iteration
+  (fully reorthogonalized, restarting on breakdown), whose Ritz pairs are
+  checked every fifth step with an explicit residual. A Ritz vector with
+  a negative quotient is a witness.
+- Krylov proof (CERTIFIED): a checked Ritz pair whose positive bound
+  rq - res is tight.
+
+Anything else is INCONCLUSIVE. ``iterations`` counts Krylov steps and
+``matvecs`` products with A: the one that builds Z's diagonal and gives
+Zg, one per Krylov step and one per Ritz check. The same loop, undeflated,
+finds the solver's sweep-0 spectral cut; it is the package's only Krylov
+iteration.
 """
 
 import math
@@ -63,7 +77,10 @@ class ZOperator:
         self._graph = graph
         # D_in - D_out = diag(g * (A g)): own-side minus other-side
         # neighbour counts, and n1 - n2 = sum(g), both exact in floats
-        self._diag = g * graph.matvec(g) - mu * g.sum() * g
+        ag = graph.matvec(g)
+        self._diag = g * ag - mu * g.sum() * g
+        # Z g from the same product, with the floats ``matvec(g)`` gives
+        self.zg = self._diag * g - ag + mu * g.sum()
         degrees = graph.degrees.astype(np.float64)
         # max row 1-norm: |Z_ii| + sum_j |Z_ij|; off-diagonals are -(1-mu)
         # on edges and mu on non-edges
@@ -77,6 +94,10 @@ class ZOperator:
     def matvec(self, x):
         return self._diag * x - self._graph.matvec(x) + self.mu * x.sum()
 
+    def diagonal(self):
+        """Z's diagonal: Z_ii = (D_in - D_out - mu*(n1 - n2)*diag(g))_ii + mu, since A_ii = 0."""
+        return self._diag + self.mu
+
     def dense(self):
         return np.diag(self._diag) - self._graph.matvec(np.eye(self.n)) + self.mu
 
@@ -85,8 +106,59 @@ def _project_out(x, g_unit):
     return x - (g_unit @ x) * g_unit
 
 
+class _Step:
+    """The Krylov state after ``k`` steps, as ``_lanczos_bottom`` yields it.
+
+    It reads the loop's arrays in place, so it is valid only until the loop
+    takes its next step. ``final`` is true when this step broke down (the
+    loop then restarts from a fresh direction, if one is left) or spent the
+    budget. ``estimate`` costs no operator application, ``ritz``
+    one; both read the same eigenpair of the small matrix.
+    """
+
+    def __init__(self, k, final, beta, tri, basis, matvec, project):
+        self.k = k
+        self.final = final
+        self._beta = beta
+        self._tri = tri
+        self._basis = basis
+        self._matvec = matvec
+        self._project = project
+        self._bottom = None
+
+    def _bottom_pair(self):
+        if self._bottom is None:
+            evals, evecs = np.linalg.eigh(self._tri[: self.k, : self.k])
+            self._bottom = float(evals[0]), evecs[:, 0]
+        return self._bottom
+
+    def estimate(self):
+        """(bottom Ritz value, beta_k * |s_k|), from the small matrix alone.
+
+        s_k is the last entry of its bottom eigenvector and beta_k the norm
+        of the step's new direction. In exact arithmetic the product is the
+        Ritz pair's residual norm; it decides only when to pay for ``ritz``.
+        """
+        theta, s = self._bottom_pair()
+        return theta, self._beta * abs(float(s[-1]))
+
+    def ritz(self):
+        """The bottom Ritz pair as (rayleigh quotient, true residual norm, unit
+        vector), recomputed from one explicit operator application, or None
+        when deflation leaves no Ritz vector (and nothing is applied)."""
+        _, s = self._bottom_pair()
+        y = self._project(self._basis[: self.k].T @ s)
+        ny = np.linalg.norm(y)
+        if ny < 1e-12:
+            return None
+        y /= ny
+        zy = self._matvec(y)
+        rq = float(y @ zy)
+        return rq, float(np.linalg.norm(zy - rq * y)), y
+
+
 def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
-    """Ritz pairs for the bottom of a symmetric operator, by Lanczos.
+    """The bottom of a symmetric operator, by Lanczos.
 
     Runs at most ``steps`` Krylov steps, which must not exceed the
     dimension of the searched space: n, or n - 1 when the unit vector
@@ -96,12 +168,20 @@ def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
     small matrix block tridiagonal — harmless, since the bounds come from
     explicit residuals, not from the recurrence.
 
-    Every fifth step, on breakdown and at the last step it yields
-    ``(steps taken, operator applications, ritz)``. ``ritz`` is the bottom
-    Ritz pair as (rayleigh quotient, true residual norm, unit vector),
-    recomputed from one explicit matvec, or None when deflation leaves no
-    Ritz vector. Each caller keeps its own stop rule and leaves the loop
-    when it is met.
+    After every step, one operator application each, it yields a ``_Step``.
+    The caller picks its checkpoints, asks for ``ritz()`` there, keeps its
+    own stop rule and leaves the loop when it is met:
+
+    - ``check_certificate`` checks every fifth step and every final one
+      (a breakdown or the last step). Its early-stop rule was gated on
+      that schedule (ROADMAP item 2), so the residual estimate never
+      picks its checkpoints.
+    - ``solver._spectral_vector`` reads ``estimate()`` at every step and
+      checks the steps whose estimate is within its tolerance, and the
+      final ones.
+
+    Each basis row is written before it is read, so the basis starts
+    uninitialised: a run fills a few of its rows, never all ``steps``.
     """
 
     def project(x):
@@ -119,18 +199,7 @@ def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
                 return x / nx
         return None
 
-    def ritz_pair(k):
-        evals, evecs = np.linalg.eigh(tri[:k, :k])
-        y = project(basis[:k].T @ evecs[:, 0])
-        ny = np.linalg.norm(y)
-        if ny < 1e-12:
-            return None
-        y /= ny
-        zy = matvec(y)
-        rq = float(y @ zy)
-        return rq, float(np.linalg.norm(zy - rq * y)), y
-
-    basis = np.zeros((steps, n))
+    basis = np.empty((steps, n))
     tri = np.zeros((steps, steps))
     breakdown = 1e-10 * max(1.0, scale)
     q = fresh_direction(0)
@@ -138,12 +207,10 @@ def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
         return
     beta = 0.0
     q_prev = np.zeros(n)
-    matvecs = 0
     k = 0
     while k < steps:
         basis[k] = q
         w = project(matvec(q))
-        matvecs += 1
         alpha = float(q @ w)
         tri[k, k] = alpha
         w -= alpha * q + beta * q_prev
@@ -153,11 +220,7 @@ def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
         k += 1
 
         broke = beta < breakdown
-        if broke or k % 5 == 0 or k == steps:
-            ritz = ritz_pair(k)
-            if ritz is not None:
-                matvecs += 1
-            yield k, matvecs, ritz
+        yield _Step(k, broke or k == steps, beta, tri, basis, matvec, project)
 
         if k == steps:
             return
@@ -171,29 +234,36 @@ def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
             q_prev, q = q, w / beta
 
 
+def _unit_witness(i, g_unit):
+    """The unit multiple of e_i - (g_i/n) g: e_i with g projected out."""
+    w = np.zeros(g_unit.shape[0])
+    w[i] = 1.0
+    w = _project_out(w, g_unit)
+    return w / np.linalg.norm(w)
+
+
 def check_certificate(graph, partition, mu):
     """Decide whether the cut is certified as the unique SDP optimum.
 
     CERTIFIED requires a proven lower bound lambda2_lower > margin for the
     spectrum of Z on the complement of g. NOT_CERTIFIED requires an
-    explicit witness direction with negative Rayleigh quotient. Anything
-    the iteration cannot separate from zero at the working margin is
-    INCONCLUSIVE, and so is a run that spends its step budget without a
-    decisive checkpoint; its ``lambda2_lower`` is the last checkpoint's
-    rq - res, which proves nothing. ``iterations`` counts Krylov steps;
-    ``matvecs`` counts every application of Z (the Zg check, the Krylov
-    steps and the Ritz checks).
+    explicit witness direction w, a unit vector orthogonal to g with
+    negative Rayleigh quotient ``witness_value``. Anything the iteration
+    cannot separate from zero at the working margin is INCONCLUSIVE, and
+    so is a run that spends its step budget without a decisive
+    checkpoint; its ``lambda2_lower`` is the last checkpoint's rq - res,
+    which proves nothing. See the module docstring for the three ways a
+    check ends and what ``iterations`` and ``matvecs`` count.
     """
     op = ZOperator(graph, partition, mu)
     n = op.n
     if n < 2:
         raise ValueError("certificate needs at least two vertices")
-    g = op.g
-    g_unit = g / math.sqrt(n)
-    zg = op.matvec(g)
-    zg_residual = float(np.abs(zg).max())
+    g_unit = op.g / math.sqrt(n)
+    zg_residual = float(np.abs(op.zg).max())
     margin = max(POSITIVE_MARGIN_REL * op.scale, 1e-10)
 
+    # every report counts the product A g that built Z's diagonal and Zg
     report = partial(CertificateReport, zg_residual=zg_residual, scale=op.scale)
     if zg_residual > RESIDUAL_REL * (1.0 + op.scale):
         return report(INCONCLUSIVE, 0.0, iterations=0, matvecs=1)
@@ -201,11 +271,18 @@ def check_certificate(graph, partition, mu):
     if op.scale == 0.0:
         # Z is identically zero: PSD but rank 0 < n - 1, so the optimum
         # is degenerate rather than uniquely g g^T.
-        w = np.zeros(n)
-        w[0] = 1.0
-        w = _project_out(w, g_unit)
-        w /= np.linalg.norm(w)
+        w = _unit_witness(0, g_unit)
         return report(NOT_CERTIFIED, 0.0, iterations=0, matvecs=1, witness=w, witness_value=0.0)
+
+    # The witness e_i - (g_i/n) g is orthogonal to g, and with Zg = 0 its
+    # Rayleigh quotient is Z_ii * n/(n - 1): a negative diagonal entry
+    # refutes the cut before any Krylov step.
+    z_diag = op.diagonal()
+    i = int(np.argmin(z_diag))
+    quotient = float(z_diag[i]) * n / (n - 1)
+    if quotient < -margin:
+        w = _unit_witness(i, g_unit)
+        return report(NOT_CERTIFIED, quotient, iterations=0, matvecs=1, witness=w, witness_value=quotient)
 
     # A checkpoint decides when its quotient is negative (refuted) or its
     # positive bound rq - res is tight (proven). A run that ends undecided,
@@ -213,7 +290,7 @@ def check_certificate(graph, partition, mu):
     # eigenvalue, and even the last, lowest one seen can sit above the
     # bottom of the spectrum. It reports INCONCLUSIVE with the last
     # checkpoint's rq - res, never an earlier, larger one.
-    checkpoints = _lanczos_bottom(
+    steps = _lanczos_bottom(
         op.matvec,
         n,
         min(LANCZOS_BUDGET, n - 1),
@@ -222,10 +299,15 @@ def check_certificate(graph, partition, mu):
         deflate=g_unit,
     )
     verdict, last, witness = INCONCLUSIVE, 0.0, {}
-    iterations = matvecs = 0
-    for iterations, matvecs, ritz in checkpoints:
+    iterations = ritz_checks = 0
+    for step in steps:
+        iterations = step.k
+        if not (step.final or step.k % 5 == 0):
+            continue
+        ritz = step.ritz()
         if ritz is None:
             continue
+        ritz_checks += 1
         rq, res, y = ritz
         last = rq - res
         if rq < -margin:
@@ -234,8 +316,8 @@ def check_certificate(graph, partition, mu):
         if last > margin and res <= 0.05 * abs(rq) + margin:
             verdict = CERTIFIED
             break
-    # + 1 for the Zg check
-    return report(verdict, last, iterations=iterations, matvecs=matvecs + 1, **witness)
+    # + 1 for A g
+    return report(verdict, last, iterations=iterations, matvecs=iterations + ritz_checks + 1, **witness)
 
 
 def exhaustive_unique_opt_check(graph, partition, mu):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .seeding import checked_int, is_real
+from .seeding import checked_int, holds_bool, is_real
 from .thresholds import _check_finite
 
 # Rows formatted per write by save_graph and save_partition.
@@ -139,10 +139,13 @@ def _whole_numbers(values, name):
     """``values`` as an integer array; integers narrower than uint64 keep their width.
 
     uint64, floats and Python objects must hold whole numbers within int64
-    and become int64; anything else, booleans included, raises ValueError
-    naming ``name``.
+    and become int64; anything else raises ValueError naming ``name``. A
+    boolean is no whole number, whether it is the array's dtype or an
+    element of a list or an object array (``seeding.holds_bool``).
     """
     a = np.asarray(values)
+    if holds_bool(values):
+        raise ValueError(f"{name} must be whole numbers within int64")
     if a.dtype.kind == "i" or (a.dtype.kind == "u" and a.dtype.itemsize < 8):
         return a
     whole = False

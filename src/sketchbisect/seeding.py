@@ -1,6 +1,7 @@
 """Deterministic derivation of independent child seeds, the integer check
-that every size, count and seed of the package goes through, and the real
-test that every rate and offset goes through."""
+that every size, count and seed of the package goes through, the real
+test that every rate and offset goes through, and the boolean scan of
+sequences of labels, signs and rates."""
 
 import numbers
 
@@ -25,6 +26,18 @@ def checked_int(value, name, minimum=0):
 def is_real(value):
     """True for a Python or numpy real number that is not a boolean; strings and arrays are not."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def holds_bool(values):
+    """True when a list, tuple or object array holds a Python or numpy boolean.
+
+    np.asarray reads [1.0, True] as floats and [True, 2] as integers, so
+    only the elements can tell. A typed numeric array holds no boolean and
+    is not scanned; a boolean array is found by its dtype.
+    """
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        return values.dtype.kind == "b"
+    return any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).ravel().tolist())
 
 
 def spawn_seed(seed, *path):

@@ -60,7 +60,8 @@ _BLOCK = 64
 _OBJECTIVE_TOL = 1e-9
 
 # Lanczos for the sweep-0 cut: step budget and relative Ritz residual at
-# which the leading pair counts as converged. When the budget runs out the
+# which the leading pair counts as converged, first by the loop's estimate,
+# then by one explicit residual. When the budget runs out the
 # last Ritz vector is kept: it only proposes a cut, so an unconverged one
 # costs a refuted check, not a wrong answer.
 _LANCZOS_STEPS = 60
@@ -256,18 +257,28 @@ def _blocks(adj):
 
 
 def _spectral_vector(graph, mu, seed):
-    """Ritz vector for the top of A - mu*J, from the certificate's Lanczos loop."""
+    """Ritz vector for the top of A - mu*J, from the certificate's Lanczos loop.
+
+    A step is checked with an explicit residual when its residual estimate
+    is within ``_LANCZOS_TOL``, and at a final step; the first check that
+    confirms it ends the run.
+    """
     n = graph.num_vertices
     # The top of A - mu*J is the bottom of mu*J - A; mu*n plus the largest
     # degree bounds its row sums.
-    checkpoints = _lanczos_bottom(
+    steps = _lanczos_bottom(
         lambda x: mu * x.sum() - graph.matvec(x),
         n,
         min(n, _LANCZOS_STEPS),
         mu * n + float(graph.degrees.max()),
         np.random.default_rng(spawn_seed(seed, 1)),
     )
-    for _, _, (rq, res, vec) in checkpoints:
+    for step in steps:
+        if not step.final:
+            theta, estimate = step.estimate()
+            if estimate > _LANCZOS_TOL * max(abs(theta), 1.0):
+                continue
+        rq, res, vec = step.ritz()
         if res <= _LANCZOS_TOL * max(abs(rq), 1.0):
             break
     return vec
@@ -287,9 +298,13 @@ def _top_singular(V):
 
 
 def objective_value(graph, mu, partition):
-    """Objective of the rank-one point g g^T: g^T A g - mu (sum g)^2."""
+    """Objective of the rank-one point g g^T: g^T A g - mu (sum g)^2.
+
+    g^T A g is twice g^T U g, one product with the upper triangle; every
+    term is an integer sum, exact in floats.
+    """
     g = partition.sign_vector(graph)
-    return float(g @ graph.matvec(g) - mu * g.sum() ** 2)
+    return float(2 * (g @ (graph.upper @ g)) - mu * g.sum() ** 2)
 
 
 def brute_force_max(graph, mu, balanced_only=False):

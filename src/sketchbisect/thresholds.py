@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import is_real
+from .seeding import holds_bool, is_real
 
 RECOVERABLE = "RECOVERABLE"
 IMPOSSIBLE = "IMPOSSIBLE"
@@ -156,8 +156,11 @@ def threshold_report(alpha, beta, delta=0.0):
 
 
 def phase_boundary_curve(betas):
-    """The exact-recovery boundary alpha = (sqrt(beta) + sqrt(2))^2."""
+    """The exact-recovery boundary alpha = (sqrt(beta) + sqrt(2))^2.
+
+    ``betas`` are finite positive reals; a boolean among them is not one.
+    """
     b = np.asarray(betas)
-    if b.dtype.kind not in "iuf" or not np.all((b > 0) & (b < np.inf)):
+    if b.dtype.kind not in "iuf" or holds_bool(betas) or not np.all((b > 0) & (b < np.inf)):
         raise ValueError("beta must be finite and positive")
     return (np.sqrt(b.astype(np.float64)) + math.sqrt(2.0)) ** 2

@@ -8,6 +8,8 @@ not independent of the graph store, so a test of graph construction needs
 a reference built from its own input.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -55,14 +57,25 @@ def sides(plus, minus):
 
 
 def recording_loop(monkeypatch, module):
-    """Replace ``module._lanczos_bottom`` by a copy that records its checkpoints."""
+    """Replace ``module._lanczos_bottom`` by a copy that records its checkpoints.
+
+    A checkpoint is a step at which the caller asks for the explicit Ritz
+    pair, recorded as (steps taken, operator applications so far: one per
+    step and one per Ritz pair, the pair or None).
+    """
     checkpoints = []
     loop = module._lanczos_bottom
 
+    def record(step, ritz):
+        pair = ritz()
+        checks = sum(r is not None for _, _, r in checkpoints) + (pair is not None)
+        checkpoints.append((step.k, step.k + checks, pair))
+        return pair
+
     def recording(*args, **kwargs):
-        for checkpoint in loop(*args, **kwargs):
-            checkpoints.append(checkpoint)
-            yield checkpoint
+        for step in loop(*args, **kwargs):
+            step.ritz = functools.partial(record, step, step.ritz)
+            yield step
 
     monkeypatch.setattr(module, "_lanczos_bottom", recording)
     return checkpoints

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -128,6 +129,19 @@ class TestCheckCertificate:
         g = planted.sign_vector(graph)
         assert abs(float(w @ g)) <= 1e-8 * np.linalg.norm(w) * np.linalg.norm(g)
 
+    def test_krylov_witness_when_no_diagonal_entry_refutes(self):
+        # a near-threshold planted cut whose diagonal is all positive
+        graph, planted = sample_sbm(LogScaleParams(5, 1, 200).to_sbm_params(), 0)
+        mu = estimate_mu(graph).mu
+        assert ZOperator(graph, planted, mu).diagonal().min() > 0
+        report = check_certificate(graph, planted, mu)
+        assert report.verdict == NOT_CERTIFIED and report.iterations > 0
+        z = dense_certificate(graph, planted, mu)
+        w = report.witness
+        assert float(w @ z @ w) == pytest.approx(report.witness_value, abs=1e-9 * report.scale)
+        g = planted.sign_vector(graph)
+        assert abs(float(w @ g)) <= 1e-8 * np.linalg.norm(g)
+
     def test_single_split_edge_zero_certificate(self):
         graph = Graph(2, [(0, 1)])
         part = sides([0], [1])
@@ -234,19 +248,104 @@ class TestCheckCertificate:
         assert verdicts.count(NOT_CERTIFIED) >= 6
 
 
+def diagonal_cases():
+    """(graph, cut, mu) whose most negative Z_ii refutes the cut."""
+    sbm, _ = sample_sbm(LogScaleParams(20, 1, 200).to_sbm_params(), 3)
+    one_third = Partition(sbm.vertex_ids, np.where(np.arange(200) < 66, 1, -1))
+    random_cut = random_partition(np.random.default_rng(4), sbm)
+    mu = estimate_mu(sbm).mu
+    k22 = Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    return [
+        pytest.param(k22, sides([0, 1], [2, 3]), 0.5, id="K22-cross"),
+        pytest.param(sbm, one_third, mu, id="sbm-one-third"),
+        pytest.param(sbm, random_cut, mu, id="sbm-random"),
+    ]
+
+
+class TestDiagonalRefutation:
+    """A cut with Z_ii * n/(n - 1) < -margin is refuted by e_i - (g_i/n) g, with no Krylov step."""
+
+    @pytest.mark.parametrize("graph, cut, mu", diagonal_cases())
+    def test_witness_from_the_diagonal(self, monkeypatch, graph, cut, mu):
+        def no_krylov(*args, **kwargs):
+            raise AssertionError("a Krylov step started")
+
+        monkeypatch.setattr(certificate, "_lanczos_bottom", no_krylov)
+        report = check_certificate(graph, cut, mu)
+        assert report.verdict == NOT_CERTIFIED
+        assert (report.iterations, report.matvecs) == (0, 1)
+        n = graph.num_vertices
+        g = cut.sign_vector(graph)
+        w = report.witness
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+        assert abs(float(w @ g)) <= 1e-12 * math.sqrt(n)
+        z = dense_certificate(graph, cut, mu)
+        assert float(w @ z @ w) == pytest.approx(report.witness_value, abs=1e-9 * report.scale)
+        # e_i - (g_i/n) g for the most negative Z_ii; lambda2_lower is its quotient
+        i = int(np.argmin(np.diag(z)))
+        assert np.allclose(w * math.sqrt((n - 1) / n), np.eye(n)[i] - g[i] / n * g, atol=1e-12)
+        assert report.witness_value == pytest.approx(z[i, i] * n / (n - 1), abs=1e-12 * report.scale)
+        assert report.witness_value < -POSITIVE_MARGIN_REL * report.scale
+        assert report.lambda2_lower == report.witness_value
+
+
+class TestUninitialisedMemory:
+    """The Krylov basis starts as ``np.empty``: every row is written before it is read."""
+
+    def test_nan_filled_empty_arrays_give_the_same_reports(self, monkeypatch, two_triangles):
+        near, near_cut = sample_sbm(LogScaleParams(5, 1, 200).to_sbm_params(), 0)
+        strong, strong_cut = sample_sbm(LogScaleParams(20, 1, 300).to_sbm_params(), 1)
+        edges = [(i + k, j + k) for k in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))]
+        triangles = Graph(9, edges)
+        cases = [
+            (*two_triangles, 0.5),  # certified
+            (Graph(4, []), sides([0, 1], [2, 3]), 0.1),  # inconclusive
+            (near, near_cut, estimate_mu(near).mu),  # Krylov refutation
+            (strong, strong_cut, estimate_mu(strong).mu),  # certified
+            (triangles, Partition(range(9), [1] * 4 + [-1] * 5), 0.2),  # breakdowns and restarts
+        ]
+        solves = [(near, 0.1), (strong, estimate_mu(strong).mu), (triangles, 0.0)]
+
+        def run():
+            reports = [check_certificate(*case) for case in cases]
+            spectral = [solve_sdp(g, mu, SolverConfig(max_sweeps=0, seed=2)).factors for g, mu in solves]
+            return reports, spectral
+
+        want_reports, want_spectral = run()
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            if a.dtype.kind == "f":
+                a.fill(np.nan)
+            return a
+
+        monkeypatch.setattr(np, "empty", nan_empty)
+        got_reports, got_spectral = run()
+        for want, got in zip(want_reports, got_reports):
+            for field in dataclasses.fields(want):
+                a, b = getattr(want, field.name), getattr(got, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.tobytes() == b.tobytes(), field.name
+                else:
+                    assert a == b, (field.name, a, b)
+        for want, got in zip(want_spectral, got_spectral):
+            assert want.tobytes() == got.tobytes()
+
+
 class TestMatvecCount:
-    """``CertificateReport.matvecs`` counts every application of Z."""
+    """``CertificateReport.matvecs`` counts every product with A."""
 
     @staticmethod
     def counted_report(monkeypatch, graph, partition, mu):
         calls = []
-        matvec = ZOperator.matvec
+        matvec = Graph.matvec
 
         def counting(self, x):
             calls.append(1)
             return matvec(self, x)
 
-        monkeypatch.setattr(ZOperator, "matvec", counting)
+        monkeypatch.setattr(Graph, "matvec", counting)
         report = check_certificate(graph, partition, mu)
         assert report.matvecs == len(calls)
         return report
@@ -254,11 +353,12 @@ class TestMatvecCount:
     def test_each_verdict(self, monkeypatch, two_triangles, k22_cross):
         report = self.counted_report(monkeypatch, *two_triangles, 0.5)
         assert report.verdict == CERTIFIED
-        # the Zg check, one per Krylov step and at least one Ritz check
+        # A g, one per Krylov step and at least one Ritz check
         assert report.matvecs >= report.iterations + 2
+        # the cross cut of K_{2,2} has Z_ii = -2 + 0.5: refuted from its diagonal
         report = self.counted_report(monkeypatch, *k22_cross, 0.5)
         assert report.verdict == NOT_CERTIFIED
-        assert report.matvecs >= report.iterations + 2
+        assert (report.iterations, report.matvecs) == (0, 1)
         halves = sides([0, 1], [2, 3])
         report = self.counted_report(monkeypatch, Graph(4, []), halves, 0.1)
         assert report.verdict == INCONCLUSIVE
@@ -271,7 +371,7 @@ class TestMatvecCount:
     def test_above_lanczos_budget(self, monkeypatch):
         graph, planted = sample_sbm(LogScaleParams(6, 1, 400).to_sbm_params(), 2)
         report = self.counted_report(monkeypatch, graph, planted, estimate_mu(graph).mu)
-        # one Ritz check per five Krylov steps, plus the Zg check
+        # one Ritz check per five Krylov steps, plus A g
         assert report.matvecs >= report.iterations + report.iterations // 5 + 1
 
 
@@ -284,16 +384,28 @@ class TestLanczosLoop:
         # in the unexplored complement reach all nine steps
         edges = [(i + k, j + k) for k in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))]
         graph = Graph(9, edges)
-        checkpoints = list(
-            _lanczos_bottom(lambda x: -graph.matvec(x), 9, 9, 2.0, np.random.default_rng(1))
-        )
-        steps = [k for k, _, _ in checkpoints]
-        assert steps[0] == 2 and steps[-1] == 9
-        assert checkpoints[-1][1] == 9 + len(checkpoints)
-        for _, _, (rq, res, y) in checkpoints:
+        steps = list(_lanczos_bottom(lambda x: -graph.matvec(x), 9, 9, 2.0, np.random.default_rng(1)))
+        assert [s.k for s in steps] == list(range(1, 10))
+        finals = [s.k for s in steps if s.final]
+        assert finals[0] == 2 and finals[-1] == 9
+
+    def test_estimate_and_ritz_at_each_final_step(self):
+        # Each step is read before the loop moves on: at a breakdown the
+        # residual estimate is ~0 and the explicit Ritz pair agrees with it.
+        edges = [(i + k, j + k) for k in (0, 3, 6) for i, j in ((0, 1), (0, 2), (1, 2))]
+        graph = Graph(9, edges)
+        checked = 0
+        for step in _lanczos_bottom(lambda x: -graph.matvec(x), 9, 9, 2.0, np.random.default_rng(1)):
+            if not step.final:
+                continue
+            theta, estimate = step.estimate()
+            rq, res, y = step.ritz()
+            assert theta == pytest.approx(-2.0, abs=1e-12) and estimate < 1e-9
             assert rq == pytest.approx(-2.0, abs=1e-12)
             assert res < 1e-12
             assert np.linalg.norm(y) == pytest.approx(1.0, abs=1e-12)
+            checked += 1
+        assert checked >= 2
 
     def test_budget_exhausted_reports_last_checkpoint(self, monkeypatch):
         # At a 10-step budget neither stop rule fires on this near-threshold

@@ -202,10 +202,14 @@ class TestGraphConstruction:
         ([(0, 1)], np.array([0, 1, 2**63], dtype=np.uint64)),
         ([[True, False]], None),
         ([(0, 1)], np.array([False, True, True])),
+        ([[True, 2]], None),
+        (np.array([[True, 2]], dtype=object), None),
+        ([(np.True_, 2)], None),
+        ([(0, 1)], [0, 1, True]),
     ])
     def test_non_integer_ids_raise(self, edges, vertex_ids):
-        # they used to be truncated: (0.5, 1.9) built the edge (0, 1), and
-        # [[True, False]] the edge (0, 1)
+        # they used to be truncated: (0.5, 1.9) built the edge (0, 1),
+        # [[True, False]] the edge (0, 1) and [[True, 2]] the edge (1, 2)
         with pytest.raises(ValueError, match="whole numbers within int64"):
             Graph(3, edges, vertex_ids=vertex_ids)
 
@@ -447,7 +451,14 @@ class TestPartition:
             Partition([0, 1], [True, True])
         with pytest.raises(ValueError, match="ids must be whole numbers"):
             Partition(np.array([False, True]), [1, -1])
+        # nor is a boolean element of a list or an object array: these were a +1/-1 cut
+        for signs in ([True, -1], np.array([True, -1], dtype=object), [np.True_, -1]):
+            with pytest.raises(ValueError, match="signs must be whole numbers"):
+                Partition(np.array([0, 1]), signs)
+        with pytest.raises(ValueError, match="ids must be whole numbers"):
+            Partition([0, True], [1, -1])
         assert Partition([1.0, 0.0], [-1.0, 1.0]) == sides([0], [1])
+        assert Partition(np.array([0, 1], dtype=object), np.array([1, -1], dtype=object)) == sides([0], [1])
 
     def test_sign_vector_alignment(self):
         g = Graph(3, [(0, 1)])

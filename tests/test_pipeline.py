@@ -582,6 +582,25 @@ class TestCertificateStopsSolve:
         assert not result.fell_back_random
         assert result.full_partition.equals_up_to_flip(planted)
 
+    def test_certified_sweep_zero_products(self, monkeypatch):
+        # The spectral cut's run stops at the first step whose residual
+        # estimate is within tolerance (8 steps and one Ritz check), its
+        # objective reads the upper triangle alone, and the certificate's
+        # Zg check reuses A g: 22 products with A, where 27 were made when
+        # the spectral run checked every fifth step.
+        graph, _ = sample_sbm(LogScaleParams(50, 1, 2000).to_sbm_params(), 5)
+        calls = []
+        matvec = Graph.matvec
+
+        def counting(self, x):
+            calls.append(1)
+            return matvec(self, x)
+
+        monkeypatch.setattr(Graph, "matvec", counting)
+        result = full_solve(graph, seed=5)
+        assert result.certificate.verdict == CERTIFIED and result.sdp.sweeps_used == 0
+        assert len(calls) <= 23
+
     def test_zero_sweep_budget_checks_once(self, monkeypatch):
         graph, _ = pairwise_sample_sbm(LogScaleParams(5, 1, 400).to_sbm_params(), 1004)
         calls = count_stage_calls(monkeypatch)

@@ -343,24 +343,19 @@ class TestSweepZero:
         assert sol.rounded_cut == Partition(range(12), [1] * 6 + [-1] * 6)
 
     def test_budget_exhausted_keeps_last_ritz_vector(self, monkeypatch):
-        # At 10 steps no Ritz pair of this near-threshold graph converges. The
-        # cut is the last checkpoint's, not that of the best rq - res.
+        # At 10 steps no Ritz pair of this near-threshold graph converges, and
+        # no step's residual estimate comes within the tolerance. The one
+        # explicit check is the last step's, and its unconverged Ritz vector
+        # gives the cut.
         graph, _ = sample_sbm(LogScaleParams(4, 1, 200).to_sbm_params(), 1)
         mu = estimate_mu(graph).mu
         checkpoints = recording_loop(monkeypatch, solver)
         monkeypatch.setattr(solver, "_LANCZOS_STEPS", 10)
         sol = solve_sdp(graph, mu, SolverConfig(max_sweeps=0, seed=1))
-        assert [k for k, _, _ in checkpoints] == [5, 10]
-        ritz = [r for _, _, r in checkpoints]
-        for rq, res, _ in ritz:
-            assert res > solver._LANCZOS_TOL * max(abs(rq), 1.0)
-
-        def sign_cut(vec):
-            return Partition(graph.vertex_ids, np.where(vec >= 0, 1, -1))
-
-        best = max(ritz, key=lambda r: r[0] - r[1])
-        assert sol.rounded_cut.equals_up_to_flip(sign_cut(ritz[-1][2]))
-        assert not sol.rounded_cut.equals_up_to_flip(sign_cut(best[2]))
+        assert [(k, matvecs) for k, matvecs, _ in checkpoints] == [(10, 11)]
+        rq, res, vec = checkpoints[0][2]
+        assert res > solver._LANCZOS_TOL * max(abs(rq), 1.0)
+        assert sol.rounded_cut.equals_up_to_flip(Partition(graph.vertex_ids, np.where(vec >= 0, 1, -1)))
 
 
 def _clique(k):

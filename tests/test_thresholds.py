@@ -278,6 +278,19 @@ class TestThresholdReport:
 
 
 class TestPhaseBoundaryCurve:
+    # a boolean beta in a list or an object array is not a rate: [1.0, True]
+    # used to give the curve at beta 1 twice
+    @pytest.mark.parametrize("value", [True, False, np.True_, "1"], ids=repr)
+    @pytest.mark.parametrize("form", [list, lambda v: np.array(v, dtype=object)], ids=["list", "object"])
+    def test_betas_must_be_reals(self, form, value):
+        with pytest.raises(ValueError, match=r"^beta must be finite and positive$"):
+            phase_boundary_curve(form([1.0, value]))
+
+    def test_typed_and_mixed_numeric_betas_accepted(self):
+        want = phase_boundary_curve(np.array([1.0, 2.0]))
+        for betas in ([1.0, 2], np.array([1, 2]), (np.float32(1.0), 2)):
+            assert np.array_equal(phase_boundary_curve(betas), want)
+
     def test_known_points(self):
         curve = phase_boundary_curve([2.0])
         assert curve[0] == pytest.approx(8.0, rel=1e-15)
