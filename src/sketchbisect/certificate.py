@@ -216,7 +216,7 @@ def _lanczos_bottom(matvec, n, steps, scale, rng, deflate=None):
         w -= alpha * q + beta * q_prev
         w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
         w = project(w)
-        beta = float(np.linalg.norm(w))
+        beta = math.sqrt(float(w @ w))  # np.linalg.norm's own sum, without its checks
         k += 1
 
         broke = beta < breakdown

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .seeding import checked_int, holds_bool, is_real
 from .thresholds import _check_finite
@@ -97,7 +98,7 @@ class LogScaleParams:
         if p > 1.0 or q > 1.0:
             warnings.warn(
                 f"edge rate exceeds 1 at n={self.n} "
-                f"(p={p:.4f}, q={q:.4f}); clamping to 1",
+                f"(p={p:.4g}, q={q:.4g}); clamping to 1",
                 stacklevel=2,
             )
             p = min(p, 1.0)
@@ -192,6 +193,41 @@ def _upper_csr(n, counts, hi):
     return sp.csr_matrix((np.ones(hi.shape[0]), hi, indptr), shape=(n, n))
 
 
+def _csr_product(indptr, indices, data, n_cols, x, transposed=False, out=None):
+    """M @ x for the CSR M = (indptr, indices, data) with ``n_cols`` columns, or M.T @ x.
+
+    The kernel is the one scipy's ``@`` runs, called with the same
+    arguments: csr_matvec (csc_matvec for M.T, whose CSC arrays are M's
+    own) for a vector or an (r, 1) column, csr_matvecs (csc_matvecs) for
+    an (r, k) block, where r is M's column count when transposed and its
+    row count otherwise. So the floats are scipy's, bit for bit, without
+    its dispatch, which costs more than the kernel on a small graph.
+    ``x`` is read as C-ordered float64, as scipy's upcast and ``ravel``
+    read it. The product is written into ``out``, a C-contiguous float64
+    array of the product's shape, or into a new array; either is zeroed
+    first, since the kernels add to it.
+    """
+    n_rows = indptr.shape[0] - 1
+    m, r = (n_cols, n_rows) if transposed else (n_rows, n_cols)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != r:
+        raise ValueError(f"dimension mismatch: an operand of shape {x.shape} for {r} rows")
+    shape = (m,) + x.shape[1:]
+    if out is None:
+        out = np.zeros(shape)
+    elif out.shape != shape:  # the kernels write without bounds checks
+        raise ValueError(f"out has shape {out.shape}, the product {shape}")
+    else:
+        out.fill(0.0)
+    if x.ndim == 1 or x.shape[1] == 1:
+        kernel = _sparsetools.csc_matvec if transposed else _sparsetools.csr_matvec
+        kernel(m, r, indptr, indices, data, x, out)
+    else:
+        kernel = _sparsetools.csc_matvecs if transposed else _sparsetools.csr_matvecs
+        kernel(m, r, x.shape[1], indptr, indices, data, x, out)
+    return out
+
+
 def _is_canonical(lo, hi, n):
     """True when the rows (lo, hi) are distinct pairs 0 <= lo < hi < n in lexicographic order.
 
@@ -212,7 +248,8 @@ class Graph:
     ``vertex_ids`` is kept sorted ascending, and rows follow that order.
     The only edge store is ``upper``, the strict upper triangle of the
     adjacency as CSR: row i holds the sorted neighbours j > i. Everything
-    else is read off it; A = U + U^T is never stored.
+    else is read off it; A = U + U^T is never stored, and U^T is applied
+    by reading U's arrays as a CSC (``_csr_product``).
 
     ``Graph(num_vertices, edges, vertex_ids)`` is checked: a non-negative
     integer count, distinct labels and edges between two known labels that
@@ -277,14 +314,11 @@ class Graph:
         self._ids = ids
         self._ids.flags.writeable = False
         self._upper = upper
-        # U.T as a CSC view of U's own arrays, made once: at n = 400 scipy's
-        # .T costs twice the product it would precede
-        self._lower = upper.T
         return self
 
     def __reduce__(self):
-        # _lower is a view of _upper's arrays: copying it would store them
-        # twice. A static _from_upper pickles as one qualified name.
+        # Copies and pickles rebuild through _install, so their labels are
+        # read-only too; a static _from_upper pickles as one qualified name.
         return Graph._from_upper, (self._ids, self._upper)
 
     @property
@@ -313,13 +347,20 @@ class Graph:
     @property
     def degrees(self):
         """int64 degrees, counted afresh: U's row counts plus U.T @ 1, its column counts."""
-        counts = self._lower @ np.ones(self.num_vertices)
-        counts += np.diff(self._upper.indptr)
+        u, n = self._upper, self.num_vertices
+        counts = _csr_product(u.indptr, u.indices, u.data, n, np.ones(n), True)
+        counts += np.diff(u.indptr)
         return counts.astype(np.int64)
 
     def matvec(self, x):
-        """A @ x = U @ x + U.T @ x for a length-n vector or an (n, k) block."""
-        return self._upper @ x + self._lower @ x
+        """A @ x = U @ x + U.T @ x, in float64, for a length-n vector or an (n, k) block.
+
+        Any other shape raises ValueError.
+        """
+        u, n = self._upper, self.num_vertices
+        ax = _csr_product(u.indptr, u.indices, u.data, n, x)
+        ax += _csr_product(u.indptr, u.indices, u.data, n, x, True)
+        return ax
 
     def indices_of(self, vertices):
         """Map vertex labels to adjacency row indices (vectorized)."""

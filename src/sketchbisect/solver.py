@@ -17,12 +17,14 @@ sweeps hold it, so a vertex update is a few Python complex operations, not
 numpy calls. The update stays the exact Gauss-Seidel step of the mixing
 method (Wang, Chang and Kolter, arXiv 1706.00476), in index order. The
 vertices run in blocks of ``_BLOCK``. At the start of a block its own rows
-are set to zero, and one sparse product of its rows of the symmetric CSR
-gives each block vertex the sum of its neighbours outside the block: no
-row outside the block changes while it runs. Each vertex then adds its
-in-block neighbours and mu*(z_i - R), where R is the running sum of all
-rows, and divides by the modulus. The block's rows are written back with
-one slice assignment.
+are set to zero, and one product of its rows of the symmetric CSR with
+the factors gives each block vertex the sum of its neighbours outside the
+block: no row outside the block changes while it runs. The product calls
+scipy's compiled kernel directly (``graphs._csr_product``) on plain
+slices of the CSR's arrays, into one buffer that every block reuses. Each
+vertex then adds its in-block neighbours and mu*(z_i - R), where R is the
+running sum of all rows, and divides by the modulus. The block's rows are
+written back with one slice assignment.
 
 Before the first sweep the factors carry no structure, so a solve that
 stops at sweep 0 builds none: it reads its cut g off the leading
@@ -35,11 +37,10 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .certificate import _lanczos_bottom
 from .encoding import checked_mu
-from .graphs import Partition
+from .graphs import Partition, _csr_product
 from .seeding import checked_int, spawn_seed
 
 _STALL_NORM = 1e-13
@@ -153,7 +154,8 @@ def _sweep_checkpoints(graph, mu, config):
     checks them. A yielded solution keeps its factors as they were when
     it was yielded. The blocks and the per-sweep objective read a
     symmetric CSR of the graph, built once per swept solve: the package's
-    only one.
+    only one. Both take their products through ``graphs._csr_product``;
+    the blocks write theirs into one reused buffer.
 
     Row i of the factors is the complex number z[i], and V views z as an
     (n, 2) float array. Within a sweep (see the module docstring) every sum
@@ -165,10 +167,11 @@ def _sweep_checkpoints(graph, mu, config):
     """
     n = graph.num_vertices
     adj = _symmetric(graph.upper)
+    csr = adj.indptr, adj.indices, adj.data
 
     def objective(W):
         s = W.sum(axis=0)
-        return float((W * (adj @ W)).sum() - mu * (s @ s))
+        return float((W * _csr_product(*csr, n, W)).sum() - mu * (s @ s))
 
     z = np.empty(n, dtype=np.complex128)
     V = z.view(np.float64).reshape(n, _RANK)
@@ -181,6 +184,9 @@ def _sweep_checkpoints(graph, mu, config):
     V /= norms[:, None]
     obj = objective(V)
     blocks = _blocks(adj)
+    sums = np.empty((_BLOCK, _RANK))
+    # local names: the loop below reads them once per vertex
+    modulus, stall = abs, _STALL_NORM
     for sweep in range(1, config.max_sweeps + 1):
         R = 0j
         for w in z.tolist():
@@ -190,14 +196,15 @@ def _sweep_checkpoints(graph, mu, config):
             # With the block's own rows at zero, its rows' product sums the
             # neighbours outside it: each zero term adds exactly nothing.
             z[start:stop] = 0
-            outside = (rows @ V).view(np.complex128)[:, 0].tolist()
+            outside = _csr_product(*rows, n, V, out=sums[:stop - start])
+            outside = outside.view(np.complex128)[:, 0].tolist()
             for k, (c, nbrs) in enumerate(zip(outside, inside)):
                 for j in nbrs:
                     c += zb[j]
                 w = zb[k]
                 c += mu * (w - R)
-                nc = abs(c)
-                if nc < _STALL_NORM:
+                nc = modulus(c)
+                if nc < stall:
                     continue
                 c /= nc
                 zb[k] = c
@@ -233,10 +240,11 @@ def _blocks(adj):
     """The sweep's blocks, read straight off the arrays of the symmetric CSR.
 
     Block b covers the vertices from start = b * ``_BLOCK`` up to stop and
-    is the tuple (start, stop, rows, inside). ``rows`` is the CSR of the
-    block's rows, views into ``adj``'s arrays. ``inside[k]`` lists the
-    in-block neighbours of vertex start + k, ascending, as offsets from
-    start.
+    is the tuple (start, stop, rows, inside). ``rows`` is the block's rows
+    as plain CSR arrays (indptr, indices, data) for ``_csr_product``: the
+    row pointer rebased to 0, the other two views into ``adj``'s arrays.
+    ``inside[k]`` lists the in-block neighbours of vertex start + k,
+    ascending, as offsets from start.
     """
     n = adj.shape[0]
     indptr, indices = adj.indptr, adj.indices
@@ -249,9 +257,7 @@ def _blocks(adj):
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
         lo, hi = indptr[start], indptr[stop]
-        rows = sp.csr_matrix(
-            (adj.data[lo:hi], indices[lo:hi], indptr[start:stop + 1] - lo), shape=(stop - start, n)
-        )
+        rows = (indptr[start:stop + 1] - lo, indices[lo:hi], adj.data[lo:hi])
         blocks.append((start, stop, rows, inside[start:stop]))
     return blocks
 
@@ -304,7 +310,9 @@ def objective_value(graph, mu, partition):
     term is an integer sum, exact in floats.
     """
     g = partition.sign_vector(graph)
-    return float(2 * (g @ (graph.upper @ g)) - mu * g.sum() ** 2)
+    u = graph.upper
+    ug = _csr_product(u.indptr, u.indices, u.data, graph.num_vertices, g)
+    return float(2 * (g @ ug) - mu * g.sum() ** 2)
 
 
 def brute_force_max(graph, mu, balanced_only=False):

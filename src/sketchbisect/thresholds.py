@@ -2,7 +2,9 @@
 
 All rates are on the logarithmic scale p = alpha*ln(n)/n, q = beta*ln(n)/n.
 Every argument must be finite: an infinite or NaN one raises ValueError
-naming it, never a NaN result or a wrong verdict.
+naming it, never a NaN result or a wrong verdict. Any finite rates give a
+result, never an overflow inside a formula: a rate past float range is
+inf.
 Exact recovery of a balanced planted cut is possible iff
 sqrt(alpha) - sqrt(beta) >= sqrt(2); below that line no estimator succeeds
 with high probability. The sketching rates compare against that line:
@@ -27,6 +29,7 @@ with high probability. The sketching rates compare against that line:
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -67,9 +70,24 @@ def recovery_phase(alpha, beta):
 
 
 def vote_gamma_threshold(alpha, beta):
-    """Sampling rate above which majority-vote extension succeeds w.h.p."""
+    """Sampling rate above which majority-vote extension succeeds w.h.p.
+
+    The formula runs on alpha and beta times 2**-k, the power of two that
+    brings alpha into [1/2, 1), where no step overflows and only a beta
+    too small to move alpha - beta can underflow; its value is scaled back
+    by 2**-k, and is inf when that lies past float range. Scaling by a power of two is exact and commutes with +, -, *
+    and /, so wherever the unscaled steps would stay in float range the
+    value is theirs, bit for bit.
+    """
     _check_rates(alpha, beta)
-    return (8.0 / 3.0) * (2.0 * alpha + beta) / (alpha - beta) ** 2
+    k = math.frexp(alpha)[1]
+    a, b = math.ldexp(alpha, -k), math.ldexp(beta, -k)
+    # (a - b) * (a - b), not libm's pow, which is not always rounded once
+    rate = (8.0 / 3.0) * (2.0 * a + b) / ((a - b) * (a - b))
+    try:
+        return math.ldexp(rate, -k)
+    except OverflowError:
+        return math.inf
 
 
 def sketch_gamma_threshold(alpha, beta):
@@ -113,15 +131,14 @@ def unbalanced_recovery_condition(alpha, beta, delta):
     """True when 3*(a-b)^2 > 16*(2a+b) + 24*(a-b)*delta.
 
     ``delta`` scales the block imbalance as m = delta*n/ln(n); delta = 0
-    is the balanced case.
+    is the balanced case. Both sides are exact rationals of the arguments'
+    float values, so nothing overflows and the comparison is exact.
     """
     _check_rates(alpha, beta)
     if not (_is_finite(delta) and delta >= 0.0):
         raise ValueError("delta must be finite and non-negative")
-    return bool(
-        3.0 * (alpha - beta) ** 2
-        > 16.0 * (2.0 * alpha + beta) + 24.0 * (alpha - beta) * delta
-    )
+    a, b, d = (Fraction(float(x)) for x in (alpha, beta, delta))
+    return 3 * (a - b) ** 2 > 16 * (2 * a + b) + 24 * (a - b) * d
 
 
 @dataclass(frozen=True)

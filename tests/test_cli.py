@@ -13,6 +13,7 @@ from sketchbisect import (
     sample_sbm,
     save_graph,
     save_partition,
+    vote_gamma_threshold,
 )
 from sketchbisect import cli
 from sketchbisect.cli import main
@@ -281,6 +282,17 @@ class TestRatesChecked:
                           f"got alpha={float(alpha)!r}, beta={float(beta)!r}\n")
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("alpha, beta", [("1e308", "1"), ("1e-300", "1e-308")])
+    def test_extreme_finite_rates_report(self, capsys, alpha, beta):
+        # the square of alpha - beta used to escape as OverflowError or ZeroDivisionError
+        code, stdout, stderr = run_cli(capsys, "thresholds", "--alpha", alpha, "--beta", beta)
+        assert (code, stderr) == (0, "")
+        record = json.loads(stdout)
+        assert record["vote_gamma"] == vote_gamma_threshold(float(alpha), float(beta))
+        assert record["sketch_gamma"] == 2.0 * record["vote_gamma"]
+        assert all(0.0 < record[k] < float("inf") for k in ("vote_gamma", "sketch_gamma", "conjectured_gamma"))
+        assert record["unbalanced_condition_holds"] is (alpha == "1e308")
 
     @pytest.mark.parametrize("argv, message", [
         (["--alpha", "10", "--beta", "1", "--delta", "nan"],

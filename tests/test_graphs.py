@@ -382,10 +382,8 @@ class TestOneStore:
         g.matvec(np.ones((55, 2)))
         assert built == []
         assert not hasattr(g, "adjacency") and not hasattr(graphs, "_symmetric")
-        # the one store and a transposed view of its own arrays
-        assert set(vars(g)) == {"_ids", "_upper", "_lower"}
-        for name in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(g._lower, name), getattr(g.upper, name))
+        # the one store: U.T is applied from U's own arrays, never made
+        assert set(vars(g)) == {"_ids", "_upper"}
 
     @pytest.mark.parametrize("dup", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy, copy.copy],
                              ids=["pickle", "deepcopy", "copy"])
@@ -395,11 +393,8 @@ class TestOneStore:
         for graph in (g, sub, Graph(0), Graph(3, [(7, 3)], vertex_ids=[7, 3, 5])):
             twin = dup(graph)
             assert_same_graph(twin, graph)
-            assert set(vars(twin)) == {"_ids", "_upper", "_lower"}
+            assert set(vars(twin)) == {"_ids", "_upper"}
             assert not twin.vertex_ids.flags.writeable
-            for name in ("data", "indices", "indptr"):
-                array = getattr(twin.upper, name)
-                assert array.size == 0 or np.shares_memory(getattr(twin._lower, name), array)
             assert np.array_equal(twin.matvec(np.ones(graph.num_vertices)), graph.degrees)
         # the pickle holds the CSR once (it held it twice, through the transposed view)
         csr = sum(getattr(g.upper, name).nbytes for name in ("data", "indices", "indptr"))
@@ -420,6 +415,85 @@ class TestOneStore:
         # a few length-n arrays; one integer per edge alone would be 8 * m
         assert g.edge_count > 100_000
         assert peak <= 4 * 8 * n + 4096
+
+
+def same_bits(x, y):
+    """True when two float64 arrays hold the same values, bit for bit."""
+    return x.dtype == y.dtype == np.float64 and x.shape == y.shape and np.array_equal(
+        x.view(np.int64), y.view(np.int64))
+
+
+def int64_copy(graph):
+    """The graph on int64 copies of its CSR arrays, through the trusted constructor.
+
+    scipy's constructor would narrow the arrays back to int32, so they are set afterwards.
+    """
+    wide = graph.upper.copy()
+    wide.indices = wide.indices.astype(np.int64)
+    wide.indptr = wide.indptr.astype(np.int64)
+    assert wide.indices.dtype == wide.indptr.dtype == np.int64
+    return Graph._from_upper(graph.vertex_ids, wide)
+
+
+class TestKernelPath:
+    """Products with A call scipy's kernels directly and give the bits of scipy's ``@``."""
+
+    GRAPHS = {
+        "sbm": lambda: sample_sbm(LogScaleParams(4, 1, 400).to_sbm_params(), seed=7)[0],
+        "n=0": lambda: Graph(0),
+        "n=1": lambda: Graph(1),
+        "edgeless": lambda: Graph(9),
+        "labelled": lambda: Graph(4, [(7, 3), (3, 5), (5, 9)], vertex_ids=[9, 7, 5, 3]),
+    }
+
+    @staticmethod
+    def operands(n, rng):
+        x = rng.standard_normal((n, 3))
+        return {
+            "float64": x[:, 0].copy(),
+            "int8": np.where(x[:, 0] >= 0, 1, -1).astype(np.int8),
+            "column": x[:, :1].copy(),
+            "C block": x,
+            "F block": np.asfortranarray(x),
+            "strided": x[:, 1],
+            "empty block": x[:, :0],
+        }
+
+    @pytest.mark.parametrize("width", ["int32", "int64"])
+    @pytest.mark.parametrize("name", list(GRAPHS))
+    def test_matvec_and_degrees_are_scipys_bits(self, name, width):
+        graph = self.GRAPHS[name]()
+        if width == "int64":
+            graph = int64_copy(graph)
+        up = graph.upper
+        n = graph.num_vertices
+        for kind, x in self.operands(n, np.random.default_rng(3)).items():
+            assert same_bits(graph.matvec(x), up @ x + up.T @ x), (name, width, kind)
+        counts = up.T @ np.ones(n) + np.diff(up.indptr)
+        assert np.array_equal(graph.degrees, counts.astype(np.int64))
+        assert np.array_equal(graph.degrees, dense_adjacency(graph).sum(axis=1))
+
+    def test_triangle_product_is_scipys_bits(self):
+        graph = self.GRAPHS["sbm"]()
+        g = np.where(np.random.default_rng(5).random(graph.num_vertices) < 0.5, 1.0, -1.0)
+        up = graph.upper
+        assert same_bits(graphs._csr_product(up.indptr, up.indices, up.data, graph.num_vertices, g), up @ g)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2), (7, 2, 1), ()])
+    def test_wrong_shapes_are_refused(self, shape):
+        graph = Graph(6, [(0, 1), (4, 5)])
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            graph.matvec(np.ones(shape))
+
+    def test_out_is_zeroed_and_filled(self):
+        graph = self.GRAPHS["sbm"]()
+        up, n = graph.upper, graph.num_vertices
+        x = np.random.default_rng(1).standard_normal((n, 2))
+        out = np.full((n, 2), np.nan)
+        got = graphs._csr_product(up.indptr, up.indices, up.data, n, x, out=out)
+        assert got is out and same_bits(out, up @ x)
+        with pytest.raises(ValueError, match="out has shape"):
+            graphs._csr_product(up.indptr, up.indices, up.data, n, x, out=out[1:])
 
 
 class TestPartition:
@@ -869,6 +943,12 @@ class TestLogScaleParams:
             params = LogScaleParams(50, 1, 200).to_sbm_params()
         assert params.p == 1.0
         assert params.q == pytest.approx(math.log(200) / 200, rel=1e-15)
+
+    def test_clamping_warning_is_readable(self):
+        # p used to be printed with every one of its 300 integer digits
+        with pytest.warns(UserWarning) as caught:
+            LogScaleParams(1e300, 1, 20).to_sbm_params()
+        assert str(caught[0].message) == "edge rate exceeds 1 at n=20 (p=1.498e+299, q=0.1498); clamping to 1"
 
     def test_no_warning_in_range(self):
         with warnings.catch_warnings():

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sketchbisect import (
     Graph,
@@ -265,6 +266,26 @@ class TestSweepOracle:
     def test_dense_instance(self):
         sol = self.assert_same_trajectory(*_sbm_case(50, 1000, 0, 500))
         assert sol.converged
+
+
+class TestBlockProducts:
+    """The sweep's block products are scipy's ``rows @ V`` on the same CSR slices, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, solver._BLOCK, solver._BLOCK + 1, 400])
+    def test_each_block_matches_scipy(self, n):
+        graph = random_test_graph(np.random.default_rng(n), n, min(1.0, 8.0 / n))
+        adj = solver._symmetric(graph.upper)
+        V = np.random.default_rng(2).standard_normal((n, solver._RANK))
+        V[: n // 3] = 0.0  # a block's own rows are zero while it runs
+        sums = np.empty((solver._BLOCK, solver._RANK))
+        blocks = solver._blocks(adj)
+        assert [b[0] for b in blocks] == list(range(0, n, solver._BLOCK))
+        for start, stop, rows, _ in blocks:
+            indptr, indices, data = rows
+            want = sp.csr_matrix((data, indices, indptr), shape=(stop - start, n)) @ V
+            got = solver._csr_product(*rows, n, V, out=sums[: stop - start])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, start)
+            assert np.shares_memory(indices, adj.indices) or indices.size == 0
 
 
 def _two_cliques(k):

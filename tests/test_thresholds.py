@@ -121,6 +121,51 @@ class TestNonFiniteRates:
         assert conjectured_gamma_threshold(1e300, 1.0) > 0.0
 
 
+# finite rates at either end of float range: the square of alpha - beta
+# used to overflow or underflow to zero
+EXTREME_RATES = [(1e308, 1.0), (1e-300, 1e-308), (1.7976931348623157e308, 5e-324),
+                 (1e308, 9.999999999999998e307), (1e-320, 1e-322)]
+
+
+def exact_vote_rate(alpha, beta):
+    a, b = Fraction(alpha), Fraction(beta)
+    return Fraction(8, 3) * (2 * a + b) / (a - b) ** 2
+
+
+class TestExtremeFiniteRates:
+    """Any finite alpha > beta > 0 gives a float, inf past float range; never an ArithmeticError."""
+
+    @pytest.mark.parametrize("alpha, beta", EXTREME_RATES, ids=repr)
+    def test_gamma_thresholds(self, alpha, beta):
+        exact = exact_vote_rate(alpha, beta)
+        vote = vote_gamma_threshold(alpha, beta)
+        if exact > Fraction(np.finfo(np.float64).max):
+            assert vote == math.inf
+        else:
+            assert vote == pytest.approx(float(exact), rel=1e-14)
+        assert sketch_gamma_threshold(alpha, beta) == 2.0 * vote
+        assert conjectured_gamma_threshold(alpha, beta) > 0.0
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, 1e300])
+    @pytest.mark.parametrize("alpha, beta", EXTREME_RATES, ids=repr)
+    def test_unbalanced_condition_is_exact(self, alpha, beta, delta):
+        a, b, d = Fraction(alpha), Fraction(beta), Fraction(delta)
+        want = 3 * (a - b) ** 2 > 16 * (2 * a + b) + 24 * (a - b) * d
+        assert unbalanced_recovery_condition(alpha, beta, delta) is want
+
+    @pytest.mark.parametrize("alpha, beta", EXTREME_RATES, ids=repr)
+    def test_report(self, alpha, beta):
+        rep = threshold_report(alpha, beta)
+        assert rep.vote_gamma == vote_gamma_threshold(alpha, beta)
+        assert rep.phase in (RECOVERABLE, IMPOSSIBLE, BOUNDARY)
+
+    def test_ordinary_points_keep_their_floats(self):
+        # the unscaled formula with one rounding per step, as before
+        for alpha, beta in ((50, 1), (3, 1), (10, 2), (12.5, 0.75), (1e-3, 2e-4)):
+            want = (8.0 / 3.0) * (2.0 * alpha + beta) / ((alpha - beta) * (alpha - beta))
+            assert vote_gamma_threshold(alpha, beta) == want
+
+
 class TestGammaThresholds:
     def test_vote_rational_points(self):
         assert vote_gamma_threshold(50, 1) == pytest.approx(
